@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from itertools import permutations as _lex_perms
 from typing import Optional
 
 import numpy as np
@@ -29,7 +28,7 @@ from .errors import (
     RingMismatch,
 )
 from .gf import LinearCode, all_vectors
-from .perms import Permutation
+from .perms import MAX_PERM_N, Permutation, first_carrying
 from .ring import RingElement, RingId
 from .symplectic import SymplecticSpace
 
@@ -315,12 +314,16 @@ def is_euclidean_self_orthogonal(code: HzCode, budget: int = 6**6) -> bool:
 # permutation equivalence
 
 
-def equivalent(c1: HzCode, c2: HzCode, max_n: int = 8) -> Optional[Permutation]:
-    """A permutation carrying c1 onto c2 componentwise, or None.
+def equivalent(c1: HzCode, c2: HzCode, max_n: int = MAX_PERM_N) -> Optional[Permutation]:
+    """The lex-first permutation carrying c1 onto c2 componentwise, or None.
 
     Exhaustive lexicographic scan of S_n with early exits: component
     dimensions must agree, and the binary side is matched before the
-    ternary side is tried.
+    ternary side is tried.  Membership is tested by pivot reduction
+    (LinearCode.contains_rows), never by the parity-check product that
+    automorphism_group uses, so the classification verifier built on this
+    scan shares no membership algorithm with the Aut groups that classify
+    reads.
     """
     if c1.ring is not c2.ring:
         raise RingMismatch(f"{c1.ring} vs {c2.ring}")
@@ -331,14 +334,4 @@ def equivalent(c1: HzCode, c2: HzCode, max_n: int = 8) -> Optional[Permutation]:
         raise BudgetExceeded(f"n={n} beyond equivalence scan guard {max_n}")
     if c1.ca.k != c2.ca.k or c1.cb.k != c2.cb.k:
         return None
-    ga = c1.ca.gen.astype(np.int64)
-    gb = c1.cb.gen.astype(np.int64)
-    for images in _lex_perms(range(n)):
-        inv = [0] * n
-        for i, j in enumerate(images):
-            inv[j] = i
-        if not all(row in c2.ca for row in ga[:, inv]):
-            continue
-        if all(row in c2.cb for row in gb[:, inv]):
-            return Permutation(images)
-    return None
+    return first_carrying(n, [(c1.ca.gen, c2.ca), (c1.cb.gen, c2.cb)])

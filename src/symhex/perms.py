@@ -5,18 +5,24 @@ vector by (pi . v)[pi(i)] = v[i] and on a code by permuting generator
 columns.  Composition is (sigma * tau)(i) = sigma(tau(i)), matching
 sigma . (tau . v) = (sigma * tau) . v.
 
-Double cosets G \\ S_n / H are found by sweeping S_n in lexicographic
-(Lehmer rank) order with a dense visited table: the first unvisited
-permutation seeds a BFS closure under left multiplication by generators
-of G and right multiplication by generators of H.  The seed is therefore
-the lexicographically smallest member of its orbit, and orbit sizes sum
-to n!.
+Every scan over S_n runs on one cached table, perm_table(n): all n!
+permutations as int8 rows in lexicographic (Lehmer rank) order.  Scans
+take it in fixed blocks of BLOCK rows, so their temporaries stay small
+and an equivalence search can stop at the first block with a hit.
+
+Double cosets G \\ S_n / H are the connected components of the maps
+sigma -> g sigma and sigma -> sigma h on ranks, one map per generator of
+G and of H.  Every rank starts labelled with itself and repeatedly takes
+the smallest label among its images, with pointer jumping (label of the
+label) to shorten chains; the fixed point labels each component with its
+smallest rank, which is its lexicographically least member (Butler,
+Fundamental Algorithms for Permutation Groups, LNCS 559, 1991).
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+from functools import cache
 from itertools import permutations as _lex_perms
 from math import factorial
 
@@ -27,6 +33,9 @@ from .gf import LinearCode, nullspace
 
 # n! table sizes stay sane up to 8! = 40320
 MAX_PERM_N = 8
+
+# rows of perm_table per scan step: 7!, so S_8 is scanned in eight blocks
+BLOCK = 5040
 
 
 @dataclass(frozen=True, order=True)
@@ -117,6 +126,46 @@ def unrank_images(n: int, r: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+@cache
+def perm_table(n: int) -> np.ndarray:
+    """S_n as a read-only (n!, n) int8 array, rows in lexicographic order.
+
+    Rows starting with f are f followed by S_{n-1} with every entry >= f
+    shifted up by one; that shift keeps S_{n-1}'s order, so stacking the
+    blocks for f = 0..n-1 gives lexicographic order.
+    """
+    if n > MAX_PERM_N:
+        raise BudgetExceeded(f"n={n} beyond permutation table guard {MAX_PERM_N}")
+    if n <= 0:
+        table = np.zeros((1, 0), dtype=np.int8)
+    else:
+        prev = perm_table(n - 1)
+        table = np.empty((factorial(n), n), dtype=np.int8)
+        for f, block in enumerate(np.split(table, n)):
+            block[:, 0] = f
+            block[:, 1:] = prev + (prev >= f)
+    table.flags.writeable = False
+    return table
+
+
+def ranks(images: np.ndarray) -> np.ndarray:
+    """Lehmer ranks of the rows of an (m, n) array of permutation images.
+
+    A row's rank sums, over positions i, (n-1-i)! times the number of later
+    entries smaller than entry i; rank_images is the one-row version.  Ranks
+    are int32, exact for n <= 12.
+    """
+    cols = np.ascontiguousarray(np.asarray(images).T)
+    n, m = cols.shape
+    out = np.zeros(m, dtype=np.int32)
+    for i in range(n - 1):
+        smaller = np.zeros(m, dtype=np.int32)
+        for j in range(i + 1, n):
+            smaller += cols[j] < cols[i]
+        out += smaller * factorial(n - 1 - i)
+    return out
+
+
 def all_permutations(n: int):
     """S_n in lexicographic order (which is Lehmer rank order)."""
     for images in _lex_perms(range(n)):
@@ -140,13 +189,31 @@ def perm_equivalent(c1: LinearCode, c2: LinearCode, max_n: int = MAX_PERM_N) -> 
         raise BudgetExceeded(f"n={n} beyond equivalence scan guard {max_n}")
     if c1.k != c2.k:
         return None
-    G = c1.gen.astype(np.int64)
-    for images in _lex_perms(range(n)):
-        inv = [0] * n
-        for i, j in enumerate(images):
-            inv[j] = i
-        if all(row in c2 for row in G[:, inv]):
-            return Permutation(images)
+    return first_carrying(n, [(c1.gen, c2)])
+
+
+def first_carrying(n: int, pairs: list[tuple[np.ndarray, LinearCode]]) -> "Permutation | None":
+    """The lex-first sigma in S_n with sigma . row in C for every row of G.
+
+    ``pairs`` holds (G, C) generator/code pairs that sigma must satisfy
+    together.  Rows are permuted by sigma^-1 column indexing and tested with
+    LinearCode.contains_rows (reduction against the pivots), pair by pair on
+    the survivors of the pairs before.  The scan stops at the first block of
+    perm_table(n) holding a hit.
+    """
+    table = perm_table(n)
+    for start in range(0, len(table), BLOCK):
+        block = table[start : start + BLOCK]
+        # the argsort of a permutation is its inverse
+        inv = np.argsort(block, axis=1)
+        alive = np.arange(len(block))
+        for G, code in pairs:
+            moved = G[:, inv[alive]]
+            k, rows = moved.shape[:2]
+            ok = code.contains_rows(moved.reshape(k * rows, n)).reshape(k, rows).all(axis=0)
+            alive = alive[ok]
+        if alive.size:
+            return Permutation(tuple(block[alive[0]].tolist()))
     return None
 
 
@@ -179,7 +246,8 @@ class PermGroup:
 
     def __init__(self, n: int, elements: list[Permutation]):
         self.n = n
-        self.elements = tuple(sorted(set(elements)))
+        self._members = frozenset(elements)
+        self.elements = tuple(sorted(self._members))
         if not self.elements or not self.elements[0].is_identity():
             raise ValueError("a group must contain the identity")
         self.generators = self._greedy_generators()
@@ -190,18 +258,7 @@ class PermGroup:
         for el in self.elements:
             if el not in closure:
                 gens.append(el)
-                # grow the closure incrementally from the new generator
-                frontier = [el]
-                closure.add(el)
-                while frontier:
-                    nxt = []
-                    for s in frontier:
-                        for g in gens:
-                            for t in (g * s, s * g):
-                                if t not in closure:
-                                    closure.add(t)
-                                    nxt.append(t)
-                    frontier = nxt
+                closure = mulclose(gens)
         assert len(closure) == len(self.elements)
         return tuple(gens)
 
@@ -210,7 +267,7 @@ class PermGroup:
         return len(self.elements)
 
     def __contains__(self, perm: Permutation) -> bool:
-        return perm in set(self.elements)
+        return perm in self._members
 
     def __iter__(self):
         return iter(self.elements)
@@ -230,64 +287,46 @@ class PermGroup:
 def automorphism_group(code: LinearCode) -> PermGroup:
     """All coordinate permutations fixing the code setwise.
 
-    Scans the whole of S_n; each candidate is accepted when the permuted
-    generator rows still satisfy the code's parity checks.
+    Scans the whole of S_n in blocks of perm_table(n); each candidate is
+    accepted when the permuted generator rows still satisfy the code's
+    parity checks.
     """
-    n = code.n
-    if n > MAX_PERM_N:
-        raise BudgetExceeded(f"n={n} beyond automorphism scan guard {MAX_PERM_N}")
-    G = code.gen.astype(np.int64)
-    H = nullspace(G, code.p).astype(np.int64) if code.k < n else None
-    p = code.p
+    table = perm_table(code.n)
+    G = code.gen.T.astype(np.int16)
+    H = nullspace(code.gen, code.p).astype(np.int16)
     kept = []
-    for images in _lex_perms(range(n)):
-        if H is not None:
-            inv = [0] * n
-            for i, j in enumerate(images):
-                inv[j] = i
-            if ((G[:, inv] @ H.T) % p).any():
-                continue
-        kept.append(Permutation(images))
-    return PermGroup(n, kept)
+    for start in range(0, len(table), BLOCK):
+        block = table[start : start + BLOCK]
+        # G[:, sigma^-1] @ H.T is G @ H[:, sigma].T, transposed: (checks, rows, k)
+        fails = ((H[:, block] @ G) % code.p).any(axis=(0, 2))
+        kept.extend(Permutation(tuple(row)) for row in block[~fails].tolist())
+    return PermGroup(code.n, kept)
 
 
 def double_cosets(G: PermGroup, H: PermGroup) -> list[tuple[Permutation, int]]:
     """The double cosets G sigma H, as (lex-min representative, size) pairs.
 
-    BFS orbit closure over generator multiplication; never touches the
-    |G| x |H| product.  Orbits are reported in order of their representative
-    and their sizes partition n!.
+    Connected components of the generators' rank maps on perm_table(n), by
+    min-label propagation; never touches the |G| x |H| product.  Orbits are
+    reported in order of their representative and their sizes partition n!.
     """
-    n = G.n
-    if H.n != n:
+    if H.n != G.n:
         raise DimensionMismatch(f"groups act on {G.n} and {H.n} points")
-    if n > MAX_PERM_N:
-        raise BudgetExceeded(f"n={n} beyond double coset guard {MAX_PERM_N}")
-    total = factorial(n)
-    visited = bytearray(total)
-    lgens = [g.images for g in G.generators]
-    rgens = [h.images for h in H.generators]
-    out: list[tuple[Permutation, int]] = []
-    for r in range(total):
-        if visited[r]:
-            continue
-        seed = unrank_images(n, r)
-        visited[r] = 1
-        size = 1
-        queue = deque([seed])
-        while queue:
-            s = queue.popleft()
-            neighbors = [tuple(g[j] for j in s) for g in lgens]
-            neighbors += [tuple(s[j] for j in h) for h in rgens]
-            for t in neighbors:
-                tr = rank_images(t)
-                if not visited[tr]:
-                    visited[tr] = 1
-                    size += 1
-                    queue.append(t)
-        out.append((Permutation(seed), size))
-    assert sum(sz for _, sz in out) == total
-    return out
+    table = perm_table(G.n)
+    maps = [ranks(np.array(g.images, dtype=np.int8)[table]) for g in G.generators]
+    maps += [ranks(table[:, list(h.images)]) for h in H.generators]
+    label = np.arange(len(table), dtype=np.int32)
+    while True:
+        new = label.copy()
+        for image in maps:
+            np.minimum(new, label[image], out=new)
+        while not np.array_equal(jumped := new[new], new):
+            new = jumped
+        if np.array_equal(new, label):
+            break
+        label = new
+    reps, sizes = np.unique(label, return_counts=True)
+    return [(Permutation(tuple(table[r].tolist())), int(size)) for r, size in zip(reps, sizes)]
 
 
 def double_coset_reps(G: PermGroup, H: PermGroup) -> list[Permutation]:

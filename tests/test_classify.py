@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+from importlib import import_module
 
 import pytest
 
@@ -114,6 +115,27 @@ def test_verification_catches_dropped_record():
     records = classify(H23, LA, LB, "SO")
     for i in range(len(records)):
         assert not verify_classification(records[:i] + records[i + 1:], H23, LA, LB, "SO")
+
+
+def test_verification_is_independent_of_aut_groups_and_double_cosets(monkeypatch):
+    # the verifier is the oracle for classify, so it must not reach the
+    # kernels classify is built on
+    def iso_reps(p):
+        space = SymplecticSpace.for_length(p, 4)
+        return inequivalent_reps([c for k in range(3) for c in isotropic_subspaces(space, k)])
+
+    la, lb = iso_reps(2), iso_reps(3)
+    records = classify(H23, la, lb, "SO")
+
+    def boom(*args, **kwargs):
+        raise AssertionError("verification reached a classify kernel")
+
+    # symhex.classify the attribute is the function; the module is in sys.modules
+    for module in (import_module("symhex.perms"), import_module("symhex.classify")):
+        monkeypatch.setattr(module, "automorphism_group", boom)
+        monkeypatch.setattr(module, "double_cosets", boom)
+    assert verify_classification(records, H23, la, lb, "SO")
+    assert not verify_classification(records[:-1], H23, la, lb, "SO")
 
 
 def test_verification_catches_duplicate_under_nonrep_sigma():

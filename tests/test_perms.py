@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+from collections import deque
+from itertools import permutations
 from math import factorial
 
+import numpy as np
 import pytest
 
+from symhex.codes import build, equivalent
 from symhex.errors import BudgetExceeded
-from symhex.gf import LinearCode
+from symhex.gf import LinearCode, nullspace, random_code
 from symhex.perms import (
     PermGroup,
     Permutation,
@@ -18,7 +22,13 @@ from symhex.perms import (
     double_cosets,
     mulclose,
     perm_equivalent,
+    perm_table,
+    rank_images,
+    ranks,
+    unrank_images,
 )
+from symhex.ring import RingId
+from symhex.symplectic import SymplecticSpace, isotropic_subspaces
 
 
 def test_permutation_basics():
@@ -93,6 +103,17 @@ def test_group_generators_reproduce_elements():
     assert mulclose(list(g.generators)) == set(g.elements)
     t = PermGroup.trivial(3)
     assert t.order == 1 and t.generators == ()
+    # the greedy choice is what `symhex aut` prints for the length-8 codes
+    pairs = LinearCode(2, np.kron(np.eye(4, dtype=np.int64), [[1, 1]]))
+    rep6 = LinearCode(3, [[1, 1, 1, 1, 1, 1, 0, 0]])
+    cycles = [
+        " ".join(g.cycle_string() for g in automorphism_group(c).generators)
+        for c in (pairs, rep6)
+    ]
+    assert cycles == [
+        "(7 8) (5 6) (5 7)(6 8) (3 4) (3 5)(4 6) (1 2) (1 3)(2 4)",
+        "(7 8) (5 6) (4 5) (3 4) (2 3) (1 2)",
+    ]
 
 
 def test_automorphism_examples():
@@ -158,3 +179,158 @@ def test_budget_guards():
         automorphism_group(LinearCode.zero(2, 9))
     with pytest.raises(BudgetExceeded):
         perm_equivalent(LinearCode.zero(2, 9), LinearCode.zero(2, 9))
+    with pytest.raises(BudgetExceeded):
+        perm_table(9)
+    with pytest.raises(BudgetExceeded):
+        double_cosets(PermGroup.trivial(9), PermGroup.trivial(9))
+
+
+# ---------------------------------------------------------------------------
+# the S_n table kernels against the per-permutation loops they replaced
+
+
+def test_perm_table_is_lex_ordered_and_read_only():
+    for n in range(1, 9):
+        table = perm_table(n)
+        assert table.dtype == np.int8 and table.shape == (factorial(n), n)
+        assert [tuple(row) for row in table.tolist()] == list(permutations(range(n)))
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0, 0] = 1
+    assert perm_table(8) is perm_table(8)
+
+
+def test_ranks_are_table_positions():
+    assert np.array_equal(ranks(perm_table(6)), np.arange(720))
+    rng = np.random.default_rng(11)
+    rows = np.array([rng.permutation(8) for _ in range(50)])
+    assert ranks(rows).tolist() == [rank_images(tuple(r)) for r in rows.tolist()]
+
+
+def _inverse(images):
+    inv = [0] * len(images)
+    for i, j in enumerate(images):
+        inv[j] = i
+    return inv
+
+
+def _words(code: LinearCode) -> set:
+    return {tuple(w) for w in code.codewords().tolist()}
+
+
+def ref_automorphisms(code: LinearCode) -> list[Permutation]:
+    """The parity-check test, one permutation at a time."""
+    G = code.gen.astype(np.int64)
+    H = nullspace(G, code.p).astype(np.int64) if code.k < code.n else None
+    return [
+        Permutation(images)
+        for images in permutations(range(code.n))
+        if H is None or not ((G[:, _inverse(images)] @ H.T) % code.p).any()
+    ]
+
+
+def ref_double_cosets(G: PermGroup, H: PermGroup) -> list[tuple[Permutation, int]]:
+    """Breadth-first closure from each unvisited rank, in rank order."""
+    n = G.n
+    visited = bytearray(factorial(n))
+    out = []
+    for r in range(factorial(n)):
+        if visited[r]:
+            continue
+        seed = unrank_images(n, r)
+        visited[r] = 1
+        size = 1
+        queue = deque([seed])
+        while queue:
+            s = queue.popleft()
+            neighbors = [tuple(g.images[j] for j in s) for g in G.generators]
+            neighbors += [tuple(s[j] for j in h.images) for h in H.generators]
+            for t in neighbors:
+                tr = rank_images(t)
+                if not visited[tr]:
+                    visited[tr] = 1
+                    size += 1
+                    queue.append(t)
+        out.append((Permutation(seed), size))
+    return out
+
+
+def ref_carrying(pairs, n):
+    """First permutation in lex order moving every generator row into its code."""
+    targets = [(G.astype(np.int64), _words(code)) for G, code in pairs]
+    for images in permutations(range(n)):
+        inv = _inverse(images)
+        if all(tuple(row) in words for G, words in targets for row in G[:, inv].tolist()):
+            return Permutation(images)
+    return None
+
+
+def ref_perm_equivalent(c1: LinearCode, c2: LinearCode):
+    return ref_carrying([(c1.gen, c2)], c1.n) if c1.k == c2.k else None
+
+
+def ref_equivalent(c1, c2):
+    if c1.ca.k != c2.ca.k or c1.cb.k != c2.cb.k:
+        return None
+    return ref_carrying([(c1.ca.gen, c2.ca), (c1.cb.gen, c2.cb)], c1.n)
+
+
+def _isotropic_codes(n: int) -> list[LinearCode]:
+    out = []
+    for p in (2, 3):
+        space = SymplecticSpace.for_length(p, n)
+        out += [c for k in range(space.m + 1) for c in isotropic_subspaces(space, k)]
+    return out
+
+
+def _random_codes(n: int, count: int, seed: int) -> list[LinearCode]:
+    rng = np.random.default_rng(seed)
+    return [random_code(p, n, rng) for p in (2, 3) for _ in range(count)]
+
+
+def test_automorphism_group_matches_the_loop():
+    codes = _isotropic_codes(2) + _isotropic_codes(4)
+    codes += _random_codes(5, 4, seed=501) + _random_codes(6, 4, seed=601)
+    for code in codes:
+        assert list(automorphism_group(code).elements) == ref_automorphisms(code)
+
+
+def test_double_cosets_match_the_bfs():
+    rng = np.random.default_rng(77)
+    for n in (2, 3, 4, 5, 6):
+        for _ in range(4):
+            # small dimensions give nontrivial groups
+            G = automorphism_group(random_code(2, n, rng, k=int(rng.integers(0, 3))))
+            H = automorphism_group(random_code(3, n, rng, k=int(rng.integers(0, 3))))
+            assert double_cosets(G, H) == ref_double_cosets(G, H)
+
+
+def _shuffled(code, rng):
+    return apply_perm(Permutation(tuple(int(x) for x in rng.permutation(code.n))), code)
+
+
+def test_perm_equivalent_returns_the_lex_first_sigma():
+    rng = np.random.default_rng(404)
+    for n in (4, 5, 6):
+        for p in (2, 3):
+            codes = [random_code(p, n, rng, k=2) for _ in range(5)]
+            codes += [_shuffled(c, rng) for c in codes]
+            for c1 in codes:
+                for c2 in codes:
+                    assert perm_equivalent(c1, c2) == ref_perm_equivalent(c1, c2)
+
+
+def test_equivalent_returns_the_lex_first_sigma():
+    rng = np.random.default_rng(405)
+    for ring in (RingId.H23, RingId.H32):
+        for n in (4, 6):
+            codes = [
+                build(ring, random_code(2, n, rng, k=1), random_code(3, n, rng, k=2))
+                for _ in range(4)
+            ]
+            for c in list(codes):
+                sigma = Permutation(tuple(int(x) for x in rng.permutation(n)))
+                codes.append(build(ring, apply_perm(sigma, c.ca), apply_perm(sigma, c.cb)))
+            for c1 in codes:
+                for c2 in codes:
+                    assert equivalent(c1, c2) == ref_equivalent(c1, c2)
