@@ -7,24 +7,32 @@ exactly when tau lies in Aut(fixed) sigma Aut(moved).  One record is
 emitted per double coset, with sigma its lexicographically smallest
 member.
 
-The permutation is applied to the free component, the one the ring's
-multiplication does not see: C_b over H23 and C_a over H32.  Symplectic
-self-orthogonality is not preserved by arbitrary coordinate permutations,
-so moving the governing component could silently leave the target class;
-moving the free one cannot.  The double coset count is the same either
-way round.
+The permutation is applied to the free component (see codes.split), the
+one the symplectic form does not see.  Symplectic self-orthogonality is
+not preserved by arbitrary coordinate permutations, so moving the
+governing component could silently leave the target class; moving the
+free one cannot.  The double coset count is the same either way round.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import cache
 
-from .codes import HzCode, equivalent, flags, is_qsd, is_self_dual, is_self_orthogonal
+from .codes import (
+    HzCode,
+    equivalent,
+    flags,
+    is_qsd,
+    is_self_dual,
+    is_self_orthogonal,
+    join,
+    split,
+)
 from .errors import BudgetExceeded, DimensionMismatch, LengthMismatch, OddLength
 from .gf import LinearCode
 from .perms import (
-    PermGroup,
     Permutation,
     all_permutations,
     apply_perm,
@@ -33,7 +41,6 @@ from .perms import (
     perm_equivalent,
 )
 from .ring import RingId
-from .symplectic import SymplecticSpace
 
 log = logging.getLogger(__name__)
 
@@ -73,31 +80,17 @@ def _check_lists(la: list[LinearCode], lb: list[LinearCode]) -> int:
     return n
 
 
-def admissible(ring: RingId, ca: LinearCode, cb: LinearCode, target: str) -> bool:
-    """Whether the component pair can realize the target class at all."""
+def _target_predicate(target: str):
+    """The codes predicate a target names; the one place targets are checked."""
     if target not in TARGETS:
         raise ValueError(f"target must be one of {TARGETS}, got {target!r}")
-    n = ca.n
-    m = n // 2
-    sp2 = SymplecticSpace.for_length(2, n)
-    sp3 = SymplecticSpace.for_length(3, n)
-    if ring is RingId.H23:
-        if target == "SO":
-            return sp2.is_self_orthogonal(ca)
-        if target == "QSD":
-            return sp2.is_self_dual(ca) and cb.k == m
-        return sp2.is_self_dual(ca) and cb.is_full()
-    if target == "SO":
-        return sp3.is_self_orthogonal(cb)
-    if target == "QSD":
-        return ca.k == m and sp3.is_self_dual(cb)
-    return ca.is_full() and sp3.is_self_dual(cb)
+    return {"SO": is_self_orthogonal, "QSD": is_qsd, "SD": is_self_dual}[target]
 
 
-def _realize(ring: RingId, ca: LinearCode, cb: LinearCode, sigma: Permutation) -> HzCode:
-    if ring is RingId.H23:
-        return HzCode(ring, ca, apply_perm(sigma, cb))
-    return HzCode(ring, apply_perm(sigma, ca), cb)
+def _realize(pair: HzCode, sigma: Permutation) -> HzCode:
+    """The code of pair with sigma applied to its free component."""
+    governing, free = split(pair)
+    return join(pair.ring, governing, apply_perm(sigma, free))
 
 
 def classify(
@@ -113,24 +106,18 @@ def classify(
     (ca index, cb index, sigma rank).
     """
     n = _check_lists(la, lb)
-    aut_cache: dict[LinearCode, PermGroup] = {}
-
-    def aut(c: LinearCode) -> PermGroup:
-        if c not in aut_cache:
-            aut_cache[c] = automorphism_group(c)
-        return aut_cache[c]
+    pred = _target_predicate(target)
+    aut = cache(automorphism_group)
 
     records: list[ClassificationRecord] = []
     for i, ca in enumerate(la):
         for j, cb in enumerate(lb):
-            if not admissible(ring, ca, cb, target):
+            pair = HzCode(ring, ca, cb)
+            if not pred(pair):
                 continue
-            if ring is RingId.H23:
-                cosets = double_cosets(aut(ca), aut(cb))
-            else:
-                cosets = double_cosets(aut(cb), aut(ca))
-            for sigma, _size in cosets:
-                code = _realize(ring, ca, cb, sigma)
+            governing, free = split(pair)
+            for sigma, _size in double_cosets(aut(governing), aut(free)):
+                code = _realize(pair, sigma)
                 assert is_self_orthogonal(code)
                 records.append(
                     ClassificationRecord(
@@ -145,10 +132,6 @@ def classify(
                     )
                 )
     return records
-
-
-def _target_predicate(target: str):
-    return {"SO": is_self_orthogonal, "QSD": is_qsd, "SD": is_self_dual}[target]
 
 
 def verify_classification(
@@ -185,11 +168,11 @@ def verify_classification(
         if not (0 <= rec.ca_index < len(la) and 0 <= rec.cb_index < len(lb)):
             log.warning("record %r points outside the lists", rec)
             return False
-        ca, cb = la[rec.ca_index], lb[rec.cb_index]
-        if not admissible(ring, ca, cb, target):
+        pair = HzCode(ring, la[rec.ca_index], lb[rec.cb_index])
+        if not pred(pair):
             log.warning("record %r cites an inadmissible pair", rec)
             return False
-        if rec.code != _realize(ring, ca, cb, rec.sigma):
+        if rec.code != _realize(pair, rec.sigma):
             log.warning("record %r does not match its stated pair", rec)
             return False
         if not pred(rec.code):
@@ -207,11 +190,12 @@ def verify_classification(
     perms = list(all_permutations(n))
     for i, ca in enumerate(la):
         for j, cb in enumerate(lb):
-            if not admissible(ring, ca, cb, target):
+            pair = HzCode(ring, ca, cb)
+            if not pred(pair):
                 continue
             mine = by_pair.get((i, j), [])
             for sigma in perms:
-                code = _realize(ring, ca, cb, sigma)
+                code = _realize(pair, sigma)
                 if not any(equivalent(code, rec.code) is not None for rec in mine):
                     log.warning(
                         "pair (%d, %d) with sigma %s has no equivalent record",

@@ -3,12 +3,15 @@
 Every linear code C over H_z decomposes uniquely as a*C_a + b*C_b with C_a
 a binary and C_b a ternary linear code of the same even length, so a code
 is stored as that pair and its word set {a*u + b*v} is derived on demand.
-The symplectic form on H_z^n restricts through the decomposition: over H23
-only the binary halves survive (scaled by a), over H32 only the ternary
-halves (scaled by b).  The dual, self-orthogonality, self-duality,
-quasi-self-duality, niceness, and LCD-ness all reduce to conditions on the
-components; brute-force word-level twins of each are kept alongside as
-oracles.
+The symplectic form on H_z^n restricts through the decomposition to one
+side: the component the ring's idempotent keeps.  That is the *governing*
+component (C_a over H23, C_b over H32); the other is the *free* component,
+which the form never sees.  ``split`` and ``join`` are the one place that
+choice is made.  The dual, self-orthogonality, self-duality,
+quasi-self-duality, niceness, and LCD-ness all reduce to a symplectic
+condition on the governing component and a size condition on the free
+one; brute-force word-level twins of each, written per ring without
+``split``, are kept alongside as oracles.
 """
 
 from __future__ import annotations
@@ -135,8 +138,22 @@ def word_set(code: HzCode, budget: int = WORD_BUDGET) -> frozenset[HzWord]:
     return frozenset(enumerate_words(code, budget))
 
 
-def _spaces(n: int) -> tuple[SymplecticSpace, SymplecticSpace]:
-    return SymplecticSpace.for_length(2, n), SymplecticSpace.for_length(3, n)
+def split(code: HzCode) -> tuple[LinearCode, LinearCode]:
+    """(governing, free): the component the symplectic form sees, then the other.
+
+    The governing component is the one the ring's idempotent keeps, C_a over
+    H23 and C_b over H32; the free component is the other one.
+    """
+    if code.ring is RingId.H23:
+        return code.ca, code.cb
+    return code.cb, code.ca
+
+
+def join(ring: RingId, governing: LinearCode, free: LinearCode) -> HzCode:
+    """The inverse of split: the code over ring with these two components."""
+    if ring is RingId.H23:
+        return HzCode(ring, governing, free)
+    return HzCode(ring, free, governing)
 
 
 def symplectic_inner(w1: HzWord, w2: HzWord) -> RingElement:
@@ -145,7 +162,7 @@ def symplectic_inner(w1: HzWord, w2: HzWord) -> RingElement:
         raise RingMismatch(f"{w1.ring} vs {w2.ring}")
     if w1.n != w2.n:
         raise LengthMismatch(f"word lengths differ: {w1.n} vs {w2.n}")
-    sp2, sp3 = _spaces(w1.n)
+    sp2, sp3 = SymplecticSpace.for_length(2, w1.n), SymplecticSpace.for_length(3, w1.n)
     x1, y1 = w1.parts()
     x2, y2 = w2.parts()
     if w1.ring is RingId.H23:
@@ -168,14 +185,12 @@ def euclidean_inner(w1: HzWord, w2: HzWord) -> RingElement:
 def dual(code: HzCode) -> HzCode:
     """The symplectic dual: dualize the governing component, free the other.
 
-    Over H23 the dual is (C_a^perp, F3^n); over H32 it is (F2^n, C_b^perp).
     Applying dual twice is the identity exactly when the free component is
     already the full space.
     """
-    sp2, sp3 = _spaces(code.n)
-    if code.ring is RingId.H23:
-        return HzCode(code.ring, sp2.dual(code.ca), LinearCode.full(3, code.n))
-    return HzCode(code.ring, LinearCode.full(2, code.n), sp3.dual(code.cb))
+    g, f = split(code)
+    space = SymplecticSpace.for_length(g.p, code.n)
+    return join(code.ring, space.dual(g), LinearCode.full(f.p, code.n))
 
 
 def dual_bruteforce(code: HzCode, budget: int = WORD_BUDGET) -> set[HzWord]:
@@ -189,7 +204,7 @@ def dual_bruteforce(code: HzCode, budget: int = WORD_BUDGET) -> set[HzWord]:
     n = code.n
     if 6**n > budget:
         raise BudgetExceeded(f"6^{n} candidate words exceeds budget {budget}")
-    sp2, sp3 = _spaces(n)
+    sp2, sp3 = SymplecticSpace.for_length(2, n), SymplecticSpace.for_length(3, n)
     ring = code.ring
     if ring is RingId.H23:
         cw = code.ca.codewords().astype(np.int64)
@@ -218,45 +233,30 @@ def dual_bruteforce(code: HzCode, budget: int = WORD_BUDGET) -> set[HzWord]:
 # predicates, via the component characterizations
 
 
-def governing(code: HzCode) -> LinearCode:
-    """The component the ring's idempotent side selects."""
-    return code.ca if code.ring is RingId.H23 else code.cb
-
-
 def is_self_orthogonal(code: HzCode) -> bool:
-    sp2, sp3 = _spaces(code.n)
-    if code.ring is RingId.H23:
-        return sp2.is_self_orthogonal(code.ca)
-    return sp3.is_self_orthogonal(code.cb)
+    g, _ = split(code)
+    return SymplecticSpace.for_length(g.p, code.n).is_self_orthogonal(g)
 
 
 def is_self_dual(code: HzCode) -> bool:
-    sp2, sp3 = _spaces(code.n)
-    if code.ring is RingId.H23:
-        return sp2.is_self_dual(code.ca) and code.cb.is_full()
-    return code.ca.is_full() and sp3.is_self_dual(code.cb)
+    g, f = split(code)
+    return f.is_full() and SymplecticSpace.for_length(g.p, code.n).is_self_dual(g)
 
 
 def is_qsd(code: HzCode) -> bool:
     """Quasi-self-dual: self-orthogonal of the middle size 6^m."""
-    sp2, sp3 = _spaces(code.n)
-    if code.ring is RingId.H23:
-        return sp2.is_self_dual(code.ca) and code.cb.k == code.m
-    return code.ca.k == code.m and sp3.is_self_dual(code.cb)
+    g, f = split(code)
+    return f.k == code.m and SymplecticSpace.for_length(g.p, code.n).is_self_dual(g)
 
 
 def is_nice(code: HzCode) -> bool:
     """|C| * |dual C| = 36^m; holds exactly when the free component is zero."""
-    if code.ring is RingId.H23:
-        return code.cb.is_zero()
-    return code.ca.is_zero()
+    return split(code)[1].is_zero()
 
 
 def is_lcd(code: HzCode) -> bool:
-    sp2, sp3 = _spaces(code.n)
-    if code.ring is RingId.H23:
-        return sp2.is_lcd(code.ca) and code.cb.is_zero()
-    return code.ca.is_zero() and sp3.is_lcd(code.cb)
+    g, f = split(code)
+    return f.is_zero() and SymplecticSpace.for_length(g.p, code.n).is_lcd(g)
 
 
 def flags(code: HzCode) -> dict[str, bool]:

@@ -12,6 +12,7 @@ isotropic.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import combinations, product
 
 import numpy as np
@@ -21,7 +22,7 @@ from .gf import LinearCode, intersect_dim
 
 
 class SymplecticSpace:
-    """F_p^(2m) carrying the alternating block form."""
+    """F_p^(2m) carrying the alternating block form; its gram is read-only."""
 
     def __init__(self, p: int, m: int):
         if p not in (2, 3):
@@ -34,9 +35,12 @@ class SymplecticSpace:
         eye = np.eye(m, dtype=np.int64)
         zero = np.zeros((m, m), dtype=np.int64)
         self.gram = np.block([[zero, eye], [(-eye) % p, zero]])
+        self.gram.setflags(write=False)
 
     @classmethod
+    @cache
     def for_length(cls, p: int, n: int) -> "SymplecticSpace":
+        """The space of length n, one shared instance per (p, n)."""
         if n % 2:
             raise OddLength(f"symplectic length must be even, got {n}")
         return cls(p, n // 2)

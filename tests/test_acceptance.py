@@ -10,8 +10,10 @@ brute-force oracles in this repository, or counts with closed forms.
 from __future__ import annotations
 
 import time
+from hashlib import sha256
 from math import factorial
 
+from symhex import io
 from symhex.classify import classify, inequivalent_reps, verify_classification
 from symhex.codes import (
     HzWord,
@@ -345,6 +347,22 @@ CLASS_COUNTS = {
     (4, H23, "SD"): 4, (4, H32, "SD"): 12,
 }
 
+# sha256 of each catalog's canonical text, frozen from the same runs
+CATALOG_SHA256 = {
+    (2, H23, "SO"): "bcfd5f0d4124c195bbf9505f1d791f78d0d6702c93f4647a71f4f79d88c3b8fc",
+    (2, H32, "SO"): "0f61b9a16fdd855f12fe02259a7acc321a01c879b4ccdeb1cc19ac497ad41cce",
+    (2, H23, "QSD"): "db887e667b648e6f24462930dd3220aeda70353cbba9d7e260cc4db3227339ce",
+    (2, H32, "QSD"): "99002962cfa66ede301a100f3b9177b781ec8b8b0f033cf04941f582e693865a",
+    (2, H23, "SD"): "a81c1409e83dbc77b82db3be7314f9eb20d7456929102af923ac8e4725eaf4a8",
+    (2, H32, "SD"): "58d0b39b24cf38eff980292d12b26a3a4b7900db69e96900430ec75c1fdd9cf4",
+    (4, H23, "SO"): "6895c6935f3f27323f37e0b49d41c34fe285b1b6245f701cca254e390c7a4ba5",
+    (4, H32, "SO"): "6fc7e9b760df898483df42985457ca2540d07b909d99cfc378b98a1ee54e3526",
+    (4, H23, "QSD"): "7e3ff6fb95a1b989d3be55b6d5eb23dd72288b832459d41ee6fd038af303a1ef",
+    (4, H32, "QSD"): "372c74315c5086d70b1384687a4f7c23acd240ef5799b15e75bbb8b527070dee",
+    (4, H23, "SD"): "d48910e97f7c904dcfdfc9c3ec50d91fb3bac61931d4826008601db5aee9948c",
+    (4, H32, "SD"): "a00c6fc1e1c52399160835363b68be6d147e832d9f6e78babe52a35dd1859c9d",
+}
+
 
 def _iso_classes(p: int, n: int) -> list[LinearCode]:
     space = SymplecticSpace.for_length(p, n)
@@ -369,6 +387,9 @@ def test_criterion_8_classification_verified():
                     failures.append(
                         f"n={n} {ring} {target}: {len(records)} records, frozen {want}"
                     )
+                text = io.catalog_text(io.catalog_dict(ring, n, target, records, xla, xlb))
+                if sha256(text.encode("ascii")).hexdigest() != CATALOG_SHA256[(n, ring, target)]:
+                    failures.append(f"n={n} {ring} {target}: catalog bytes changed")
                 if not verify_classification(records, ring, xla, xlb, target):
                     failures.append(f"n={n} {ring} {target}: verification failed")
 

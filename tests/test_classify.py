@@ -10,12 +10,12 @@ import pytest
 from symhex.classify import (
     TARGETS,
     _realize,
-    admissible,
+    _target_predicate,
     classify,
     inequivalent_reps,
     verify_classification,
 )
-from symhex.codes import equivalent, is_qsd, is_self_dual, is_self_orthogonal
+from symhex.codes import HzCode, equivalent, is_qsd, is_self_dual, is_self_orthogonal
 from symhex.errors import BudgetExceeded, OddLength
 from symhex.gf import LinearCode
 from symhex.perms import Permutation, automorphism_group, double_cosets
@@ -96,6 +96,10 @@ def test_h32_moves_the_binary_side():
 
 
 def test_admissibility():
+    # a pair is admissible when its unpermuted code meets the target
+    def admissible(ring, ca, cb, target):
+        return _target_predicate(target)(HzCode(ring, ca, cb))
+
     assert admissible(H23, A1, B1, "SO")
     assert admissible(H23, A2, LinearCode.full(3, 2), "SD")
     assert not admissible(H23, A2, B1, "SD")  # ternary side not full
@@ -104,6 +108,10 @@ def test_admissibility():
     assert not admissible(H32, LinearCode.zero(2, 2), B1, "QSD")
     with pytest.raises(ValueError):
         admissible(H23, A1, B1, "XX")
+    with pytest.raises(ValueError):
+        classify(H23, LA, LB, "XX")
+    with pytest.raises(ValueError):
+        verify_classification([], H23, LA, LB, "XX")
 
 
 def test_verification_passes_for_fresh_output():
@@ -142,7 +150,7 @@ def test_verification_catches_duplicate_under_nonrep_sigma():
     records = classify(H23, LA, LB, "SO")
     rec = records[2]  # pair (A1, B2) has a nontrivial sigma available
     twist = Permutation((1, 0))
-    dup = dataclasses.replace(rec, sigma=twist, code=_realize(H23, A1, B2, twist))
+    dup = dataclasses.replace(rec, sigma=twist, code=_realize(HzCode(H23, A1, B2), twist))
     assert equivalent(dup.code, rec.code) is not None
     assert not verify_classification(records + [dup], H23, LA, LB, "SO")
 

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import symhex
 from symhex.codes import (
     HzCode,
     HzWord,
@@ -26,6 +30,8 @@ from symhex.codes import (
     is_self_dual_bruteforce,
     is_self_orthogonal,
     is_self_orthogonal_bruteforce,
+    join,
+    split,
     symplectic_inner,
     word_set,
 )
@@ -149,6 +155,47 @@ def test_inner_mismatch_errors():
         euclidean_inner(w1, w2)
     with pytest.raises(LengthMismatch):
         symplectic_inner(w1, HzWord.from_symbols(H23, "aaaa"))
+
+
+@pytest.mark.parametrize("ring, fields", [(H23, (2, 3)), (H32, (3, 2))])
+def test_split_join_round_trip(pair_surface_n2, ring, fields):
+    for ca, cb in pair_surface_n2:
+        c = build(ring, ca, cb)
+        g, f = split(c)
+        assert (g.p, f.p) == fields
+        assert join(ring, g, f) == c
+
+
+# the functions allowed to tell the rings apart; everything else goes
+# through split/join, so the H23/H32 mirror cannot grow back
+RING_BRANCHES = {
+    "ring.mul",
+    "codes.split",
+    "codes.join",
+    "codes.symplectic_inner",
+    "codes.dual_bruteforce",
+}
+
+
+def _compares_ring_id(node: ast.AST) -> bool:
+    return any(
+        isinstance(sub, ast.Attribute)
+        and sub.attr in ("H23", "H32")
+        and isinstance(sub.value, ast.Name)
+        and sub.value.id == "RingId"
+        for cmp in ast.walk(node)
+        if isinstance(cmp, ast.Compare)
+        for sub in ast.walk(cmp)
+    )
+
+
+def test_only_the_allowed_functions_branch_on_the_ring():
+    found = set()
+    for path in sorted(Path(symhex.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.FunctionDef) and _compares_ring_id(node):
+                found.add(f"{path.stem}.{node.name}")
+    assert found == RING_BRANCHES
 
 
 def test_dual_shapes():

@@ -193,3 +193,11 @@ def test_space_checks():
         SymplecticSpace(2, 2).dual(LinearCode(2, [[1, 1]]))
     with pytest.raises(DimensionMismatch):
         SymplecticSpace(2, 1).inner([1, 0, 0], [0, 1, 0])
+
+
+def test_for_length_is_shared_and_read_only():
+    sp = SymplecticSpace.for_length(3, 4)
+    assert SymplecticSpace.for_length(3, 4) is sp
+    assert SymplecticSpace.for_length(2, 4) is not sp
+    with pytest.raises(ValueError):
+        sp.gram[0, 0] = 1
