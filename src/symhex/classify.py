@@ -34,10 +34,10 @@ from .errors import BudgetExceeded, DimensionMismatch, LengthMismatch, OddLength
 from .gf import LinearCode
 from .perms import (
     Permutation,
-    all_permutations,
     apply_perm,
     automorphism_group,
     double_cosets,
+    orbit_keys,
     perm_equivalent,
 )
 from .ring import RingId
@@ -134,6 +134,16 @@ def classify(
     return records
 
 
+def _claim(owner: dict[bytes, int], i: int, codes: tuple[LinearCode, ...]) -> int:
+    """The index owning the codes' word key; when none does, i claims their S_n orbit."""
+    orbit = orbit_keys(codes)
+    o = owner.setdefault(next(orbit)[1].tobytes(), i)
+    if o == i:
+        for _, keys in orbit:
+            owner.update(dict.fromkeys(map(bytes, keys), i))
+    return o
+
+
 def verify_classification(
     records: list[ClassificationRecord],
     ring: RingId,
@@ -143,25 +153,26 @@ def verify_classification(
 ) -> bool:
     """Independent check of a classification: sound, irredundant, complete.
 
-    Soundness: every record's code satisfies the target predicate and is
-    built from its stated pair.  Irredundancy: records of the same pair are
-    pairwise inequivalent under an exhaustive permutation search; records
-    of different pairs cannot collide because componentwise equivalence
-    would force their components equivalent, and the lists are checked to
-    be inequivalent up front.  Completeness: for every admissible pair and
-    every sigma in S_n, the realized code is equivalent to some record.
+    Soundness: each record meets the target, is built from its stated pair
+    and states its ring, length, size and flags.  Irredundancy: no list
+    entry, and no record of a pair, has its word key in the S_n orbit of an
+    earlier one (records of different pairs would need equivalent entries).
+    Completeness: for each admissible pair and sigma, the governing key
+    beside the permuted free key lies in some record's orbit.  Orbits are
+    codeword sets, so this never calls automorphism_group, double_cosets or
+    their parity-check product, which classify is built on.
     """
     n = _check_lists(la, lb)
     if n > _VERIFY_MAX_N:
         raise BudgetExceeded(f"full verification guarded to n <= {_VERIFY_MAX_N}")
     pred = _target_predicate(target)
 
-    for lst, tag in ((la, "La"), (lb, "Lb")):
-        for i in range(len(lst)):
-            for j in range(i + 1, len(lst)):
-                if perm_equivalent(lst[i], lst[j]) is not None:
-                    log.warning("%s entries %d and %d are equivalent", tag, i, j)
-                    return False
+    for lst, tag, owner in ((la, "La", {}), (lb, "Lb", {})):
+        for j, c in enumerate(lst):
+            if (i := _claim(owner, j, (c,))) != j:
+                sigma = perm_equivalent(lst[i], c).cycle_string()
+                log.warning("%s entries %d and %d are equivalent under %s", tag, i, j, sigma)
+                return False
 
     by_pair: dict[tuple[int, int], list[ClassificationRecord]] = {}
     for rec in records:
@@ -178,37 +189,36 @@ def verify_classification(
         if not pred(rec.code):
             log.warning("record %r fails the %s predicate", rec, target)
             return False
+        if (rec.ring, rec.n, rec.size, rec.flags) != (ring, n, rec.code.size, flags(rec.code)):
+            log.warning("record %r misstates its ring, length, size or flags", rec)
+            return False
         by_pair.setdefault((rec.ca_index, rec.cb_index), []).append(rec)
 
-    for recs in by_pair.values():
-        for i in range(len(recs)):
-            for j in range(i + 1, len(recs)):
-                if equivalent(recs[i].code, recs[j].code) is not None:
-                    log.warning("records %r and %r are equivalent", recs[i], recs[j])
-                    return False
-
-    perms = list(all_permutations(n))
     for i, ca in enumerate(la):
         for j, cb in enumerate(lb):
             pair = HzCode(ring, ca, cb)
             if not pred(pair):
                 continue
-            mine = by_pair.get((i, j), [])
-            for sigma in perms:
-                code = _realize(pair, sigma)
-                if not any(equivalent(code, rec.code) is not None for rec in mine):
-                    log.warning(
-                        "pair (%d, %d) with sigma %s has no equivalent record",
-                        i, j, sigma.cycle_string(),
-                    )
+            mine, owner = by_pair.get((i, j), []), {}
+            for r, rec in enumerate(mine):
+                if (o := _claim(owner, r, split(rec.code))) != r:
+                    sigma = equivalent(mine[o].code, rec.code).cycle_string()
+                    log.warning("records %r and %r are equivalent under %s", mine[o], rec, sigma)
                     return False
+            governing, free = split(pair)
+            gkey = next(orbit_keys((governing,)))[1].tobytes()
+            for block, keys in orbit_keys((free,)):
+                for images, fkey in zip(block.tolist(), keys):
+                    if gkey + fkey.tobytes() not in owner:
+                        sigma = Permutation(tuple(images)).cycle_string()
+                        log.warning("pair (%d, %d) under %s has no equivalent record", i, j, sigma)
+                        return False
     return True
 
 
 def inequivalent_reps(codes: list[LinearCode]) -> list[LinearCode]:
-    """Greedy dedup of a code list up to coordinate permutation."""
-    kept: list[LinearCode] = []
-    for c in codes:
-        if not any(perm_equivalent(c, k) is not None for k in kept):
-            kept.append(c)
-    return kept
+    """Greedy dedup up to coordinate permutation: keep each code outside the kept orbits."""
+    if any((c.p, c.n) != (codes[0].p, codes[0].n) for c in codes):
+        raise DimensionMismatch("codes live in different spaces")
+    owner: dict[bytes, int] = {}
+    return [c for i, c in enumerate(codes) if _claim(owner, i, (c,)) == i]

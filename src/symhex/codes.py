@@ -315,16 +315,8 @@ def is_euclidean_self_orthogonal(code: HzCode, budget: int = 6**6) -> bool:
 
 
 def equivalent(c1: HzCode, c2: HzCode, max_n: int = MAX_PERM_N) -> Optional[Permutation]:
-    """The lex-first permutation carrying c1 onto c2 componentwise, or None.
-
-    Exhaustive lexicographic scan of S_n with early exits: component
-    dimensions must agree, and the binary side is matched before the
-    ternary side is tried.  Membership is tested by pivot reduction
-    (LinearCode.contains_rows), never by the parity-check product that
-    automorphism_group uses, so the classification verifier built on this
-    scan shares no membership algorithm with the Aut groups that classify
-    reads.
-    """
+    """The lex-first permutation carrying c1 onto c2 componentwise, or None:
+    a word-key scan (perms.first_carrying), never automorphism_group's parity product."""
     if c1.ring is not c2.ring:
         raise RingMismatch(f"{c1.ring} vs {c2.ring}")
     if c1.n != c2.n:
@@ -334,4 +326,4 @@ def equivalent(c1: HzCode, c2: HzCode, max_n: int = MAX_PERM_N) -> Optional[Perm
         raise BudgetExceeded(f"n={n} beyond equivalence scan guard {max_n}")
     if c1.ca.k != c2.ca.k or c1.cb.k != c2.cb.k:
         return None
-    return first_carrying(n, [(c1.ca.gen, c2.ca), (c1.cb.gen, c2.cb)])
+    return first_carrying((c1.ca, c1.cb), (c2.ca, c2.cb))

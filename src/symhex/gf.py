@@ -7,7 +7,7 @@ space, so code equality is literal array equality.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -116,24 +116,14 @@ class LinearCode:
         return self.k == self.n
 
     def contains(self, v) -> bool:
-        """Membership of one vector; see contains_rows."""
-        w = np.asarray(v)
+        """Membership by reduction against the pivot structure."""
+        w = np.array(v, dtype=np.int64) % self.p
         if w.shape != (self.n,):
             raise DimensionMismatch(f"vector length {w.shape}, expected {self.n}")
-        return bool(self.contains_rows(w[None])[0])
-
-    def contains_rows(self, rows) -> np.ndarray:
-        """Membership of each row, by reduction against the pivot structure.
-
-        Clearing every pivot column leaves zero exactly on the code's vectors.
-        """
-        W = np.asarray(rows)
-        if W.ndim != 2 or W.shape[1] != self.n:
-            raise DimensionMismatch(f"rows of shape {W.shape}, expected length {self.n}")
-        W = (W % self.p).astype(np.int8)
         for r, c in enumerate(self.pivots):
-            W = (W - W[:, c, None] * self.gen[r]) % self.p
-        return ~W.any(axis=1)
+            if w[c]:
+                w = (w - w[c] * self.gen[r]) % self.p
+        return not w.any()
 
     def __contains__(self, v) -> bool:
         return self.contains(v)

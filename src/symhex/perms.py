@@ -7,8 +7,10 @@ sigma . (tau . v) = (sigma * tau) . v.
 
 Every scan over S_n runs on one cached table, perm_table(n): all n!
 permutations as int8 rows in lexicographic (Lehmer rank) order.  Scans
-take it in fixed blocks of BLOCK rows, so their temporaries stay small
+take it in blocks of at most BLOCK rows, so their temporaries stay small
 and an equivalence search can stop at the first block with a hit.
+Equivalence compares word keys over the table (orbit_keys), never the
+parity-check product of automorphism_group.
 
 Double cosets G \\ S_n / H are the connected components of the maps
 sigma -> g sigma and sigma -> sigma h on ranks, one map per generator of
@@ -189,31 +191,36 @@ def perm_equivalent(c1: LinearCode, c2: LinearCode, max_n: int = MAX_PERM_N) -> 
         raise BudgetExceeded(f"n={n} beyond equivalence scan guard {max_n}")
     if c1.k != c2.k:
         return None
-    return first_carrying(n, [(c1.gen, c2)])
+    return first_carrying((c1,), (c2,))
 
 
-def first_carrying(n: int, pairs: list[tuple[np.ndarray, LinearCode]]) -> "Permutation | None":
-    """The lex-first sigma in S_n with sigma . row in C for every row of G.
+def orbit_keys(codes: tuple[LinearCode, ...]):
+    """Yield (block, keys) over perm_table(n), the identity alone first.
 
-    ``pairs`` holds (G, C) generator/code pairs that sigma must satisfy
-    together.  Rows are permuted by sigma^-1 column indexing and tested with
-    LinearCode.contains_rows (reduction against the pivots), pair by pair on
-    the survivors of the pairs before.  The scan stops at the first block of
-    perm_table(n) holding a hit.
+    keys[r] holds the word keys of block[r] . code for each code, side by
+    side.  A word key is the codewords as sorted base-p integers, so codes
+    of one (p, n) are equal exactly when their keys are.  next() gives the
+    codes' own keys for one key's work; later blocks hold at most BLOCK * 64
+    keys, the widest gather of automorphism_group.  pi . w puts w[i] at
+    pi(i), place value p^(n-1-pi(i)); float64 BLAS is exact below p^n.
     """
-    table = perm_table(n)
-    for start in range(0, len(table), BLOCK):
-        block = table[start : start + BLOCK]
-        # the argsort of a permutation is its inverse
-        inv = np.argsort(block, axis=1)
-        alive = np.arange(len(block))
-        for G, code in pairs:
-            moved = G[:, inv[alive]]
-            k, rows = moved.shape[:2]
-            ok = code.contains_rows(moved.reshape(k * rows, n)).reshape(k, rows).all(axis=0)
-            alive = alive[ok]
-        if alive.size:
-            return Permutation(tuple(block[alive[0]].tolist()))
+    table = perm_table(codes[0].n)
+    words = [(c.p ** np.arange(c.n - 1.0, -1, -1), c.codewords().T.astype(float)) for c in codes]
+    step = min(BLOCK, max(1, BLOCK * 64 // sum(c.size for c in codes)))
+    # stops 1, 1 + step, ...: the identity row alone, then step rows at a time
+    for stop in range(1, len(table) + step, step):
+        block = table[max(stop - step, 0) : stop]
+        keys = [(place[block] @ W).astype(np.int32) for place, W in words]
+        yield block, np.hstack([np.sort(k, axis=1) for k in keys])
+
+
+def first_carrying(sources: tuple, targets: tuple) -> "Permutation | None":
+    """The lex-first sigma with sigma . sources[i] == targets[i] for each i, or None."""
+    _, want = next(orbit_keys(targets))
+    for block, keys in orbit_keys(sources):
+        hits = np.flatnonzero((keys == want).all(axis=1))
+        if hits.size:
+            return Permutation(tuple(block[hits[0]].tolist()))
     return None
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+from functools import cache
 from importlib import import_module
 
 import pytest
@@ -16,7 +17,7 @@ from symhex.classify import (
     verify_classification,
 )
 from symhex.codes import HzCode, equivalent, is_qsd, is_self_dual, is_self_orthogonal
-from symhex.errors import BudgetExceeded, OddLength
+from symhex.errors import BudgetExceeded, DimensionMismatch, OddLength
 from symhex.gf import LinearCode
 from symhex.perms import Permutation, automorphism_group, double_cosets
 from symhex.ring import RingId
@@ -155,6 +156,18 @@ def test_verification_catches_duplicate_under_nonrep_sigma():
     assert not verify_classification(records + [dup], H23, LA, LB, "SO")
 
 
+def test_verification_catches_misstated_catalog_fields():
+    records = classify(H23, LA, LB, "SO")
+    rec = records[0]
+    for bad in (
+        dataclasses.replace(rec, flags={**rec.flags, "lcd": not rec.flags["lcd"]}),
+        dataclasses.replace(rec, size=rec.size + 1),
+        dataclasses.replace(rec, ring=H32),
+        dataclasses.replace(rec, n=4),
+    ):
+        assert not verify_classification([bad] + records[1:], H23, LA, LB, "SO")
+
+
 def test_verification_catches_equivalent_list_entries():
     bad_lb = [B1, LinearCode(3, [[0, 1]])]  # equivalent pair
     records = classify(H23, [A1], bad_lb, "SO")
@@ -193,6 +206,33 @@ def test_inequivalent_reps_on_isotropic_lines():
             from symhex.perms import perm_equivalent
 
             assert perm_equivalent(reps[i], reps[j]) is None
+
+
+def test_inequivalent_reps_rejects_mixed_spaces():
+    with pytest.raises(DimensionMismatch):
+        inequivalent_reps([A1, B1])
+    with pytest.raises(DimensionMismatch):
+        inequivalent_reps([A1, LinearCode(2, [[1, 0, 0, 0]])])
+
+
+@cache
+def _classes_n6(p: int) -> list[LinearCode]:
+    space = SymplecticSpace.for_length(p, 6)
+    return inequivalent_reps([c for k in range(4) for c in isotropic_subspaces(space, k)])
+
+
+def test_inequivalent_reps_of_isotropic_subspaces_at_length_six():
+    assert (len(_classes_n6(2)), len(_classes_n6(3))) == (31, 186)
+
+
+@pytest.mark.parametrize("ring, count", [(H23, 10), (H32, 86)])
+def test_self_dual_classification_verified_at_length_six(ring, count):
+    la = _classes_n6(2) + [LinearCode.full(2, 6)]
+    lb = _classes_n6(3) + [LinearCode.full(3, 6)]
+    records = classify(ring, la, lb, "SD")
+    assert len(records) == count
+    assert verify_classification(records, ring, la, lb, "SD")
+    assert not verify_classification(records[1:], ring, la, lb, "SD")
 
 
 @pytest.mark.parametrize("target", TARGETS)

@@ -198,6 +198,25 @@ def test_only_the_allowed_functions_branch_on_the_ring():
     assert found == RING_BRANCHES
 
 
+def test_every_import_in_the_package_is_used():
+    unused = []
+    for path in sorted(Path(symhex.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":  # re-exports the public names
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                if name not in used:
+                    unused.append(f"{path.name}:{node.lineno} {name}")
+    assert unused == []
+
+
 def test_dual_shapes():
     c = build(H32, rep2(), LinearCode.zero(3, 2))
     d = dual(c)

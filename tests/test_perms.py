@@ -13,6 +13,7 @@ from symhex.codes import build, equivalent
 from symhex.errors import BudgetExceeded
 from symhex.gf import LinearCode, nullspace, random_code
 from symhex.perms import (
+    BLOCK,
     PermGroup,
     Permutation,
     all_permutations,
@@ -21,6 +22,7 @@ from symhex.perms import (
     double_coset_reps,
     double_cosets,
     mulclose,
+    orbit_keys,
     perm_equivalent,
     perm_table,
     rank_images,
@@ -334,3 +336,58 @@ def test_equivalent_returns_the_lex_first_sigma():
             for c1 in codes:
                 for c2 in codes:
                     assert equivalent(c1, c2) == ref_equivalent(c1, c2)
+
+
+# ---------------------------------------------------------------------------
+# word keys and S_n orbits
+
+
+def _own_key(codes):
+    block, keys = next(orbit_keys(codes))
+    assert block.tolist() == [list(range(codes[0].n))]  # the identity alone
+    return keys[0]
+
+
+def test_orbit_keys_are_the_keys_of_the_permuted_codes():
+    rng = np.random.default_rng(606)
+    for n in (3, 4, 5, 6):
+        # a binary and a ternary code side by side
+        codes = (random_code(2, n, rng), random_code(3, n, rng))
+        rows = 0
+        for block, keys in orbit_keys(codes):
+            for images, key in zip(block.tolist(), keys):
+                pi = Permutation(tuple(images))
+                assert np.array_equal(key, _own_key(tuple(apply_perm(pi, c) for c in codes)))
+                assert pi.rank() == rows
+                rows += 1
+        assert rows == factorial(n)
+
+
+def test_word_keys_are_equal_exactly_for_equal_codes():
+    rng = np.random.default_rng(607)
+    for p in (2, 3):
+        codes = [c for c in _isotropic_codes(4) + _random_codes(4, 30, seed=608) if c.p == p]
+        keys = {}
+        for c in codes:
+            keys.setdefault(_own_key((c,)).tobytes(), set()).add(c)
+        assert all(len(same) == 1 for same in keys.values())
+        # another generator of the same row space gives the same key
+        for c in codes[:10]:
+            mixed = (rng.integers(0, p, size=(c.k + 2, c.k)) @ c.gen) % p
+            other = LinearCode(p, np.vstack([mixed, c.gen]), n=c.n)
+            assert np.array_equal(_own_key((other,)), _own_key((c,)))
+
+
+def test_perm_equivalent_finds_a_carrier_beyond_the_first_block():
+    rng = np.random.default_rng(809)
+    # 8 words scan S_8 in blocks of BLOCK rows; 81 words in shorter blocks
+    for p, k in ((2, 3), (3, 4)):
+        c1 = random_code(p, 8, rng, k=k)
+        blocks = [block for block, keys in orbit_keys((c1,))]
+        assert max(len(block) for block in blocks) * p**k <= BLOCK * 64
+        assert np.array_equal(np.vstack(blocks), perm_table(8))
+        sigma = Permutation.unrank(8, 40000)
+        c2 = apply_perm(sigma, c1)
+        pi = perm_equivalent(c1, c2)
+        assert pi is not None and apply_perm(pi, c1) == c2
+        assert BLOCK <= pi.rank() <= sigma.rank()
