@@ -20,6 +20,8 @@ import logging
 from dataclasses import dataclass
 from functools import cache
 
+import numpy as np
+
 from .codes import (
     HzCode,
     equivalent,
@@ -39,6 +41,9 @@ from .perms import (
     double_cosets,
     orbit_keys,
     perm_equivalent,
+    perm_table,
+    ranks,
+    word_key,
 )
 from .ring import RingId
 
@@ -115,10 +120,11 @@ def classify(
             pair = HzCode(ring, ca, cb)
             if not pred(pair):
                 continue
+            # sigma moves only the free side and keeps its dimension, so every
+            # realization has the pair's flags and size
+            fl = flags(pair)
             governing, free = split(pair)
             for sigma, _size in double_cosets(aut(governing), aut(free)):
-                code = _realize(pair, sigma)
-                assert is_self_orthogonal(code)
                 records.append(
                     ClassificationRecord(
                         ring=ring,
@@ -126,9 +132,9 @@ def classify(
                         ca_index=i,
                         cb_index=j,
                         sigma=sigma,
-                        code=code,
-                        flags=flags(code),
-                        size=code.size,
+                        code=_realize(pair, sigma),
+                        flags=dict(fl),
+                        size=pair.size,
                     )
                 )
     return records
@@ -136,10 +142,9 @@ def classify(
 
 def _claim(owner: dict[bytes, int], i: int, codes: tuple[LinearCode, ...]) -> int:
     """The index owning the codes' word key; when none does, i claims their S_n orbit."""
-    orbit = orbit_keys(codes)
-    o = owner.setdefault(next(orbit)[1].tobytes(), i)
+    o = owner.setdefault(word_key(codes).tobytes(), i)
     if o == i:
-        for _, keys in orbit:
+        for _, keys in orbit_keys(codes):
             owner.update(dict.fromkeys(map(bytes, keys), i))
     return o
 
@@ -153,14 +158,19 @@ def verify_classification(
 ) -> bool:
     """Independent check of a classification: sound, irredundant, complete.
 
-    Soundness: each record meets the target, is built from its stated pair
-    and states its ring, length, size and flags.  Irredundancy: no list
-    entry, and no record of a pair, has its word key in the S_n orbit of an
-    earlier one (records of different pairs would need equivalent entries).
-    Completeness: for each admissible pair and sigma, the governing key
-    beside the permuted free key lies in some record's orbit.  Orbits are
-    codeword sets, so this never calls automorphism_group, double_cosets or
-    their parity-check product, which classify is built on.
+    The realizations (g, sigma . f) of an admissible pair are equivalent
+    exactly when some pi in Stab(g) carries one free component onto the
+    other, so a pair's records must match the Stab(g)-orbits on S_n . f one
+    to one.  Stab(g) is read from g's orbit keys: the table rows whose key
+    is g's own.  Soundness: each record cites an admissible pair, has
+    governing component g and the free key of row sigma of f's orbit keys,
+    and states the pair's ring, length, size and flags.  Irredundancy: no
+    list entry lies in the orbit of an earlier one, and no record's free key
+    is among the Stab(g) . sigma . f keys an earlier record claimed.
+    Completeness, by orbit-stabilizer: the records claim as many keys as
+    S_n . f has.  Keys are codeword sets, so this never calls
+    automorphism_group, double_cosets or their parity-check product, which
+    classify is built on.
     """
     n = _check_lists(la, lb)
     if n > _VERIFY_MAX_N:
@@ -179,40 +189,56 @@ def verify_classification(
         if not (0 <= rec.ca_index < len(la) and 0 <= rec.cb_index < len(lb)):
             log.warning("record %r points outside the lists", rec)
             return False
-        pair = HzCode(ring, la[rec.ca_index], lb[rec.cb_index])
-        if not pred(pair):
-            log.warning("record %r cites an inadmissible pair", rec)
-            return False
-        if rec.code != _realize(pair, rec.sigma):
-            log.warning("record %r does not match its stated pair", rec)
-            return False
-        if not pred(rec.code):
-            log.warning("record %r fails the %s predicate", rec, target)
-            return False
-        if (rec.ring, rec.n, rec.size, rec.flags) != (ring, n, rec.code.size, flags(rec.code)):
-            log.warning("record %r misstates its ring, length, size or flags", rec)
-            return False
         by_pair.setdefault((rec.ca_index, rec.cb_index), []).append(rec)
+
+    table = perm_table(n)
+
+    @cache
+    def orbit(c: LinearCode) -> tuple[np.ndarray, int]:
+        """c's orbit keys in table order, and how many distinct keys they hold."""
+        keys = np.vstack([k for _, k in orbit_keys((c,))])
+        return keys, len(set(map(bytes, keys)))
 
     for i, ca in enumerate(la):
         for j, cb in enumerate(lb):
             pair = HzCode(ring, ca, cb)
+            mine = by_pair.get((i, j), [])
             if not pred(pair):
+                if mine:
+                    log.warning("record %r cites an inadmissible pair", mine[0])
+                    return False
                 continue
-            mine, owner = by_pair.get((i, j), []), {}
-            for r, rec in enumerate(mine):
-                if (o := _claim(owner, r, split(rec.code))) != r:
+            stated = (ring, n, n, pair.size, flags(pair))
+            for rec in mine:
+                if (rec.ring, rec.n, rec.sigma.n, rec.size, rec.flags) != stated:
+                    log.warning("record %r misstates its ring, length, size or flags", rec)
+                    return False
+            governing, free = split(pair)
+            gkeys, _ = orbit(governing)
+            fkeys, norbit = orbit(free)
+            stab = table[(gkeys == gkeys[0]).all(axis=1)]
+            # claims[r, s] is the rank of stab[s] * sigma_r, so its key is that
+            # of stab[s] . (sigma_r . f); stab[0] is the identity
+            sigmas = np.array([rec.sigma.images for rec in mine], dtype=np.int8).reshape(-1, n)
+            claims = ranks(stab[:, sigmas].transpose(1, 0, 2).reshape(-1, n))
+            owner: dict[bytes, int] = {}
+            for r, (rec, claim) in enumerate(zip(mine, claims.reshape(len(mine), len(stab)))):
+                own = fkeys[claim[0]].tobytes()
+                g, f = split(rec.code)
+                # under another ring g has the other field and cannot equal governing
+                if g != governing or word_key((f,)).tobytes() != own:
+                    log.warning("record %r does not match its stated pair", rec)
+                    return False
+                if (o := owner.setdefault(own, r)) != r:
                     sigma = equivalent(mine[o].code, rec.code).cycle_string()
                     log.warning("records %r and %r are equivalent under %s", mine[o], rec, sigma)
                     return False
-            governing, free = split(pair)
-            gkey = next(orbit_keys((governing,)))[1].tobytes()
-            for block, keys in orbit_keys((free,)):
-                for images, fkey in zip(block.tolist(), keys):
-                    if gkey + fkey.tobytes() not in owner:
-                        sigma = Permutation(tuple(images)).cycle_string()
-                        log.warning("pair (%d, %d) under %s has no equivalent record", i, j, sigma)
-                        return False
+                owner.update(dict.fromkeys(map(bytes, fkeys[claim]), r))
+            if len(owner) != norbit:
+                missing = next(row for row, key in zip(table, fkeys) if key.tobytes() not in owner)
+                sigma = Permutation(tuple(missing.tolist())).cycle_string()
+                log.warning("pair (%d, %d) under %s has no equivalent record", i, j, sigma)
+                return False
     return True
 
 

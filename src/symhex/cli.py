@@ -80,13 +80,14 @@ def cmd_classify(args) -> int:
     for (i, j), c in sorted(counts.items()):
         print(f"ca={i} cb={j}: {c}")
     print(f"total: {len(records)}")
-    if args.out:
-        io.write_catalog(args.out, io.catalog_dict(ring, args.n, args.target, records, la, lb))
-        print(f"wrote {args.out}")
+    # verify first, so a failed verification leaves no catalog behind
     if args.verify:
         if not verify_classification(records, ring, la, lb, args.target):
             raise VerificationFailed("classification failed verification")
         print("verification: ok")
+    if args.out:
+        io.write_catalog(args.out, io.catalog_dict(ring, args.n, args.target, records, la, lb))
+        print(f"wrote {args.out}")
     return 0
 
 

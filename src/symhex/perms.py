@@ -195,28 +195,38 @@ def perm_equivalent(c1: LinearCode, c2: LinearCode, max_n: int = MAX_PERM_N) -> 
 
 
 def orbit_keys(codes: tuple[LinearCode, ...]):
-    """Yield (block, keys) over perm_table(n), the identity alone first.
+    """Yield (block, keys) over perm_table(n), in table order.
 
     keys[r] holds the word keys of block[r] . code for each code, side by
     side.  A word key is the codewords as sorted base-p integers, so codes
-    of one (p, n) are equal exactly when their keys are.  next() gives the
-    codes' own keys for one key's work; later blocks hold at most BLOCK * 64
-    keys, the widest gather of automorphism_group.  pi . w puts w[i] at
-    pi(i), place value p^(n-1-pi(i)); float64 BLAS is exact below p^n.
+    of one (p, n) are equal exactly when their keys are.  Blocks hold at
+    most BLOCK * 64 keys, the widest gather of automorphism_group.  pi . w
+    puts w[i] at pi(i), place value p^(n-1-pi(i)); float64 BLAS is exact
+    below p^n.
     """
     table = perm_table(codes[0].n)
-    words = [(c.p ** np.arange(c.n - 1.0, -1, -1), c.codewords().T.astype(float)) for c in codes]
+    words = [_place_and_words(c) for c in codes]
     step = min(BLOCK, max(1, BLOCK * 64 // sum(c.size for c in codes)))
-    # stops 1, 1 + step, ...: the identity row alone, then step rows at a time
-    for stop in range(1, len(table) + step, step):
-        block = table[max(stop - step, 0) : stop]
+    for start in range(0, len(table), step):
+        block = table[start : start + step]
         keys = [(place[block] @ W).astype(np.int32) for place, W in words]
         yield block, np.hstack([np.sort(k, axis=1) for k in keys])
 
 
+def word_key(codes: tuple[LinearCode, ...]) -> np.ndarray:
+    """The codes' own word keys side by side: orbit_keys' identity row, without a scan."""
+    keys = [(place @ W).astype(np.int32) for place, W in map(_place_and_words, codes)]
+    return np.hstack([np.sort(k) for k in keys])
+
+
+def _place_and_words(code: LinearCode) -> tuple[np.ndarray, np.ndarray]:
+    """Place values p^(n-1-i) and the codewords as columns, both float64."""
+    return code.p ** np.arange(code.n - 1.0, -1, -1), code.codewords().T.astype(float)
+
+
 def first_carrying(sources: tuple, targets: tuple) -> "Permutation | None":
     """The lex-first sigma with sigma . sources[i] == targets[i] for each i, or None."""
-    _, want = next(orbit_keys(targets))
+    want = word_key(targets)
     for block, keys in orbit_keys(sources):
         hits = np.flatnonzero((keys == want).all(axis=1))
         if hits.size:

@@ -18,7 +18,7 @@ from itertools import combinations, product
 import numpy as np
 
 from .errors import BudgetExceeded, DimensionMismatch, KOutOfRange, OddLength
-from .gf import LinearCode, intersect_dim
+from .gf import LinearCode, rref
 
 
 class SymplecticSpace:
@@ -63,15 +63,21 @@ class SymplecticSpace:
         return not ((G @ self.gram @ G.T) % self.p).any()
 
     def is_self_dual(self, code: LinearCode) -> bool:
+        """The form is nondegenerate, so dim C^perp = n - k: C = C^perp iff C is
+        self-orthogonal of dimension m."""
         self._check(code)
-        if code.k != self.m:
-            return False
-        return code == self.dual(code)
+        return code.k == self.m and self.is_self_orthogonal(code)
 
     def is_lcd(self, code: LinearCode) -> bool:
-        """True when the code meets its dual only in zero."""
+        """True when the code meets its dual only in zero.
+
+        Massey's criterion (Linear codes with complementary duals, Discrete
+        Math. 106/107, 1992), whose proof holds for any nondegenerate form:
+        C & C^perp = 0 iff the k x k matrix G gram G^T is nonsingular mod p.
+        """
         self._check(code)
-        return intersect_dim(code, self.dual(code)) == 0
+        G = code.gen.astype(np.int64)
+        return rref(G @ self.gram @ G.T, self.p)[0].shape[0] == code.k
 
     def _check(self, code: LinearCode) -> None:
         if code.p != self.p or code.n != self.n:

@@ -10,16 +10,32 @@ import pytest
 
 from symhex.classify import (
     TARGETS,
+    ClassificationRecord,
     _realize,
     _target_predicate,
     classify,
     inequivalent_reps,
     verify_classification,
 )
-from symhex.codes import HzCode, equivalent, is_qsd, is_self_dual, is_self_orthogonal
+from symhex.codes import (
+    HzCode,
+    equivalent,
+    flags,
+    is_qsd,
+    is_self_dual,
+    is_self_orthogonal,
+    join,
+    split,
+)
 from symhex.errors import BudgetExceeded, DimensionMismatch, OddLength
 from symhex.gf import LinearCode
-from symhex.perms import Permutation, automorphism_group, double_cosets
+from symhex.perms import (
+    Permutation,
+    all_permutations,
+    apply_perm,
+    automorphism_group,
+    double_cosets,
+)
 from symhex.ring import RingId
 from symhex.symplectic import SymplecticSpace, isotropic_subspaces
 
@@ -33,6 +49,19 @@ B2 = LinearCode(3, [[1, 1]])
 B3 = LinearCode(3, [[1, 2]])
 LA = [A1, A2]
 LB = [B1, B2, B3]
+
+
+@cache
+def _iso_classes(p: int, n: int) -> list[LinearCode]:
+    space = SymplecticSpace.for_length(p, n)
+    return inequivalent_reps([c for k in range(space.m + 1) for c in isotropic_subspaces(space, k)])
+
+
+def _lists(n: int, target: str) -> tuple[list[LinearCode], list[LinearCode]]:
+    """La and Lb of criterion 8: the isotropic classes, plus the full spaces for SD."""
+    full = [LinearCode.full(2, n)], [LinearCode.full(3, n)]
+    extra = full if target == "SD" else ([], [])
+    return _iso_classes(2, n) + extra[0], _iso_classes(3, n) + extra[1]
 
 
 def test_component_automorphism_orders():
@@ -168,6 +197,123 @@ def test_verification_catches_misstated_catalog_fields():
         assert not verify_classification([bad] + records[1:], H23, LA, LB, "SO")
 
 
+def test_verification_catches_a_code_realized_under_another_sigma():
+    for ring in (H23, H32):
+        la, lb = _lists(4, "SO")
+        records = classify(ring, la, lb, "SO")
+        checked = 0
+        for r in range(0, len(records), 53):
+            rec = records[r]
+            pair = HzCode(ring, la[rec.ca_index], lb[rec.cb_index])
+            realized = (_realize(pair, tau) for tau in all_permutations(4))
+            other = next((code for code in realized if code != rec.code), None)
+            if other is None:
+                continue
+            bad = dataclasses.replace(rec, code=other)
+            assert not verify_classification(records[:r] + [bad] + records[r + 1:], ring, la, lb, "SO")
+            checked += 1
+        assert checked >= 5
+
+
+def test_verification_catches_a_permuted_governing_component():
+    for ring in (H23, H32):
+        la, lb = _lists(4, "SO")
+        records = classify(ring, la, lb, "SO")
+        checked = 0
+        for r, rec in enumerate(records):
+            g, f = split(rec.code)
+            pi = next((pi for pi in all_permutations(4) if apply_perm(pi, g) != g), None)
+            if pi is None:
+                continue
+            # the governing side alone, the whole code (an equivalent code), and
+            # the same components read over the other ring, where the other one governs
+            other_ring = H32 if ring is H23 else H23
+            for code in (
+                join(ring, apply_perm(pi, g), f),
+                join(ring, apply_perm(pi, g), apply_perm(pi, f)),
+                HzCode(other_ring, rec.code.ca, rec.code.cb),
+            ):
+                bad = dataclasses.replace(rec, code=code)
+                assert not verify_classification(records[:r] + [bad] + records[r + 1:], ring, la, lb, "SO")
+            checked += 1
+            if checked == 4:
+                break
+        assert checked == 4
+
+
+def test_verification_catches_a_lone_record_of_an_inadmissible_pair():
+    zero = LinearCode.zero(2, 2)
+    la = [A1, zero]
+    records = classify(H23, la, LB, "QSD")
+    assert records and all(rec.ca_index == 0 for rec in records)
+    assert verify_classification(records, H23, la, LB, "QSD")
+    pair = HzCode(H23, zero, B1)
+    assert not is_qsd(pair)
+    lone = ClassificationRecord(
+        ring=H23,
+        n=2,
+        ca_index=1,
+        cb_index=0,
+        sigma=Permutation.identity(2),
+        code=pair,
+        flags=flags(pair),
+        size=pair.size,
+    )
+    assert not verify_classification(records + [lone], H23, la, LB, "QSD")
+
+
+def test_verification_catches_a_duplicate_under_the_governing_stabilizer():
+    # pi in Stab(g) carries (g, sigma . f) to (g, pi sigma . f): the same class
+    la, lb = _lists(4, "SO")
+    records = classify(H23, la, lb, "SO")
+    found = 0
+    for rec in records:
+        pair = HzCode(H23, la[rec.ca_index], lb[rec.cb_index])
+        for pi in automorphism_group(split(pair)[0]):
+            dup = dataclasses.replace(rec, sigma=pi * rec.sigma, code=_realize(pair, pi * rec.sigma))
+            if dup.code != rec.code:
+                assert not pi.is_identity() and equivalent(rec.code, dup.code) is not None
+                assert not verify_classification(records + [dup], H23, la, lb, "SO")
+                found += 1
+                break
+        if found == 4:
+            break
+    assert found == 4
+
+
+@pytest.mark.parametrize("ring", [H23, H32])
+@pytest.mark.parametrize("target", TARGETS)
+def test_record_flags_are_the_flags_of_the_record_code(ring, target):
+    # classify computes flags once per pair; moving the free side changes none
+    records = classify(ring, *_lists(4, target), target)
+    assert records
+    for rec in records:
+        assert rec.flags == flags(rec.code)
+        assert rec.size == rec.code.size
+
+
+def test_flags_and_classify_never_build_a_dual(monkeypatch):
+    # the predicates are rank tests on the governing component, never a dual
+    lists = {target: _lists(4, target) for target in TARGETS}
+    want = {
+        (ring, target): classify(ring, la, lb, target)
+        for ring in (H23, H32)
+        for target, (la, lb) in lists.items()
+    }
+
+    def boom(*args, **kwargs):
+        raise AssertionError("a predicate built a symplectic dual")
+
+    monkeypatch.setattr(SymplecticSpace, "dual", boom)
+    monkeypatch.setattr(import_module("symhex.gf"), "nullspace", boom)
+    for (ring, target), records in want.items():
+        la, lb = lists[target]
+        for ca in la:
+            for cb in lb:
+                flags(HzCode(ring, ca, cb))
+        assert classify(ring, la, lb, target) == records
+
+
 def test_verification_catches_equivalent_list_entries():
     bad_lb = [B1, LinearCode(3, [[0, 1]])]  # equivalent pair
     records = classify(H23, [A1], bad_lb, "SO")
@@ -215,20 +361,13 @@ def test_inequivalent_reps_rejects_mixed_spaces():
         inequivalent_reps([A1, LinearCode(2, [[1, 0, 0, 0]])])
 
 
-@cache
-def _classes_n6(p: int) -> list[LinearCode]:
-    space = SymplecticSpace.for_length(p, 6)
-    return inequivalent_reps([c for k in range(4) for c in isotropic_subspaces(space, k)])
-
-
 def test_inequivalent_reps_of_isotropic_subspaces_at_length_six():
-    assert (len(_classes_n6(2)), len(_classes_n6(3))) == (31, 186)
+    assert (len(_iso_classes(2, 6)), len(_iso_classes(3, 6))) == (31, 186)
 
 
 @pytest.mark.parametrize("ring, count", [(H23, 10), (H32, 86)])
 def test_self_dual_classification_verified_at_length_six(ring, count):
-    la = _classes_n6(2) + [LinearCode.full(2, 6)]
-    lb = _classes_n6(3) + [LinearCode.full(3, 6)]
+    la, lb = _lists(6, "SD")
     records = classify(ring, la, lb, "SD")
     assert len(records) == count
     assert verify_classification(records, ring, la, lb, "SD")

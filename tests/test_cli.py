@@ -115,6 +115,21 @@ def test_classify_verification_failure_exits_3(tmp_path, capsys, monkeypatch):
     ]) == 3
 
 
+def test_classify_failed_verification_writes_no_catalog(tmp_path, capsys, monkeypatch):
+    ca = tmp_path / "ca.list"
+    cb = tmp_path / "cb.list"
+    out = tmp_path / "catalog.json"
+    ca.write_text(CA_LIST)
+    cb.write_text(CB_LIST)
+    monkeypatch.setattr(cli, "verify_classification", lambda *a, **k: False)
+    assert cli.main([
+        "classify", "--ring", "H23", "--n", "2",
+        "--ca-list", str(ca), "--cb-list", str(cb), "--out", str(out), "--verify",
+    ]) == 3
+    assert not out.exists()
+    assert "wrote" not in capsys.readouterr().out
+
+
 def test_count_isotropic(capsys):
     assert cli.main(["count-isotropic", "2", "2", "2"]) == 0
     assert "= 15" in capsys.readouterr().out

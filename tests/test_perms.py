@@ -28,6 +28,7 @@ from symhex.perms import (
     rank_images,
     ranks,
     unrank_images,
+    word_key,
 )
 from symhex.ring import RingId
 from symhex.symplectic import SymplecticSpace, isotropic_subspaces
@@ -344,7 +345,8 @@ def test_equivalent_returns_the_lex_first_sigma():
 
 def _own_key(codes):
     block, keys = next(orbit_keys(codes))
-    assert block.tolist() == [list(range(codes[0].n))]  # the identity alone
+    assert block[0].tolist() == list(range(codes[0].n))  # the identity first
+    assert np.array_equal(word_key(codes), keys[0])
     return keys[0]
 
 

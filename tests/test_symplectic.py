@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from symhex.errors import BudgetExceeded, DimensionMismatch, KOutOfRange, OddLength
-from symhex.gf import LinearCode, all_vectors, random_code
+from symhex.gf import LinearCode, all_vectors, intersect_dim, random_code
 from symhex.symplectic import SymplecticSpace, count_isotropic, isotropic_subspaces
 
 
@@ -114,6 +114,29 @@ def test_self_dual_iff_self_orthogonal_of_middle_dimension():
             assert sp.is_self_dual(code) == (
                 sp.is_self_orthogonal(code) and code.k == m
             )
+
+
+def _random_and_isotropic_codes(p, m, rng):
+    sp = SymplecticSpace(p, m)
+    codes = [random_code(p, sp.n, rng) for _ in range(40)]
+    codes += [random_code(p, sp.n, rng, k=k) for k in range(sp.n + 1)]
+    return codes + isotropic_subspaces(sp, m)[:40]
+
+
+@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_dual_free_predicates_agree_with_the_dual(p, m):
+    # is_self_dual and is_lcd never build the dual; the dual is their oracle
+    sp = SymplecticSpace(p, m)
+    seen = set()
+    for code in _random_and_isotropic_codes(p, m, np.random.default_rng(31 + 10 * p + m)):
+        d = sp.dual(code)
+        sd, lcd = code == d, intersect_dim(code, d) == 0
+        assert sp.is_self_dual(code) == sd
+        assert sp.is_lcd(code) == lcd
+        seen.add((sd, lcd))
+    # at n = 2 every code is zero, a self-dual line or the full space
+    assert seen == {(True, False), (False, True)} | ({(False, False)} if m > 1 else set())
 
 
 def test_every_line_is_isotropic():
