@@ -11,7 +11,9 @@ choice is made.  The dual, self-orthogonality, self-duality,
 quasi-self-duality, niceness, and LCD-ness all reduce to a symplectic
 condition on the governing component and a size condition on the free
 one; brute-force word-level twins of each, written per ring without
-``split``, are kept alongside as oracles.
+``split``, are kept alongside as oracles.  The twins decide on integer word
+codes: a*u + b*v is the int64 u*3^n + v (u read in base 2, v in base 3), so
+word sets are int64 arrays and the set tests are isin, sort and intersect1d.
 """
 
 from __future__ import annotations
@@ -120,18 +122,49 @@ def build(ring: RingId, ca: LinearCode, cb: LinearCode) -> HzCode:
     return HzCode(ring, ca, cb)
 
 
+def _rows(mat: np.ndarray) -> list[bytes]:
+    """The rows of a matrix as int8 byte strings, sliced from one buffer."""
+    n = mat.shape[1]
+    buf = mat.astype(np.int8).tobytes()
+    return [buf[i : i + n] for i in range(0, len(buf), n)]
+
+
+def _places(p: int, n: int) -> np.ndarray:
+    """The base-p place values p^(n-1), ..., p, 1."""
+    return p ** np.arange(n - 1, -1, -1, dtype=np.int64)
+
+
+def _outer_codes(us: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    """The int64 code u*3^n + v of every word a*u + b*v, u outer and v inner.
+
+    u is read in base 2 and v in base 3, so the code is a bijection from
+    H_z^n onto 0..6^n - 1 (exact in int64 for n <= 24).
+    """
+    n = us.shape[1]
+    ui = us.astype(np.int64) @ _places(2, n)
+    vi = vs.astype(np.int64) @ _places(3, n)
+    return (ui[:, None] * 3**n + vi[None, :]).ravel()
+
+
+def _digits(values: np.ndarray, p: int, n: int) -> np.ndarray:
+    """Each value as its n base-p digits, most significant first."""
+    return (values[:, None] // _places(p, n)) % p
+
+
+def _word_codes(code: HzCode) -> np.ndarray:
+    """The integer codes of every word of the code, in enumerate_words order."""
+    if code.size > WORD_BUDGET:
+        raise BudgetExceeded(f"{code.size} words exceeds budget {WORD_BUDGET}")
+    return _outer_codes(code.ca.codewords(), code.cb.codewords())
+
+
 def enumerate_words(code: HzCode, budget: int = WORD_BUDGET) -> list[HzWord]:
     """All 2^ka * 3^kb words a*u + b*v, u outer and v inner, message-lex."""
     if code.size > budget:
         raise BudgetExceeded(f"{code.size} words exceeds budget {budget}")
     ring = code.ring
-    ua = code.ca.codewords()
-    vb = code.cb.codewords()
-    return [
-        HzWord(ring, u.astype(np.int8).tobytes(), v.astype(np.int8).tobytes())
-        for u in ua
-        for v in vb
-    ]
+    vs = _rows(code.cb.codewords())
+    return [HzWord(ring, u, v) for u in _rows(code.ca.codewords()) for v in vs]
 
 
 def word_set(code: HzCode, budget: int = WORD_BUDGET) -> frozenset[HzWord]:
@@ -193,8 +226,17 @@ def dual(code: HzCode) -> HzCode:
     return join(code.ring, space.dual(g), LinearCode.full(f.p, code.n))
 
 
-def dual_bruteforce(code: HzCode, budget: int = WORD_BUDGET) -> set[HzWord]:
-    """Oracle dual: every word of H_z^n orthogonal to every codeword.
+def _orthogonal_rows(side: LinearCode) -> np.ndarray:
+    """Every vector of F_p^n that pairs to zero with every codeword of side."""
+    p, n = side.p, side.n
+    cand = all_vectors(p, n).astype(np.int64)
+    gram = SymplecticSpace.for_length(p, n).gram
+    prod = (cand @ gram @ side.codewords().astype(np.int64).T) % p
+    return cand[~prod.any(axis=1)]
+
+
+def _dual_codes(code: HzCode, budget: int = WORD_BUDGET) -> np.ndarray:
+    """The integer codes of every word of H_z^n orthogonal to every codeword.
 
     Evaluates the definition directly.  The inner product only sees one
     component pair, so candidates factor: a component row passes when it
@@ -204,29 +246,17 @@ def dual_bruteforce(code: HzCode, budget: int = WORD_BUDGET) -> set[HzWord]:
     n = code.n
     if 6**n > budget:
         raise BudgetExceeded(f"6^{n} candidate words exceeds budget {budget}")
-    sp2, sp3 = SymplecticSpace.for_length(2, n), SymplecticSpace.for_length(3, n)
-    ring = code.ring
-    if ring is RingId.H23:
-        cw = code.ca.codewords().astype(np.int64)
-        cand = all_vectors(2, n).astype(np.int64)
-        prod = (cand @ sp2.gram @ cw.T) % 2
-        good = cand[~prod.any(axis=1)]
-        free = all_vectors(3, n)
-        return {
-            HzWord(ring, u.astype(np.int8).tobytes(), v.tobytes())
-            for u in good
-            for v in free
-        }
-    cw = code.cb.codewords().astype(np.int64)
-    cand = all_vectors(3, n).astype(np.int64)
-    prod = (cand @ sp3.gram @ cw.T) % 3
-    good = cand[~prod.any(axis=1)]
-    free = all_vectors(2, n)
-    return {
-        HzWord(ring, u.tobytes(), v.astype(np.int8).tobytes())
-        for v in good
-        for u in free
-    }
+    if code.ring is RingId.H23:
+        return _outer_codes(_orthogonal_rows(code.ca), all_vectors(3, n))
+    return _outer_codes(all_vectors(2, n), _orthogonal_rows(code.cb))
+
+
+def dual_bruteforce(code: HzCode, budget: int = WORD_BUDGET) -> set[HzWord]:
+    """Oracle dual: every word of H_z^n orthogonal to every codeword."""
+    n, ring = code.n, code.ring
+    us, vs = np.divmod(_dual_codes(code, budget), 3**n)
+    xs, ys = _rows(_digits(us, 2, n)), _rows(_digits(vs, 3, n))
+    return {HzWord(ring, x, y) for x, y in zip(xs, ys)}
 
 
 # ---------------------------------------------------------------------------
@@ -274,13 +304,12 @@ def flags(code: HzCode) -> dict[str, bool]:
 
 
 def is_self_orthogonal_bruteforce(code: HzCode) -> bool:
-    words = enumerate_words(code)
-    duals = dual_bruteforce(code)
-    return all(w in duals for w in words)
+    return bool(np.isin(_word_codes(code), _dual_codes(code)).all())
 
 
 def is_self_dual_bruteforce(code: HzCode) -> bool:
-    return set(enumerate_words(code)) == dual_bruteforce(code)
+    # word codes are distinct, so sorted equality is set equality
+    return np.array_equal(np.sort(_word_codes(code)), np.sort(_dual_codes(code)))
 
 
 def is_qsd_bruteforce(code: HzCode) -> bool:
@@ -288,12 +317,13 @@ def is_qsd_bruteforce(code: HzCode) -> bool:
 
 
 def is_nice_bruteforce(code: HzCode) -> bool:
-    return code.size * len(dual_bruteforce(code)) == 36**code.m
+    return code.size * len(_dual_codes(code)) == 36**code.m
 
 
 def is_lcd_bruteforce(code: HzCode) -> bool:
-    both = set(enumerate_words(code)) & dual_bruteforce(code)
-    return len(both) == 1 and next(iter(both)).is_zero()
+    """The code meets its dual exactly in the zero word, whose code is 0."""
+    both = np.intersect1d(_word_codes(code), _dual_codes(code), assume_unique=True)
+    return both.tolist() == [0]
 
 
 def is_euclidean_self_orthogonal(code: HzCode, budget: int = 6**6) -> bool:

@@ -7,6 +7,7 @@ space, so code equality is literal array equality.
 
 from __future__ import annotations
 
+from functools import cache
 from typing import Optional
 
 import numpy as np
@@ -160,10 +161,14 @@ class LinearCode:
         return f"LinearCode(p={self.p}, n={self.n}, k={self.k}, [{rows}])"
 
 
+@cache
 def all_vectors(p: int, n: int) -> np.ndarray:
-    """All p**n vectors of F_p^n in lexicographic order, one per row."""
-    if n == 0:
-        return np.zeros((1, 0), dtype=np.int8)
+    """All p**n vectors of F_p^n in lexicographic order, one per row.
+
+    Cached per (p, n) and read-only, like perms.perm_table: callers copy
+    (astype) before any arithmetic.  The budget check raises before
+    anything is cached.
+    """
     if p**n > CODEWORD_BUDGET * 6:
         raise BudgetExceeded(f"p**n = {p**n} is too large to materialize")
     idx = np.arange(p**n)
@@ -171,6 +176,7 @@ def all_vectors(p: int, n: int) -> np.ndarray:
     for c in range(n - 1, -1, -1):
         out[:, c] = idx % p
         idx //= p
+    out.flags.writeable = False
     return out
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+from importlib import import_module
 from pathlib import Path
 
 import numpy as np
@@ -41,8 +42,9 @@ from symhex.errors import (
     OddLength,
     RingMismatch,
 )
-from symhex.gf import LinearCode, random_code
+from symhex.gf import LinearCode, all_vectors, random_code
 from symhex.ring import A, RingId, ZERO
+from symhex.symplectic import SymplecticSpace, isotropic_subspaces
 
 H23, H32 = RingId.H23, RingId.H32
 
@@ -138,8 +140,6 @@ def test_symplectic_inner_lands_in_the_right_ideal():
 @pytest.mark.parametrize("n", [2, 4])
 def test_every_word_is_self_orthogonal(ring, n):
     # the form is alternating over the ring too; sweep all of Hz^n
-    from symhex.gf import all_vectors
-
     for xs in all_vectors(2, n):
         for ys in all_vectors(3, n):
             w = HzWord.from_parts(ring, xs, ys)
@@ -173,7 +173,7 @@ RING_BRANCHES = {
     "codes.split",
     "codes.join",
     "codes.symplectic_inner",
-    "codes.dual_bruteforce",
+    "codes._dual_codes",
 }
 
 
@@ -260,6 +260,113 @@ def test_predicates_match_definitions_sampled(ring):
         assert is_qsd(c) == is_qsd_bruteforce(c)
         assert is_nice(c) == is_nice_bruteforce(c)
         assert is_lcd(c) == is_lcd_bruteforce(c)
+
+
+def ref_enumerate_words(code: HzCode) -> list[HzWord]:
+    """The per-word loop: one HzWord per (u, v), each row's bytes rebuilt."""
+    ua = code.ca.codewords()
+    vb = code.cb.codewords()
+    return [
+        HzWord(code.ring, u.astype(np.int8).tobytes(), v.astype(np.int8).tobytes())
+        for u in ua
+        for v in vb
+    ]
+
+
+def ref_dual_bruteforce(code: HzCode) -> set[HzWord]:
+    """The per-word loop over the candidate rows, one branch per ring."""
+    n = code.n
+    sp2, sp3 = SymplecticSpace.for_length(2, n), SymplecticSpace.for_length(3, n)
+    ring = code.ring
+    if ring is H23:
+        cw = code.ca.codewords().astype(np.int64)
+        cand = all_vectors(2, n).astype(np.int64)
+        prod = (cand @ sp2.gram @ cw.T) % 2
+        good = cand[~prod.any(axis=1)]
+        free = all_vectors(3, n)
+        return {
+            HzWord(ring, u.astype(np.int8).tobytes(), v.tobytes())
+            for u in good
+            for v in free
+        }
+    cw = code.cb.codewords().astype(np.int64)
+    cand = all_vectors(3, n).astype(np.int64)
+    prod = (cand @ sp3.gram @ cw.T) % 3
+    good = cand[~prod.any(axis=1)]
+    free = all_vectors(2, n)
+    return {
+        HzWord(ring, u.tobytes(), v.astype(np.int8).tobytes())
+        for v in good
+        for u in free
+    }
+
+
+@pytest.mark.parametrize("ring", [H23, H32])
+def test_words_and_dual_match_the_per_word_loops(pair_surface_n2, ring):
+    rng = np.random.default_rng(53)
+    pairs = list(pair_surface_n2)
+    pairs += [(random_code(2, 4, rng), random_code(3, 4, rng)) for _ in range(40)]
+    for ca, cb in pairs:
+        c = build(ring, ca, cb)
+        assert enumerate_words(c) == ref_enumerate_words(c)  # same order too
+        duals = dual_bruteforce(c)
+        assert type(duals) is set and duals == ref_dual_bruteforce(c)
+
+
+TWINS = {
+    "so": is_self_orthogonal_bruteforce,
+    "sd": is_self_dual_bruteforce,
+    "qsd": is_qsd_bruteforce,
+    "nice": is_nice_bruteforce,
+    "lcd": is_lcd_bruteforce,
+}
+WORD_ORACLES = (*TWINS.values(), dual_bruteforce, enumerate_words)
+
+
+def test_word_oracles_never_reach_the_fast_path(monkeypatch, pair_surface_n2):
+    # the twins are the oracles for split/join and the symplectic rank
+    # tests, so they must give the same answers with all of those gone
+    codes = [build(ring, ca, cb) for ring in (H23, H32) for ca, cb in pair_surface_n2]
+    want = [[oracle(c) for oracle in WORD_ORACLES] for c in codes]
+
+    def boom(*args, **kwargs):
+        raise AssertionError("a word-level oracle reached the fast path")
+
+    monkeypatch.setattr(import_module("symhex.codes"), "split", boom)
+    monkeypatch.setattr(import_module("symhex.codes"), "join", boom)
+    for module in ("symhex.gf", "symhex.perms"):  # every binding of nullspace
+        monkeypatch.setattr(import_module(module), "nullspace", boom)
+    for name in ("is_self_orthogonal", "is_self_dual", "is_lcd", "dual"):
+        monkeypatch.setattr(SymplecticSpace, name, boom)
+    with pytest.raises(AssertionError, match="fast path"):
+        flags(codes[0])
+    assert [[oracle(c) for oracle in WORD_ORACLES] for c in codes] == want
+
+
+def _n6_codes(ring: RingId) -> list[HzCode]:
+    """Governing: seeded random codes, the zero code, isotropic lines and
+    Lagrangians; free: zero, m-dimensional and full."""
+    n, m = 6, 3
+    gp, fp = (2, 3) if ring is H23 else (3, 2)
+    rng = np.random.default_rng(67)
+    governing = [random_code(gp, n, rng) for _ in range(3)] + [LinearCode.zero(gp, n)]
+    space = SymplecticSpace.for_length(gp, n)
+    for k in (1, m):
+        iso = isotropic_subspaces(space, k)
+        governing += [iso[0], iso[len(iso) // 2], iso[-1]]
+    free = [LinearCode.zero(fp, n), LinearCode(fp, np.eye(m, n, dtype=int)), LinearCode.full(fp, n)]
+    return [join(ring, g, f) for g in governing for f in free]
+
+
+@pytest.mark.parametrize("ring", [H23, H32])
+def test_predicates_match_definitions_at_length_six(ring):
+    seen = {name: set() for name in TWINS}
+    for c in _n6_codes(ring):
+        fl = flags(c)
+        for name, twin in TWINS.items():
+            assert fl[name] == twin(c), (name, c)
+            seen[name].add(fl[name])
+    assert all(values == {True, False} for values in seen.values()), seen
 
 
 def test_nice_and_lcd_examples():

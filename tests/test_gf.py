@@ -90,6 +90,15 @@ def test_codeword_budget():
         LinearCode.full(3, 13).codewords()
 
 
+def test_all_vectors_is_cached_and_read_only():
+    first = all_vectors(3, 4)
+    assert all_vectors(3, 4) is first
+    assert not first.flags.writeable
+    for _ in range(2):  # the budget check runs before anything is cached
+        with pytest.raises(BudgetExceeded):
+            all_vectors(3, 14)
+
+
 def test_nullspace_examples():
     # dual of the repetition code under the identity form is itself (F2)
     c = LinearCode(2, [[1, 1]])
