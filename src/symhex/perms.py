@@ -12,6 +12,14 @@ and an equivalence search can stop at the first block with a hit.
 Equivalence compares word keys over the table (orbit_keys), never the
 parity-check product of automorphism_group.
 
+A PermGroup is the sorted array of its members' Lehmer ranks, which are
+row indices into perm_table(n); its Permutation objects are built only
+when elements is first read.  Its greedy generators come from a closure
+over member-indexed rank maps: for each generator g, the position of
+g m among the members for every member m, found by searching the
+members' sorted base-n row keys.  Building S_8 so costs a few array
+passes per generator instead of a Python object per element.
+
 Double cosets G \\ S_n / H are the connected components of the maps
 sigma -> g sigma and sigma -> sigma h on ranks, one map per generator of
 G and of H.  Every rank starts labelled with itself and repeatedly takes
@@ -24,7 +32,7 @@ Fundamental Algorithms for Permutation Groups, LNCS 559, 1991).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from itertools import permutations as _lex_perms
 from math import factorial
 
@@ -254,51 +262,103 @@ def mulclose(gens: list[Permutation], seed: list[Permutation] | None = None) -> 
 
 
 class PermGroup:
-    """A subgroup of S_n given by its full element list plus generators.
+    """A subgroup of S_n, held as the sorted int32 Lehmer ranks of its members.
 
-    Generators are a greedy minimal-ish subset: sweeping elements in
-    lexicographic order, keep each one not already generated.  mulclose of
-    the generators reproduces the element set.
+    The ranks index rows of perm_table(n); elements, the Permutation
+    objects in rank (lexicographic) order, is built on first use.
+    Generators are a greedy minimal-ish subset: sweeping members in rank
+    order, keep each one not already generated.  Each new generator g gets
+    its map m -> g m on member indices, and the closure is marked on a
+    boolean array over the members, round by round under every map until
+    it stops growing, so each generator costs passes over |G|, not n!.
+    mulclose of the generators reproduces the element set.  A rank set
+    that is empty, out of range, without the identity or not closed under
+    its generators raises ValueError.
     """
 
-    def __init__(self, n: int, elements: list[Permutation]):
+    def __init__(self, n: int, ranks):
+        members = np.asarray(ranks, dtype=np.int64).ravel()
+        if (members[1:] <= members[:-1]).any():
+            members = np.unique(members)  # sorted, without repeats
+        if not members.size:
+            raise ValueError("a group must contain the identity; got no ranks")
+        if members[0] < 0 or members[-1] >= factorial(n):
+            bad = members[0] if members[0] < 0 else members[-1]
+            raise ValueError(f"rank {bad} out of range for n={n}")
+        if members[0] != 0:
+            raise ValueError("a group must contain the identity (rank 0)")
         self.n = n
-        self._members = frozenset(elements)
-        self.elements = tuple(sorted(self._members))
-        if not self.elements or not self.elements[0].is_identity():
-            raise ValueError("a group must contain the identity")
+        self.ranks = members.astype(np.int32)
+        self.ranks.flags.writeable = False
         self.generators = self._greedy_generators()
 
     def _greedy_generators(self) -> tuple[Permutation, ...]:
-        gens: list[Permutation] = []
-        closure = {Permutation.identity(self.n)}
-        for el in self.elements:
-            if el not in closure:
-                gens.append(el)
-                closure = mulclose(gens)
-        assert len(closure) == len(self.elements)
-        return tuple(gens)
+        if self.order == 1:
+            return ()
+        rows = perm_table(self.n)[self.ranks].astype(np.intp)
+        place = _place_values(self.n)
+        keys = rows @ place
+        inside = np.zeros(self.order, dtype=bool)
+        inside[0] = True
+        closed = 1  # members generated so far
+        gens: list[int] = []
+        # each generator at least doubles the closure (Lagrange), so at most log2 |G| of them
+        maps = np.empty((self.order.bit_length(), self.order), dtype=np.intp)
+        while closed < self.order:
+            i = int(inside.argmin())  # the first member not yet generated
+            image = rows[i][rows] @ place
+            at = maps[len(gens)] = np.searchsorted(keys, image)
+            gens.append(i)
+            outside = keys.take(at, mode="clip") != image
+            if outside.any():
+                g, m = _perms(rows[[i, outside.argmax()]])
+                raise ValueError(f"not a group: {g} * {m} is not a member")
+            # close under every generator's map, round by round, until nothing is added
+            while True:
+                inside[maps[: len(gens), inside]] = True
+                before, closed = closed, np.count_nonzero(inside)
+                if closed in (before, self.order):
+                    break
+        return _perms(rows[gens])
+
+    @cached_property
+    def elements(self) -> tuple[Permutation, ...]:
+        return _perms(perm_table(self.n)[self.ranks])
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.ranks)
 
     def __contains__(self, perm: Permutation) -> bool:
-        return perm in self._members
+        if perm.n != self.n:
+            return False
+        r = perm.rank()
+        i = np.searchsorted(self.ranks, r)
+        return bool(i < self.ranks.size and self.ranks[i] == r)
 
     def __iter__(self):
         return iter(self.elements)
 
     @classmethod
     def trivial(cls, n: int) -> "PermGroup":
-        return cls(n, [Permutation.identity(n)])
+        return cls(n, [0])
 
     @classmethod
     def symmetric(cls, n: int) -> "PermGroup":
-        return cls(n, list(all_permutations(n)))
+        return cls(n, np.arange(len(perm_table(n))))
 
     def __repr__(self) -> str:
         return f"PermGroup(n={self.n}, order={self.order})"
+
+
+@cache
+def _place_values(n: int) -> np.ndarray:
+    """n^(n-1-i): base-n row keys, which ascend with Lehmer rank."""
+    return n ** np.arange(n - 1, -1, -1)
+
+
+def _perms(rows: np.ndarray) -> tuple[Permutation, ...]:
+    return tuple(Permutation(tuple(row)) for row in rows.tolist())
 
 
 def automorphism_group(code: LinearCode) -> PermGroup:
@@ -306,7 +366,7 @@ def automorphism_group(code: LinearCode) -> PermGroup:
 
     Scans the whole of S_n in blocks of perm_table(n); each candidate is
     accepted when the permuted generator rows still satisfy the code's
-    parity checks.
+    parity checks.  The group is built from the accepted ranks alone.
     """
     table = perm_table(code.n)
     G = code.gen.T.astype(np.int16)
@@ -316,8 +376,8 @@ def automorphism_group(code: LinearCode) -> PermGroup:
         block = table[start : start + BLOCK]
         # G[:, sigma^-1] @ H.T is G @ H[:, sigma].T, transposed: (checks, rows, k)
         fails = ((H[:, block] @ G) % code.p).any(axis=(0, 2))
-        kept.extend(Permutation(tuple(row)) for row in block[~fails].tolist())
-    return PermGroup(code.n, kept)
+        kept.append(start + np.flatnonzero(~fails))
+    return PermGroup(code.n, np.concatenate(kept))
 
 
 def double_cosets(G: PermGroup, H: PermGroup) -> list[tuple[Permutation, int]]:

@@ -6,7 +6,10 @@ import json
 
 import pytest
 
-from symhex import cli
+from symhex import cli, codes, io
+from symhex.codes import build, dual
+from symhex.gf import LinearCode
+from symhex.ring import RingId
 
 R2_FILE = "H23 2\n2 2 1\n11\n\n3 2 1\n11\n\n"
 EX4_FILE = "H23 4\n2 4 2\n1000\n0100\n\n3 4 2\n1000\n0100\n\n"
@@ -55,6 +58,29 @@ def test_dual_stdout_and_brute(r2_path, capsys):
     out = capsys.readouterr().out
     assert "3 2 2" in out  # ternary side blown up to the full space
     assert "oracle: match (18 words)" in out
+
+
+def _raise(*args, **kwargs):
+    raise AssertionError("per-word objects built")
+
+
+def test_dual_brute_compares_word_codes(tmp_path, capsys, monkeypatch):
+    # H23 with a zero binary side: the dual is all 6^6 words
+    code = build(RingId.H23, LinearCode.zero(2, 6), LinearCode(3, [[1, 1, 1, 0, 0, 0]]))
+    p = tmp_path / "z6.code"
+    p.write_text(io.format_hzcode(code))
+    for name in ("word_set", "HzWord", "dual_bruteforce"):
+        monkeypatch.setattr(codes, name, _raise)
+        monkeypatch.setattr(cli, name, _raise, raising=False)
+    assert cli.main(["dual", str(p), "--brute"]) == 0
+    assert capsys.readouterr().out == io.format_hzcode(dual(code)) + "oracle: match (46656 words)\n"
+
+
+def test_dual_brute_reports_a_mismatch(r2_path, capsys, monkeypatch):
+    wrong = io.parse_hzcode(R2_FILE)  # the code itself, not its dual
+    monkeypatch.setattr(cli, "dual", lambda code: wrong)
+    assert cli.main(["dual", r2_path, "--brute"]) == 3
+    assert capsys.readouterr().out == io.format_hzcode(wrong) + "oracle: MISMATCH\n"
 
 
 def test_dual_writes_file(r2_path, tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import time
 from collections import deque
 from itertools import permutations
 from math import factorial
@@ -14,6 +15,7 @@ from symhex.errors import BudgetExceeded
 from symhex.gf import LinearCode, nullspace, random_code
 from symhex.perms import (
     BLOCK,
+    MAX_PERM_N,
     PermGroup,
     Permutation,
     all_permutations,
@@ -393,3 +395,93 @@ def test_perm_equivalent_finds_a_carrier_beyond_the_first_block():
         pi = perm_equivalent(c1, c2)
         assert pi is not None and apply_perm(pi, c1) == c2
         assert BLOCK <= pi.rank() <= sigma.rank()
+
+
+# ---------------------------------------------------------------------------
+# groups as rank arrays: the greedy generators against the mulclose loop
+
+
+def ref_greedy_generators(group: PermGroup) -> tuple[Permutation, ...]:
+    """Sweep the elements in lex order, keeping each one mulclose has not yet reached."""
+    gens: list[Permutation] = []
+    closure = {Permutation.identity(group.n)}
+    for el in sorted(group.elements):
+        if el not in closure:
+            gens.append(el)
+            closure = mulclose(gens)
+    assert len(closure) == group.order
+    return tuple(gens)
+
+
+def _criterion_9_codes() -> list[LinearCode]:
+    pairs = LinearCode(2, np.kron(np.eye(4, dtype=np.int64), [[1, 1]]))
+    return [pairs, LinearCode(3, [[1, 1, 1, 1, 1, 1, 0, 0]])]
+
+
+def test_greedy_generators_match_the_mulclose_loop():
+    codes = _isotropic_codes(2) + _isotropic_codes(4)
+    codes += _random_codes(5, 4, seed=502) + _random_codes(6, 4, seed=602)
+    codes += _criterion_9_codes()
+    for code in codes:
+        g = automorphism_group(code)
+        assert g.generators == ref_greedy_generators(g)
+        assert mulclose(list(g.generators), [Permutation.identity(g.n)]) == set(g.elements)
+
+
+def test_contains_is_membership_in_the_elements():
+    groups = [
+        automorphism_group(LinearCode(2, [[1, 1, 0, 0, 0]])),
+        automorphism_group(LinearCode(3, [[1, 2, 0, 1, 0], [0, 0, 1, 1, 1]])),
+        PermGroup.symmetric(5),
+    ]
+    for g in groups:
+        members = set(g.elements)
+        assert all((pi in g) == (pi in members) for pi in all_permutations(5))
+        assert Permutation.identity(4) not in g
+
+
+def test_group_elements_are_built_in_rank_order():
+    g = automorphism_group(_criterion_9_codes()[0])
+    assert "elements" not in vars(g)  # built on first use
+    assert [pi.rank() for pi in g.elements] == g.ranks.tolist() == sorted(set(g.ranks.tolist()))
+    assert g.elements is g.elements
+    assert PermGroup(4, [1, 0, 1]).ranks.tolist() == [0, 1]  # sorted, duplicates dropped
+
+
+def test_rank_sets_that_are_not_groups_raise_value_error():
+    with pytest.raises(ValueError, match="no ranks"):
+        PermGroup(3, [])
+    with pytest.raises(ValueError, match="identity"):
+        PermGroup(3, [1, 2])
+    for bad in ([0, 6], [0, -1]):
+        with pytest.raises(ValueError, match="out of range"):
+            PermGroup(3, bad)
+    # (2 3) and (1 2) are members, their product (1 3 2) is not
+    with pytest.raises(ValueError, match=r"not a group: Permutation\(\(0, 2, 1\)\) \* "
+                       r"Permutation\(\(1, 0, 2\)\) is not a member"):
+        PermGroup(3, [0, 1, 2])
+    # the first generator (3 4) keeps {e, (3 4), (2 3), (2 4 3)}; the second, (2 3), does not
+    members = [(0, 1, 2, 3), (0, 1, 3, 2), (0, 2, 1, 3), (0, 3, 1, 2)]
+    with pytest.raises(ValueError, match=r"Permutation\(\(0, 2, 1, 3\)\) \* "
+                       r"Permutation\(\(0, 1, 3, 2\)\) is not a member"):
+        PermGroup(4, [rank_images(images) for images in members])
+
+
+def test_groups_beyond_the_table_guard_raise_budget_exceeded():
+    assert PermGroup.trivial(MAX_PERM_N + 1).order == 1
+    with pytest.raises(BudgetExceeded):
+        PermGroup.symmetric(MAX_PERM_N + 1)
+    with pytest.raises(BudgetExceeded):
+        PermGroup(MAX_PERM_N + 1, [0, 1])
+
+
+def test_symmetric_group_of_length_eight_is_pinned():
+    for code in (LinearCode.full(2, 8), LinearCode.zero(3, 8)):
+        t0 = time.perf_counter()
+        g = automorphism_group(code)
+        elapsed = time.perf_counter() - t0
+        assert g.order == 40320
+        assert " ".join(pi.cycle_string() for pi in g.generators) == (
+            "(7 8) (6 7) (5 6) (4 5) (3 4) (2 3) (1 2)"
+        )
+        assert elapsed < 1.0, f"Aut = S_8 took {elapsed:.2f} s"
