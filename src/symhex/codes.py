@@ -32,12 +32,15 @@ from .errors import (
     OddLength,
     RingMismatch,
 )
-from .gf import LinearCode, all_vectors
+from .gf import LinearCode, all_vectors, places
 from .perms import MAX_PERM_N, Permutation, first_carrying
 from .ring import RingElement, RingId
 from .symplectic import SymplecticSpace
 
 WORD_BUDGET = 6**8
+
+# is_euclidean_self_orthogonal compares every pair of words
+EUCLIDEAN_PAIR_BUDGET = 6**6
 
 
 @dataclass(frozen=True)
@@ -129,11 +132,6 @@ def _rows(mat: np.ndarray) -> list[bytes]:
     return [buf[i : i + n] for i in range(0, len(buf), n)]
 
 
-def _places(p: int, n: int) -> np.ndarray:
-    """The base-p place values p^(n-1), ..., p, 1."""
-    return p ** np.arange(n - 1, -1, -1, dtype=np.int64)
-
-
 def _outer_codes(us: np.ndarray, vs: np.ndarray) -> np.ndarray:
     """The int64 code u*3^n + v of every word a*u + b*v, u outer and v inner.
 
@@ -141,14 +139,9 @@ def _outer_codes(us: np.ndarray, vs: np.ndarray) -> np.ndarray:
     H_z^n onto 0..6^n - 1 (exact in int64 for n <= 24).
     """
     n = us.shape[1]
-    ui = us.astype(np.int64) @ _places(2, n)
-    vi = vs.astype(np.int64) @ _places(3, n)
+    ui = us.astype(np.int64) @ places(2, n)
+    vi = vs.astype(np.int64) @ places(3, n)
     return (ui[:, None] * 3**n + vi[None, :]).ravel()
-
-
-def _digits(values: np.ndarray, p: int, n: int) -> np.ndarray:
-    """Each value as its n base-p digits, most significant first."""
-    return (values[:, None] // _places(p, n)) % p
 
 
 def _word_codes(code: HzCode) -> np.ndarray:
@@ -158,17 +151,17 @@ def _word_codes(code: HzCode) -> np.ndarray:
     return _outer_codes(code.ca.codewords(), code.cb.codewords())
 
 
-def enumerate_words(code: HzCode, budget: int = WORD_BUDGET) -> list[HzWord]:
+def enumerate_words(code: HzCode) -> list[HzWord]:
     """All 2^ka * 3^kb words a*u + b*v, u outer and v inner, message-lex."""
-    if code.size > budget:
-        raise BudgetExceeded(f"{code.size} words exceeds budget {budget}")
+    if code.size > WORD_BUDGET:
+        raise BudgetExceeded(f"{code.size} words exceeds budget {WORD_BUDGET}")
     ring = code.ring
     vs = _rows(code.cb.codewords())
     return [HzWord(ring, u, v) for u in _rows(code.ca.codewords()) for v in vs]
 
 
-def word_set(code: HzCode, budget: int = WORD_BUDGET) -> frozenset[HzWord]:
-    return frozenset(enumerate_words(code, budget))
+def word_set(code: HzCode) -> frozenset[HzWord]:
+    return frozenset(enumerate_words(code))
 
 
 def split(code: HzCode) -> tuple[LinearCode, LinearCode]:
@@ -235,7 +228,7 @@ def _orthogonal_rows(side: LinearCode) -> np.ndarray:
     return cand[~prod.any(axis=1)]
 
 
-def _dual_codes(code: HzCode, budget: int = WORD_BUDGET) -> np.ndarray:
+def _dual_codes(code: HzCode) -> np.ndarray:
     """The integer codes of every word of H_z^n orthogonal to every codeword.
 
     Evaluates the definition directly.  The inner product only sees one
@@ -244,18 +237,18 @@ def _dual_codes(code: HzCode, budget: int = WORD_BUDGET) -> np.ndarray:
     side is unconstrained.
     """
     n = code.n
-    if 6**n > budget:
-        raise BudgetExceeded(f"6^{n} candidate words exceeds budget {budget}")
+    if 6**n > WORD_BUDGET:
+        raise BudgetExceeded(f"6^{n} candidate words exceeds budget {WORD_BUDGET}")
     if code.ring is RingId.H23:
         return _outer_codes(_orthogonal_rows(code.ca), all_vectors(3, n))
     return _outer_codes(all_vectors(2, n), _orthogonal_rows(code.cb))
 
 
-def dual_bruteforce(code: HzCode, budget: int = WORD_BUDGET) -> set[HzWord]:
+def dual_bruteforce(code: HzCode) -> set[HzWord]:
     """Oracle dual: every word of H_z^n orthogonal to every codeword."""
     n, ring = code.n, code.ring
-    us, vs = np.divmod(_dual_codes(code, budget), 3**n)
-    xs, ys = _rows(_digits(us, 2, n)), _rows(_digits(vs, 3, n))
+    us, vs = np.divmod(_dual_codes(code), 3**n)
+    xs, ys = _rows(all_vectors(2, n)[us]), _rows(all_vectors(3, n)[vs])
     return {HzWord(ring, x, y) for x, y in zip(xs, ys)}
 
 
@@ -326,15 +319,16 @@ def is_lcd_bruteforce(code: HzCode) -> bool:
     return both.tolist() == [0]
 
 
-def is_euclidean_self_orthogonal(code: HzCode, budget: int = 6**6) -> bool:
+def is_euclidean_self_orthogonal(code: HzCode) -> bool:
     """Word-by-word check that all Euclidean inner products vanish.
 
-    Quadratic in the word count, so budgeted tighter; this exists to expose
-    codes that are symplectically but not Euclideanly self-orthogonal.
+    Quadratic in the word count, so budgeted on pairs before any word is
+    built; this exists to expose codes that are symplectically but not
+    Euclideanly self-orthogonal.
     """
+    if code.size**2 > EUCLIDEAN_PAIR_BUDGET:
+        raise BudgetExceeded(f"{code.size}^2 word pairs exceeds budget {EUCLIDEAN_PAIR_BUDGET}")
     words = enumerate_words(code)
-    if len(words) ** 2 > budget:
-        raise BudgetExceeded(f"{len(words)}^2 word pairs exceeds budget {budget}")
     return all(
         euclidean_inner(w1, w2) is rg.ZERO for w1 in words for w2 in words
     )
@@ -344,7 +338,7 @@ def is_euclidean_self_orthogonal(code: HzCode, budget: int = 6**6) -> bool:
 # permutation equivalence
 
 
-def equivalent(c1: HzCode, c2: HzCode, max_n: int = MAX_PERM_N) -> Optional[Permutation]:
+def equivalent(c1: HzCode, c2: HzCode) -> Optional[Permutation]:
     """The lex-first permutation carrying c1 onto c2 componentwise, or None:
     a word-key scan (perms.first_carrying), never automorphism_group's parity product."""
     if c1.ring is not c2.ring:
@@ -352,8 +346,8 @@ def equivalent(c1: HzCode, c2: HzCode, max_n: int = MAX_PERM_N) -> Optional[Perm
     if c1.n != c2.n:
         raise LengthMismatch(f"lengths differ: {c1.n} vs {c2.n}")
     n = c1.n
-    if n > max_n:
-        raise BudgetExceeded(f"n={n} beyond equivalence scan guard {max_n}")
+    if n > MAX_PERM_N:
+        raise BudgetExceeded(f"n={n} beyond equivalence scan guard {MAX_PERM_N}")
     if c1.ca.k != c2.ca.k or c1.cb.k != c2.cb.k:
         return None
     return first_carrying((c1.ca, c1.cb), (c2.ca, c2.cb))

@@ -129,10 +129,10 @@ class LinearCode:
     def __contains__(self, v) -> bool:
         return self.contains(v)
 
-    def codewords(self, budget: int = CODEWORD_BUDGET) -> np.ndarray:
+    def codewords(self) -> np.ndarray:
         """All p**k codewords, message vectors in lexicographic order."""
-        if self.size > budget:
-            raise BudgetExceeded(f"{self.size} codewords exceeds budget {budget}")
+        if self.size > CODEWORD_BUDGET:
+            raise BudgetExceeded(f"{self.size} codewords exceeds budget {CODEWORD_BUDGET}")
         if self.k == 0:
             return np.zeros((1, self.n), dtype=np.int8)
         msgs = all_vectors(self.p, self.k)
@@ -162,20 +162,28 @@ class LinearCode:
 
 
 @cache
+def places(p: int, n: int) -> np.ndarray:
+    """The base-p place values p^(n-1), ..., p, 1 as read-only int64.
+
+    v @ places(p, n) reads a digit row v as its base-p value; row i of
+    all_vectors(p, n) is the vector whose value is i.
+    """
+    out = p ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    out.flags.writeable = False
+    return out
+
+
+@cache
 def all_vectors(p: int, n: int) -> np.ndarray:
     """All p**n vectors of F_p^n in lexicographic order, one per row.
 
-    Cached per (p, n) and read-only, like perms.perm_table: callers copy
-    (astype) before any arithmetic.  The budget check raises before
-    anything is cached.
+    Row i holds the base-p digits of i.  Cached per (p, n) and read-only,
+    like perms.perm_table: callers copy (astype) before any arithmetic.
+    The budget check raises before anything is cached.
     """
     if p**n > CODEWORD_BUDGET * 6:
         raise BudgetExceeded(f"p**n = {p**n} is too large to materialize")
-    idx = np.arange(p**n)
-    out = np.zeros((p**n, n), dtype=np.int8)
-    for c in range(n - 1, -1, -1):
-        out[:, c] = idx % p
-        idx //= p
+    out = (np.arange(p**n)[:, None] // places(p, n) % p).astype(np.int8)
     out.flags.writeable = False
     return out
 

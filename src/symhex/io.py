@@ -144,8 +144,13 @@ def parse_hzcode(text: str) -> HzCode:
 
 
 def read_text(path: str) -> str:
-    with open(path, "r", encoding="ascii") as fh:
-        return fh.read()
+    """The file's text; a byte outside ASCII is a ParseError."""
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        bad = exc.object[exc.start]
+        raise ParseError(f"{path}: byte {bad:#04x} at offset {exc.start} is not ASCII") from exc
 
 
 def write_text_atomic(path: str, text: str) -> None:

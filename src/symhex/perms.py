@@ -39,7 +39,7 @@ from math import factorial
 import numpy as np
 
 from .errors import BudgetExceeded, DimensionMismatch
-from .gf import LinearCode, nullspace
+from .gf import LinearCode, nullspace, places
 
 # n! table sizes stay sane up to 8! = 40320
 MAX_PERM_N = 8
@@ -190,13 +190,13 @@ def apply_perm(perm: Permutation, code: LinearCode) -> LinearCode:
     return LinearCode(code.p, code.gen[:, inv], n=code.n)
 
 
-def perm_equivalent(c1: LinearCode, c2: LinearCode, max_n: int = MAX_PERM_N) -> "Permutation | None":
+def perm_equivalent(c1: LinearCode, c2: LinearCode) -> "Permutation | None":
     """A permutation carrying c1 onto c2, or None; exhaustive over S_n."""
     if c1.p != c2.p or c1.n != c2.n:
         raise DimensionMismatch("codes live in different spaces")
     n = c1.n
-    if n > max_n:
-        raise BudgetExceeded(f"n={n} beyond equivalence scan guard {max_n}")
+    if n > MAX_PERM_N:
+        raise BudgetExceeded(f"n={n} beyond equivalence scan guard {MAX_PERM_N}")
     if c1.k != c2.k:
         return None
     return first_carrying((c1,), (c2,))
@@ -229,7 +229,7 @@ def word_key(codes: tuple[LinearCode, ...]) -> np.ndarray:
 
 def _place_and_words(code: LinearCode) -> tuple[np.ndarray, np.ndarray]:
     """Place values p^(n-1-i) and the codewords as columns, both float64."""
-    return code.p ** np.arange(code.n - 1.0, -1, -1), code.codewords().T.astype(float)
+    return places(code.p, code.n).astype(float), code.codewords().T.astype(float)
 
 
 def first_carrying(sources: tuple, targets: tuple) -> "Permutation | None":
@@ -296,7 +296,7 @@ class PermGroup:
         if self.order == 1:
             return ()
         rows = perm_table(self.n)[self.ranks].astype(np.intp)
-        place = _place_values(self.n)
+        place = places(self.n, self.n)  # base-n row keys ascend with Lehmer rank
         keys = rows @ place
         inside = np.zeros(self.order, dtype=bool)
         inside[0] = True
@@ -349,12 +349,6 @@ class PermGroup:
 
     def __repr__(self) -> str:
         return f"PermGroup(n={self.n}, order={self.order})"
-
-
-@cache
-def _place_values(n: int) -> np.ndarray:
-    """n^(n-1-i): base-n row keys, which ascend with Lehmer rank."""
-    return n ** np.arange(n - 1, -1, -1)
 
 
 def _perms(rows: np.ndarray) -> tuple[Permutation, ...]:

@@ -13,12 +13,12 @@ isotropic.
 from __future__ import annotations
 
 from functools import cache
-from itertools import combinations, product
+from itertools import combinations
 
 import numpy as np
 
 from .errors import BudgetExceeded, DimensionMismatch, KOutOfRange, OddLength
-from .gf import LinearCode, rref
+from .gf import LinearCode, all_vectors, rref
 
 
 class SymplecticSpace:
@@ -86,14 +86,24 @@ class SymplecticSpace:
             )
 
 
+# count_isotropic refuses counts of more decimal digits than this, below
+# Python's 4,300-digit limit on int -> str conversion
+COUNT_DIGITS = 4000
+
+
 def count_isotropic(p: int, m: int, k: int) -> int:
     """Number of totally isotropic k-subspaces of F_p^(2m), exactly.
 
     prod_{i=0}^{k-1} (p^(2m-2i) - 1) / prod_{j=1}^{k} (p^j - 1), evaluated
-    in exact integer arithmetic with the divisibility asserted.
+    in exact integer arithmetic with the divisibility asserted.  The count
+    is about p^E with E = 2mk - k(3k-1)/2, so one that would take more than
+    COUNT_DIGITS decimal digits raises BudgetExceeded before any product.
     """
     if not 0 <= k <= m:
         raise KOutOfRange(f"need 0 <= k <= m, got k={k}, m={m}")
+    digits = (2 * m * k - k * (3 * k - 1) // 2) * np.log10(p)
+    if digits > COUNT_DIGITS:
+        raise BudgetExceeded(f"count has about {digits:.0f} digits, budget {COUNT_DIGITS}")
     num = 1
     for i in range(k):
         num *= p ** (2 * m - 2 * i) - 1
@@ -111,50 +121,35 @@ _MAX_N = {2: 8, 3: 6}
 def isotropic_subspaces(space: SymplecticSpace, k: int) -> list[LinearCode]:
     """All totally isotropic k-subspaces, each exactly once.
 
-    Walks RREF pivot profiles and fills free entries row by row, pruning a
-    branch as soon as a new row fails to pair to zero with an earlier one.
-    Every RREF matrix is produced at most once, so no dedup pass is needed,
-    and the output order is deterministic: pivot profiles lexicographically,
-    free entries lexicographically within a profile.
+    One batched filter per RREF pivot profile.  The partial matrices are a
+    (B, i, n) array; the candidates for row i are a 1 at its pivot with
+    every vector of F_p^f in its f free columns (past the pivot, not pivots),
+    and a pair (partial matrix, candidate) survives when the candidate
+    pairs to zero with each earlier row.  The form is alternating, so a
+    row always pairs to zero with itself.  Every RREF matrix is produced
+    at most once, so no dedup pass is needed, and np.nonzero keeps the
+    output order lexicographic: pivot profiles first, then free entries
+    row by row.  k = 0 is the one empty profile.
     """
     p, n, m = space.p, space.n, space.m
     if not 0 <= k <= m:
         raise KOutOfRange(f"need 0 <= k <= m, got k={k}, m={m}")
     if n > _MAX_N[p]:
         raise BudgetExceeded(f"n={n} beyond enumeration guard for p={p}")
-    if k == 0:
-        return [LinearCode.zero(p, n)]
 
-    gram = space.gram
     out: list[LinearCode] = []
-
     for pivots in combinations(range(n), k):
-        # free positions of row i: columns past its pivot that are not pivots
-        free = [
-            [c for c in range(pivots[i] + 1, n) if c not in pivots]
-            for i in range(k)
-        ]
-        rows = np.zeros((k, n), dtype=np.int64)
-
-        def fill(i: int) -> None:
-            if i == k:
-                code = LinearCode(p, rows.copy(), n=n)
-                assert code.pivots == pivots
-                out.append(code)
-                return
-            row = rows[i]
-            for vals in product(range(p), repeat=len(free[i])):
-                row[:] = 0
-                row[pivots[i]] = 1
-                for c, v in zip(free[i], vals):
-                    row[c] = v
-                # alternating form makes <row, row> = 0 automatic
-                gr = gram @ row
-                if any((rows[j] @ gr) % p for j in range(i)):
-                    continue
-                fill(i + 1)
-            row[:] = 0
-
-        fill(0)
-
+        mats = np.zeros((1, 0, n), dtype=np.int64)
+        for c in pivots:
+            free = [f for f in range(c + 1, n) if f not in pivots]
+            rows = np.zeros((p ** len(free), n), dtype=np.int64)
+            rows[:, c] = 1
+            rows[:, free] = all_vectors(p, len(free))
+            clash = (mats @ space.gram @ rows.T % p).any(axis=1)
+            b, r = np.nonzero(~clash)
+            mats = np.concatenate([mats[b], rows[r, None]], axis=1)
+        for mat in mats:
+            code = LinearCode(p, mat, n=n)
+            assert code.pivots == pivots
+            out.append(code)
     return out

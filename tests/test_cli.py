@@ -8,6 +8,7 @@ import pytest
 
 from symhex import cli, codes, io
 from symhex.codes import build, dual
+from symhex.errors import ParseError
 from symhex.gf import LinearCode
 from symhex.ring import RingId
 
@@ -51,6 +52,20 @@ def test_check_rejects_odd_length(tmp_path, capsys):
 
 def test_check_rejects_missing_file(capsys):
     assert cli.main(["check", "/nonexistent/x.code"]) == 2
+
+
+@pytest.mark.parametrize("command", ["check", "dual", "aut", "classify"])
+def test_non_ascii_file_exits_2(r2_path, tmp_path, capsys, command):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xc3\xa9")
+    with pytest.raises(ParseError):
+        io.read_text(str(bad))
+    argv = [command, str(bad)]
+    if command == "classify":
+        argv = [command, "--ring", "H23", "--n", "2", "--ca-list", str(bad), "--cb-list", r2_path]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "0xc3" in err
 
 
 def test_dual_stdout_and_brute(r2_path, capsys):
@@ -168,6 +183,13 @@ def test_count_isotropic(capsys):
 
 def test_count_isotropic_k_out_of_range(capsys):
     assert cli.main(["count-isotropic", "2", "1", "2"]) == 2
+
+
+def test_count_isotropic_digit_budget(capsys):
+    assert cli.main(["count-isotropic", "3", "100", "100"]) == 0
+    assert len(capsys.readouterr().out.split("= ")[1].strip()) == 2410
+    assert cli.main(["count-isotropic", "3", "400", "400"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_aut(tmp_path, capsys):

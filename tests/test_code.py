@@ -217,6 +217,37 @@ def test_every_import_in_the_package_is_used():
     assert unused == []
 
 
+def test_every_private_module_name_in_the_package_is_used():
+    # a module-level _helper or _CONSTANT that nothing in src reads is dead code
+    trees = {
+        path.name: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(Path(symhex.__file__).parent.glob("*.py"))
+    }
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    unused = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            unused += [
+                f"{name}:{node.lineno} {d}"
+                for d in defined
+                if d.startswith("_") and not d.startswith("__") and d not in read
+            ]
+    assert unused == []
+
+
 def test_dual_shapes():
     c = build(H32, rep2(), LinearCode.zero(3, 2))
     d = dual(c)
@@ -242,6 +273,16 @@ def test_dual_matches_bruteforce_oracle_n2(ring):
     for _ in range(12):
         c = build(ring, random_code(2, 2, rng), random_code(3, 2, rng))
         assert word_set(dual(c)) == dual_bruteforce(c)
+
+
+def test_euclidean_budget_is_checked_before_any_word(monkeypatch):
+    def boom(code):
+        raise AssertionError("words enumerated before the budget check")
+
+    monkeypatch.setattr(import_module("symhex.codes"), "enumerate_words", boom)
+    c = build(H23, LinearCode.full(2, 8), LinearCode.zero(3, 8))  # 256^2 pairs
+    with pytest.raises(BudgetExceeded):
+        is_euclidean_self_orthogonal(c)
 
 
 def test_dual_bruteforce_budget():

@@ -11,6 +11,7 @@ from symhex.gf import (
     all_vectors,
     intersect_dim,
     nullspace,
+    places,
     random_code,
     rref,
     span_union,
@@ -88,6 +89,14 @@ def test_codewords_are_message_ordered():
 def test_codeword_budget():
     with pytest.raises(BudgetExceeded):
         LinearCode.full(3, 13).codewords()
+
+
+def test_places_read_all_vectors_rows_as_their_index():
+    for p, n in ((2, 0), (2, 5), (3, 4)):
+        place = places(p, n)
+        assert places(p, n) is place and not place.flags.writeable
+        assert place.dtype == np.int64
+        assert (all_vectors(p, n) @ place).tolist() == list(range(p**n))
 
 
 def test_all_vectors_is_cached_and_read_only():

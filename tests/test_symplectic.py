@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 import pytest
 
 from symhex.errors import BudgetExceeded, DimensionMismatch, KOutOfRange, OddLength
 from symhex.gf import LinearCode, all_vectors, intersect_dim, random_code
-from symhex.symplectic import SymplecticSpace, count_isotropic, isotropic_subspaces
+from symhex.symplectic import (
+    COUNT_DIGITS,
+    SymplecticSpace,
+    count_isotropic,
+    isotropic_subspaces,
+)
 
 
 def all_subspaces(p, n, k):
@@ -162,6 +167,14 @@ def test_count_anchors(p, m, k, expected):
     assert count_isotropic(p, m, k) == expected
 
 
+def test_count_digit_budget():
+    # the count is about p^E, E = 2mk - k(3k-1)/2: 2,410 digits at m = k = 100
+    assert len(str(count_isotropic(3, 100, 100))) == 2410 < COUNT_DIGITS
+    for m in (400, 2000):  # 38,265 and 954,728 digits: refused before any product
+        with pytest.raises(BudgetExceeded):
+            count_isotropic(3, m, m)
+
+
 def test_count_out_of_range():
     with pytest.raises(KOutOfRange):
         count_isotropic(2, 2, 3)
@@ -187,6 +200,50 @@ def test_enumeration_matches_filter_method(p, m, k):
     sp = SymplecticSpace(p, m)
     brute = {c for c in all_subspaces(p, sp.n, k) if sp.is_self_orthogonal(c)}
     assert set(isotropic_subspaces(sp, k)) == brute
+
+
+def ref_isotropic_subspaces(space, k):
+    """The depth-first profile search isotropic_subspaces replaced: fill the
+    free entries of each pivot profile row by row, pruning a row that fails
+    to pair to zero with an earlier one."""
+    p, n = space.p, space.n
+    if k == 0:
+        return [LinearCode.zero(p, n)]
+    out = []
+    for pivots in combinations(range(n), k):
+        free = [[c for c in range(pivots[i] + 1, n) if c not in pivots] for i in range(k)]
+        rows = np.zeros((k, n), dtype=np.int64)
+
+        def fill(i):
+            if i == k:
+                out.append(LinearCode(p, rows.copy(), n=n))
+                return
+            row = rows[i]
+            for vals in product(range(p), repeat=len(free[i])):
+                row[:] = 0
+                row[pivots[i]] = 1
+                for c, v in zip(free[i], vals):
+                    row[c] = v
+                gr = space.gram @ row
+                if any((rows[j] @ gr) % p for j in range(i)):
+                    continue
+                fill(i + 1)
+            row[:] = 0
+
+        fill(0)
+    return out
+
+
+@pytest.mark.parametrize(
+    "p,m,k",
+    [(p, m, k) for p in (2, 3) for m in range(4) for k in range(m + 1)] + [(2, 4, 4)],
+)
+def test_enumeration_order_matches_the_reference_search(p, m, k):
+    sp = SymplecticSpace(p, m)
+    found = isotropic_subspaces(sp, k)
+    assert found == ref_isotropic_subspaces(sp, k)  # same order too
+    if (p, m, k) == (2, 4, 4):
+        assert len(found) == 2295
 
 
 def test_enumeration_deterministic():
