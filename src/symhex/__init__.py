@@ -9,6 +9,7 @@ from .symplectic import SymplecticSpace, count_isotropic, isotropic_subspaces  #
 from .codes import (  # noqa: F401
     HzCode,
     HzWord,
+    WordSet,
     build,
     dual,
     dual_bruteforce,

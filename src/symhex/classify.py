@@ -149,6 +149,12 @@ def _claim(owner: dict[bytes, int], i: int, codes: tuple[LinearCode, ...]) -> in
     return o
 
 
+def check_verify_budget(n: int) -> None:
+    """Raise BudgetExceeded when length-n classifications are beyond full verification."""
+    if n > _VERIFY_MAX_N:
+        raise BudgetExceeded(f"full verification guarded to n <= {_VERIFY_MAX_N}")
+
+
 def verify_classification(
     records: list[ClassificationRecord],
     ring: RingId,
@@ -173,8 +179,7 @@ def verify_classification(
     classify is built on.
     """
     n = _check_lists(la, lb)
-    if n > _VERIFY_MAX_N:
-        raise BudgetExceeded(f"full verification guarded to n <= {_VERIFY_MAX_N}")
+    check_verify_budget(n)
     pred = _target_predicate(target)
 
     for lst, tag, owner in ((la, "La", {}), (lb, "Lb", {})):

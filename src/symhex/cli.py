@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from . import __version__, io
-from .classify import TARGETS, classify, verify_classification
+from .classify import TARGETS, check_verify_budget, classify, verify_classification
 from .codes import _dual_codes, _word_codes, dual, flags, is_euclidean_self_orthogonal
 from .errors import ParseError, SymhexError, VerificationFailed
 from .perms import automorphism_group
@@ -70,6 +70,8 @@ def cmd_classify(args) -> int:
     lb = io.parse_matrix_list(io.read_text(args.cb_list))
     if any(c.n != args.n for c in la + lb):
         raise ParseError(f"list entries must all have length n={args.n}")
+    if args.verify:
+        check_verify_budget(args.n)
     records = classify(ring, la, lb, args.target)
     counts: dict[tuple[int, int], int] = {}
     for rec in records:

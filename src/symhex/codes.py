@@ -11,13 +11,17 @@ choice is made.  The dual, self-orthogonality, self-duality,
 quasi-self-duality, niceness, and LCD-ness all reduce to a symplectic
 condition on the governing component and a size condition on the free
 one; brute-force word-level twins of each, written per ring without
-``split``, are kept alongside as oracles.  The twins decide on integer word
-codes: a*u + b*v is the int64 u*3^n + v (u read in base 2, v in base 3), so
-word sets are int64 arrays and the set tests are isin, sort and intersect1d.
+``split``, are kept alongside as oracles.  Word sets are held as integer
+word codes: a*u + b*v is the int64 u*3^n + v (u read in base 2, v in base
+3).  ``word_set`` and ``dual_bruteforce`` return a WordSet, an immutable set
+of HzWords backed by the sorted array of those codes, which decodes HzWords
+only when iterated; the twins compare WordSets, so their set tests are
+array comparisons.
 """
 
 from __future__ import annotations
 
+from collections.abc import Set
 from dataclasses import dataclass
 from functools import reduce
 from typing import Optional
@@ -160,8 +164,85 @@ def enumerate_words(code: HzCode) -> list[HzWord]:
     return [HzWord(ring, u, v) for u in _rows(code.ca.codewords()) for v in vs]
 
 
-def word_set(code: HzCode) -> frozenset[HzWord]:
-    return frozenset(enumerate_words(code))
+class WordSet(Set):
+    """An immutable set of words of H_z^n, held as their sorted word codes.
+
+    codes is a read-only int64 array of distinct codes u*3^n + v in
+    ascending order.  Iteration decodes HzWords in that order.  Two WordSets
+    compare by their arrays; against any other set of HzWords the generic
+    Set methods apply, and hash agrees with frozenset.
+    """
+
+    __slots__ = ("ring", "n", "codes")
+
+    def __init__(self, ring: RingId, n: int, codes):
+        arr = np.sort(np.asarray(codes, dtype=np.int64))
+        if arr.ndim != 1 or (arr[1:] == arr[:-1]).any():
+            raise ValueError("word codes must be a flat array without duplicates")
+        if len(arr) and (arr[0] < 0 or int(arr[-1]) >= 6**n):
+            raise ValueError(f"word codes must lie in 0..6^{n} - 1")
+        arr.flags.writeable = False
+        object.__setattr__(self, "ring", ring)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "codes", arr)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("WordSet is immutable")
+
+    @classmethod
+    def _from_iterable(cls, it):
+        # the results of &, |, - and ^ are plain frozensets of HzWords
+        return frozenset(it)
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __iter__(self):
+        n = self.n
+        us, vs = np.divmod(self.codes, 3**n)
+        xs = _rows(us[:, None] // places(2, n) % 2)
+        ys = _rows(vs[:, None] // places(3, n) % 3)
+        return (HzWord(self.ring, x, y) for x, y in zip(xs, ys))
+
+    def __contains__(self, word) -> bool:
+        if not isinstance(word, HzWord) or word.ring is not self.ring:
+            return False
+        n = self.n
+        x = np.frombuffer(word.xs, dtype=np.uint8)
+        y = np.frombuffer(word.ys, dtype=np.uint8)
+        if x.shape != (n,) or y.shape != (n,) or (x > 1).any() or (y > 2).any():
+            return False
+        c = int(x @ places(2, n)) * 3**n + int(y @ places(3, n))
+        i = int(np.searchsorted(self.codes, c))
+        return i < len(self.codes) and int(self.codes[i]) == c
+
+    def _same_space(self, other: "WordSet") -> bool:
+        return self.ring is other.ring and self.n == other.n
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, WordSet):
+            if not self._same_space(other):
+                return len(self) == len(other) == 0
+            return bool(np.array_equal(self.codes, other.codes))
+        return Set.__eq__(self, other)
+
+    def __le__(self, other) -> bool:
+        if isinstance(other, WordSet):
+            if not self._same_space(other):
+                return len(self) == 0
+            # both arrays ascend, so each code must sit where searchsorted puts it
+            i = np.searchsorted(other.codes, self.codes)
+            return bool((i < len(other)).all()) and np.array_equal(other.codes[i], self.codes)
+        return Set.__le__(self, other)
+
+    __hash__ = Set._hash
+
+    def __repr__(self) -> str:
+        return f"WordSet({self.ring}, n={self.n}, {len(self)} words)"
+
+
+def word_set(code: HzCode) -> WordSet:
+    return WordSet(code.ring, code.n, _word_codes(code))
 
 
 def split(code: HzCode) -> tuple[LinearCode, LinearCode]:
@@ -244,12 +325,9 @@ def _dual_codes(code: HzCode) -> np.ndarray:
     return _outer_codes(all_vectors(2, n), _orthogonal_rows(code.cb))
 
 
-def dual_bruteforce(code: HzCode) -> set[HzWord]:
+def dual_bruteforce(code: HzCode) -> WordSet:
     """Oracle dual: every word of H_z^n orthogonal to every codeword."""
-    n, ring = code.n, code.ring
-    us, vs = np.divmod(_dual_codes(code), 3**n)
-    xs, ys = _rows(all_vectors(2, n)[us]), _rows(all_vectors(3, n)[vs])
-    return {HzWord(ring, x, y) for x, y in zip(xs, ys)}
+    return WordSet(code.ring, code.n, _dual_codes(code))
 
 
 # ---------------------------------------------------------------------------
@@ -297,12 +375,11 @@ def flags(code: HzCode) -> dict[str, bool]:
 
 
 def is_self_orthogonal_bruteforce(code: HzCode) -> bool:
-    return bool(np.isin(_word_codes(code), _dual_codes(code)).all())
+    return word_set(code) <= dual_bruteforce(code)
 
 
 def is_self_dual_bruteforce(code: HzCode) -> bool:
-    # word codes are distinct, so sorted equality is set equality
-    return np.array_equal(np.sort(_word_codes(code)), np.sort(_dual_codes(code)))
+    return word_set(code) == dual_bruteforce(code)
 
 
 def is_qsd_bruteforce(code: HzCode) -> bool:

@@ -31,6 +31,8 @@ def rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
     pivots: list[int] = []
     r = 0
     for c in range(cols):
+        if r == rows:  # every row has a pivot, including when there are none
+            break
         nz = np.nonzero(M[r:, c])[0]
         if len(nz) == 0:
             continue
@@ -43,8 +45,6 @@ def rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
                 M[r2] = (M[r2] - M[r2, c] * M[r]) % p
         pivots.append(c)
         r += 1
-        if r == rows:
-            break
     R = M[:r].astype(np.int8)
     R.flags.writeable = False
     return R, tuple(pivots)

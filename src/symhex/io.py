@@ -3,7 +3,9 @@
 A generator matrix is serialized as a header line ``p n k`` followed by k
 rows of bare digits and a terminating blank line.  A ring code file is a
 ``ring n`` header followed by the binary block then the ternary block.  A
-list file is just consecutive matrix blocks.
+list file is just consecutive matrix blocks.  A header length above
+MAX_LENGTH is a ParseError, so a file cannot ask for a matrix (or an n x n
+Gram matrix) too large to allocate.
 
 Catalogs are JSON with sorted keys and no volatile fields, so the same
 inputs always produce byte-identical output; files are written to a
@@ -24,6 +26,9 @@ from .codes import HzCode
 from .errors import ParseError
 from .gf import LinearCode
 from .ring import RingId
+
+# the longest code length a file header may state
+MAX_LENGTH = 1024
 
 
 def format_matrix(code: LinearCode) -> str:
@@ -81,8 +86,8 @@ def _parse_matrix(src: _Lines) -> LinearCode:
         raise ParseError(f"bad matrix header {header}") from exc
     if p not in (2, 3):
         raise ParseError(f"p must be 2 or 3, got {p}")
-    if n < 0 or k < 0 or k > n:
-        raise ParseError(f"bad dimensions n={n}, k={k}")
+    if not 0 <= k <= n <= MAX_LENGTH:
+        raise ParseError(f"bad dimensions n={n}, k={k} (need 0 <= k <= n <= {MAX_LENGTH})")
     rows = []
     for _ in range(k):
         line = src.next_raw()
@@ -132,6 +137,8 @@ def parse_hzcode(text: str) -> HzCode:
         n = int(header[1])
     except ValueError as exc:
         raise ParseError(f"bad length {header[1]!r}") from exc
+    if not 0 < n <= MAX_LENGTH or n % 2:
+        raise ParseError(f"code length must be even and in 2..{MAX_LENGTH}, got n={n}")
     ca = _parse_matrix(src)
     cb = _parse_matrix(src)
     if not src.eof():

@@ -171,6 +171,20 @@ def test_classify_failed_verification_writes_no_catalog(tmp_path, capsys, monkey
     assert "wrote" not in capsys.readouterr().out
 
 
+def test_classify_verify_beyond_the_guard_exits_2_before_classifying(tmp_path, capsys, monkeypatch):
+    ca = tmp_path / "ca.list"
+    cb = tmp_path / "cb.list"
+    ca.write_text("2 8 0\n\n")
+    cb.write_text("3 8 0\n\n")
+    monkeypatch.setattr(cli, "classify", _raise)
+    assert cli.main([
+        "classify", "--ring", "H23", "--n", "8",
+        "--ca-list", str(ca), "--cb-list", str(cb), "--verify",
+    ]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and "n <= 6" in err
+
+
 def test_count_isotropic(capsys):
     assert cli.main(["count-isotropic", "2", "2", "2"]) == 0
     assert "= 15" in capsys.readouterr().out
@@ -208,3 +222,12 @@ def test_aut_full_space(tmp_path, capsys):
     p.write_text("2 3 3\n100\n010\n001\n\n")
     assert cli.main(["aut", str(p)]) == 0
     assert "|Aut| = 6" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("n", ["4000000000", "100000000000000000000"])
+def test_aut_rejects_a_huge_header_length(tmp_path, capsys, n):
+    p = tmp_path / "huge.mat"
+    p.write_text(f"2 {n} 0\n\n")
+    assert cli.main(["aut", str(p)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and n in err

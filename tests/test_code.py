@@ -13,6 +13,7 @@ import symhex
 from symhex.codes import (
     HzCode,
     HzWord,
+    WordSet,
     build,
     dual,
     dual_bruteforce,
@@ -351,7 +352,95 @@ def test_words_and_dual_match_the_per_word_loops(pair_surface_n2, ring):
         c = build(ring, ca, cb)
         assert enumerate_words(c) == ref_enumerate_words(c)  # same order too
         duals = dual_bruteforce(c)
-        assert type(duals) is set and duals == ref_dual_bruteforce(c)
+        assert isinstance(duals, WordSet) and duals == ref_dual_bruteforce(c)
+        assert set(duals) == ref_dual_bruteforce(c)
+
+
+def _word_set_codes(pair_surface_n2, ring: RingId) -> list[HzCode]:
+    """The 30 pairs at n = 2, then seeded random pairs at n = 4 and n = 6."""
+    rng = np.random.default_rng(71)
+    pairs = list(pair_surface_n2)
+    pairs += [(random_code(2, 4, rng), random_code(3, 4, rng)) for _ in range(6)]
+    pairs += [(random_code(2, 6, rng), random_code(3, 6, rng)) for _ in range(2)]
+    return [build(ring, ca, cb) for ca, cb in pairs]
+
+
+def _probe_words(ring: RingId, n: int, rng: np.random.Generator) -> list[HzWord]:
+    """Every word of H_z^n for n <= 4, else 300 random ones."""
+    if n <= 4:
+        return ref_enumerate_words(build(ring, LinearCode.full(2, n), LinearCode.full(3, n)))
+    return [
+        HzWord.from_parts(ring, rng.integers(0, 2, n), rng.integers(0, 3, n)) for _ in range(300)
+    ]
+
+
+@pytest.mark.parametrize("ring", [H23, H32])
+def test_word_sets_behave_as_sets_of_words(pair_surface_n2, ring):
+    other = H32 if ring is H23 else H23
+    rng = np.random.default_rng(73)
+    for c in _word_set_codes(pair_surface_n2, ring):
+        ref_words, ref_duals = frozenset(ref_enumerate_words(c)), frozenset(ref_dual_bruteforce(c))
+        words, duals = word_set(c), dual_bruteforce(c)
+        for fast, ref in ((words, ref_words), (duals, ref_duals)):
+            assert fast == ref and ref == fast and fast == set(ref) and set(ref) == fast
+            assert hash(fast) == hash(ref) and len(fast) == len(ref)
+            decoded = list(fast)
+            assert len(decoded) == len(ref) and set(decoded) == ref  # each word once
+            w = decoded[-1]
+            assert w in fast
+            assert HzWord(other, w.xs, w.ys) not in fast
+            assert HzWord(ring, w.xs + b"\0\0", w.ys + b"\0\0") not in fast
+            assert str(w) not in fast
+        for w in _probe_words(ring, c.n, rng):
+            assert (w in words, w in duals) == (w in ref_words, w in ref_duals)
+        so = ref_words <= ref_duals
+        assert (words <= duals) == (words <= ref_duals) == (ref_words <= duals) == so
+        assert words & duals == ref_words & ref_duals
+
+
+@pytest.mark.parametrize("ring", [H23, H32])
+def test_word_sets_one_word_or_the_ring_apart_are_unequal(pair_surface_n2, ring):
+    other = H32 if ring is H23 else H23
+    for c in _word_set_codes(pair_surface_n2, ring):
+        d = word_set(dual(c))
+        n = c.n
+        short = WordSet(ring, n, d.codes[:-1])
+        assert short <= d and not d <= short
+        wrong = [short]
+        outside = np.setdiff1d(np.arange(6**n), d.codes)
+        if outside.size:  # one word swapped for a word outside the dual
+            swapped = WordSet(ring, n, np.append(d.codes[:-1], outside[0]))
+            assert not swapped <= d and not d <= swapped
+            wrong.append(swapped)
+        for bad in wrong:
+            assert bad != d and d != bad and bad != dual_bruteforce(c)
+            assert bad != frozenset(d) and frozenset(d) != bad
+        moved = WordSet(other, n, d.codes)
+        assert moved != d and d != moved and moved != frozenset(d) and frozenset(d) != moved
+        assert not moved <= d and not d <= moved
+
+
+def test_word_sets_of_long_codes_decode_past_the_vector_table_budget():
+    # 3^16 rows are too many for all_vectors, but a 6-word code still iterates
+    c = build(H32, rep2(16), rep3(16))
+    with pytest.raises(BudgetExceeded):
+        all_vectors(3, 16)
+    assert word_set(c) == frozenset(ref_enumerate_words(c)) == set(word_set(c))
+
+
+def test_word_set_rejects_bad_codes_and_is_immutable():
+    with pytest.raises(ValueError):
+        WordSet(H23, 2, [0, 5, 5])
+    with pytest.raises(ValueError):
+        WordSet(H23, 2, [36])
+    with pytest.raises(ValueError):
+        WordSet(H23, 2, [-1])
+    ws = WordSet(H32, 2, [7, 0, 3])
+    assert ws.codes.tolist() == [0, 3, 7] and not ws.codes.flags.writeable
+    with pytest.raises(AttributeError):
+        ws.ring = H23
+    # the empty set of words is one set, whatever ring or length it is held in
+    assert WordSet(H23, 2, []) == WordSet(H32, 4, []) == frozenset()
 
 
 TWINS = {

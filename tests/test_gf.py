@@ -28,6 +28,16 @@ def test_rref_examples():
     assert R.tolist() == [[1, 2]] and piv == (0,)
 
 
+def test_rref_stops_once_every_row_has_a_pivot(monkeypatch):
+    calls = []
+    real = np.nonzero
+    monkeypatch.setattr(np, "nonzero", lambda a: calls.append(1) or real(a))
+    R, piv = rref(np.zeros((0, 10**6), dtype=np.int64), 2)  # no rows: no column scanned
+    assert R.shape == (0, 10**6) and piv == () and calls == []
+    R, piv = rref(np.eye(2, 10**6, dtype=np.int64), 3)
+    assert R.shape == (2, 10**6) and piv == (0, 1) and len(calls) == 2
+
+
 def test_rref_canonical_under_row_shuffles():
     rng = np.random.default_rng(7)
     for p in (2, 3):

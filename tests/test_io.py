@@ -11,6 +11,7 @@ from symhex.codes import HzCode
 from symhex.errors import ParseError
 from symhex.gf import LinearCode
 from symhex.io import (
+    MAX_LENGTH,
     catalog_dict,
     catalog_text,
     format_hzcode,
@@ -72,6 +73,22 @@ def test_parse_rejects_bad_input():
         parse_hzcode("H23 2\n3 2 0\n\n2 2 0\n\n")  # blocks in wrong order
     with pytest.raises(ParseError):
         parse_hzcode("H23 4\n2 2 0\n\n3 2 0\n\n")  # header length mismatch
+    with pytest.raises(ParseError):
+        parse_hzcode("H23 3\n2 3 1\n111\n\n3 3 1\n111\n\n")  # odd length
+
+
+@pytest.mark.parametrize("n", [MAX_LENGTH + 2, 4_000_000_000, 10**20])
+def test_header_lengths_above_the_cap_are_parse_errors(n):
+    with pytest.raises(ParseError, match=str(MAX_LENGTH)):
+        parse_matrix(f"2 {n} 0\n\n")
+    with pytest.raises(ParseError, match=str(MAX_LENGTH)):
+        parse_hzcode(f"H32 {n}\n2 {n} 0\n\n3 {n} 0\n\n")
+
+
+def test_header_length_at_the_cap_parses():
+    assert parse_matrix(f"3 {MAX_LENGTH} 0\n\n") == LinearCode.zero(3, MAX_LENGTH)
+    code = parse_hzcode(f"H23 {MAX_LENGTH}\n2 {MAX_LENGTH} 0\n\n3 {MAX_LENGTH} 0\n\n")
+    assert code.n == MAX_LENGTH
 
 
 def test_parse_tolerates_leading_blank_lines():
