@@ -10,11 +10,9 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
 from . import __version__, io
 from .classify import TARGETS, check_verify_budget, classify, verify_classification
-from .codes import _dual_codes, _word_codes, dual, flags, is_euclidean_self_orthogonal
+from .codes import dual, dual_bruteforce, flags, is_euclidean_self_orthogonal, word_set
 from .errors import ParseError, SymhexError, VerificationFailed
 from .perms import automorphism_group
 from .ring import RingId
@@ -54,9 +52,8 @@ def cmd_dual(args) -> int:
     else:
         sys.stdout.write(text)
     if args.brute:
-        # word codes are distinct, so sorted equality is set equality
-        oracle = np.sort(_dual_codes(code))
-        if np.array_equal(np.sort(_word_codes(d)), oracle):
+        oracle = dual_bruteforce(code)
+        if word_set(d) == oracle:
             print(f"oracle: match ({len(oracle)} words)")
         else:
             print("oracle: MISMATCH")

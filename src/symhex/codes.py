@@ -13,10 +13,10 @@ condition on the governing component and a size condition on the free
 one; brute-force word-level twins of each, written per ring without
 ``split``, are kept alongside as oracles.  Word sets are held as integer
 word codes: a*u + b*v is the int64 u*3^n + v (u read in base 2, v in base
-3).  ``word_set`` and ``dual_bruteforce`` return a WordSet, an immutable set
-of HzWords backed by the sorted array of those codes, which decodes HzWords
-only when iterated; the twins compare WordSets, so their set tests are
-array comparisons.
+3), exact for n <= MAX_WORD_CODE_N.  ``word_set`` and ``dual_bruteforce``
+return a WordSet, an immutable set of HzWords backed by the sorted array of
+those codes, which decodes HzWords only when iterated; the twins compare
+WordSets, so their set tests are array comparisons.
 """
 
 from __future__ import annotations
@@ -45,6 +45,9 @@ WORD_BUDGET = 6**8
 
 # is_euclidean_self_orthogonal compares every pair of words
 EUCLIDEAN_PAIR_BUDGET = 6**6
+
+# word codes run up to 6^n - 1, which int64 holds for n <= 24 (6^25 > 2^63)
+MAX_WORD_CODE_N = 24
 
 
 @dataclass(frozen=True)
@@ -136,13 +139,21 @@ def _rows(mat: np.ndarray) -> list[bytes]:
     return [buf[i : i + n] for i in range(0, len(buf), n)]
 
 
+def _check_word_code_length(n: int) -> None:
+    if n > MAX_WORD_CODE_N:
+        raise BudgetExceeded(
+            f"length {n} exceeds {MAX_WORD_CODE_N}: word codes up to 6^n overflow int64"
+        )
+
+
 def _outer_codes(us: np.ndarray, vs: np.ndarray) -> np.ndarray:
     """The int64 code u*3^n + v of every word a*u + b*v, u outer and v inner.
 
     u is read in base 2 and v in base 3, so the code is a bijection from
-    H_z^n onto 0..6^n - 1 (exact in int64 for n <= 24).
+    H_z^n onto 0..6^n - 1.
     """
     n = us.shape[1]
+    _check_word_code_length(n)
     ui = us.astype(np.int64) @ places(2, n)
     vi = vs.astype(np.int64) @ places(3, n)
     return (ui[:, None] * 3**n + vi[None, :]).ravel()
@@ -168,14 +179,16 @@ class WordSet(Set):
     """An immutable set of words of H_z^n, held as their sorted word codes.
 
     codes is a read-only int64 array of distinct codes u*3^n + v in
-    ascending order.  Iteration decodes HzWords in that order.  Two WordSets
-    compare by their arrays; against any other set of HzWords the generic
-    Set methods apply, and hash agrees with frozenset.
+    ascending order, so n is at most MAX_WORD_CODE_N.  Iteration decodes
+    HzWords in that order.  Two WordSets compare by their arrays; against
+    any other set of HzWords the generic Set methods apply, and hash agrees
+    with frozenset.
     """
 
     __slots__ = ("ring", "n", "codes")
 
     def __init__(self, ring: RingId, n: int, codes):
+        _check_word_code_length(n)
         arr = np.sort(np.asarray(codes, dtype=np.int64))
         if arr.ndim != 1 or (arr[1:] == arr[:-1]).any():
             raise ValueError("word codes must be a flat array without duplicates")

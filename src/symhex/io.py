@@ -23,7 +23,7 @@ from typing import Iterable
 from . import __version__
 from .classify import ClassificationRecord
 from .codes import HzCode
-from .errors import ParseError
+from .errors import ParseError, SymhexError
 from .gf import LinearCode
 from .ring import RingId
 
@@ -137,17 +137,17 @@ def parse_hzcode(text: str) -> HzCode:
         n = int(header[1])
     except ValueError as exc:
         raise ParseError(f"bad length {header[1]!r}") from exc
-    if not 0 < n <= MAX_LENGTH or n % 2:
-        raise ParseError(f"code length must be even and in 2..{MAX_LENGTH}, got n={n}")
     ca = _parse_matrix(src)
     cb = _parse_matrix(src)
     if not src.eof():
         raise ParseError("trailing content after code blocks")
     if ca.n != n or cb.n != n:
         raise ParseError(f"component lengths {ca.n}, {cb.n} do not match header n={n}")
-    if ca.p != 2 or cb.p != 3:
-        raise ParseError("blocks must be the F2 component then the F3 component")
-    return HzCode(ring, ca, cb)
+    try:
+        return HzCode(ring, ca, cb)
+    except SymhexError as exc:
+        # blocks in the wrong order, or a zero or odd length
+        raise ParseError(str(exc)) from exc
 
 
 def read_text(path: str) -> str:

@@ -11,6 +11,8 @@ import pytest
 
 import symhex
 from symhex.codes import (
+    MAX_WORD_CODE_N,
+    WORD_BUDGET,
     HzCode,
     HzWord,
     WordSet,
@@ -426,6 +428,22 @@ def test_word_sets_of_long_codes_decode_past_the_vector_table_budget():
     with pytest.raises(BudgetExceeded):
         all_vectors(3, 16)
     assert word_set(c) == frozenset(ref_enumerate_words(c)) == set(word_set(c))
+
+
+def test_word_sets_stop_where_word_codes_leave_int64():
+    # 6^24 - 1 is the largest code int64 holds; at n = 26 u*3^n would wrap
+    assert MAX_WORD_CODE_N == 24
+    top = build(H32, rep2(24), rep3(24))
+    assert word_set(top) == frozenset(ref_enumerate_words(top)) == set(word_set(top))
+    assert int(word_set(top).codes[-1]) == 6**24 - 1
+    long = build(H32, rep2(26), rep3(26))
+    assert long.size <= WORD_BUDGET
+    with pytest.raises(BudgetExceeded, match="int64"):
+        word_set(long)
+    with pytest.raises(BudgetExceeded, match="int64"):
+        is_lcd_bruteforce(long)
+    with pytest.raises(BudgetExceeded, match="int64"):
+        WordSet(H23, 26, [])
 
 
 def test_word_set_rejects_bad_codes_and_is_immutable():
