@@ -12,6 +12,10 @@ one the symplectic form does not see.  Symplectic self-orthogonality is
 not preserved by arbitrary coordinate permutations, so moving the
 governing component could silently leave the target class; moving the
 free one cannot.  The double coset count is the same either way round.
+
+Within one classify call each Aut group is computed once per component
+and each (free component, sigma) is realized once, however many pairs
+share them; the groups cache their double coset maps themselves.
 """
 
 from __future__ import annotations
@@ -92,12 +96,6 @@ def _target_predicate(target: str):
     return {"SO": is_self_orthogonal, "QSD": is_qsd, "SD": is_self_dual}[target]
 
 
-def _realize(pair: HzCode, sigma: Permutation) -> HzCode:
-    """The code of pair with sigma applied to its free component."""
-    governing, free = split(pair)
-    return join(pair.ring, governing, apply_perm(sigma, free))
-
-
 def classify(
     ring: RingId,
     la: list[LinearCode],
@@ -113,6 +111,7 @@ def classify(
     n = _check_lists(la, lb)
     pred = _target_predicate(target)
     aut = cache(automorphism_group)
+    moved = cache(apply_perm)
 
     records: list[ClassificationRecord] = []
     for i, ca in enumerate(la):
@@ -132,7 +131,7 @@ def classify(
                         ca_index=i,
                         cb_index=j,
                         sigma=sigma,
-                        code=_realize(pair, sigma),
+                        code=join(ring, governing, moved(sigma, free)),
                         flags=dict(fl),
                         size=pair.size,
                     )
@@ -197,6 +196,8 @@ def verify_classification(
         by_pair.setdefault((rec.ca_index, rec.cb_index), []).append(rec)
 
     table = perm_table(n)
+    # LinearCode hashes and compares by its RREF, so equal free components share a key
+    free_key = cache(lambda f: word_key((f,)).tobytes())
 
     @cache
     def orbit(c: LinearCode) -> tuple[np.ndarray, int]:
@@ -231,7 +232,7 @@ def verify_classification(
                 own = fkeys[claim[0]].tobytes()
                 g, f = split(rec.code)
                 # under another ring g has the other field and cannot equal governing
-                if g != governing or word_key((f,)).tobytes() != own:
+                if g != governing or free_key(f) != own:
                     log.warning("record %r does not match its stated pair", rec)
                     return False
                 if (o := owner.setdefault(own, r)) != r:

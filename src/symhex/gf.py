@@ -17,6 +17,9 @@ from .errors import BudgetExceeded, DimensionMismatch
 # ceiling for materializing codeword lists: 3**12 vectors
 CODEWORD_BUDGET = 3**12
 
+# the longest code length a LinearCode (and so a file header) may have
+MAX_LENGTH = 1024
+
 
 def rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
     """Reduced row echelon form mod p; returns (R, pivot columns).
@@ -65,12 +68,20 @@ def nullspace(mat: np.ndarray, p: int) -> np.ndarray:
     return B
 
 
+def _check_length(n: int) -> None:
+    if n < 0:
+        raise DimensionMismatch(f"length must be nonnegative, got {n}")
+    if n > MAX_LENGTH:
+        raise BudgetExceeded(f"length {n} exceeds {MAX_LENGTH}")
+
+
 class LinearCode:
     """A linear code over F_p of length n, stored as its RREF generator.
 
     The zero code (k = 0) and the full space (k = n) are ordinary values.
     Instances are immutable and hashable; two codes compare equal exactly
-    when they have the same row space.
+    when they have the same row space.  A length above MAX_LENGTH raises
+    BudgetExceeded.
     """
 
     __slots__ = ("p", "n", "k", "gen", "pivots")
@@ -79,15 +90,15 @@ class LinearCode:
         if p not in (2, 3):
             raise ValueError(f"p must be 2 or 3, got {p}")
         M = np.array(rows, dtype=np.int64)
+        if n is None:
+            if M.ndim != 2:
+                raise DimensionMismatch(f"generator rows need an explicit n, got shape {M.shape}")
+            n = M.shape[1]
+        _check_length(n)
         if M.size == 0:
-            if n is None:
-                if M.ndim == 2:
-                    n = M.shape[1]
-                else:
-                    raise DimensionMismatch("empty generator needs an explicit n")
             M = M.reshape(0, n)
-        if n is not None and M.shape[1] != n:
-            raise DimensionMismatch(f"rows have length {M.shape[1]}, expected {n}")
+        if M.ndim != 2 or M.shape[1] != n:
+            raise DimensionMismatch(f"rows have shape {M.shape}, expected length {n}")
         R, pivots = rref(M, p)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "n", R.shape[1])
@@ -104,7 +115,7 @@ class LinearCode:
 
     @classmethod
     def full(cls, p: int, n: int) -> "LinearCode":
-        return cls(p, np.eye(n, dtype=np.int64), n=n)
+        return _full_space(p, n)
 
     @property
     def size(self) -> int:
@@ -171,6 +182,16 @@ def places(p: int, n: int) -> np.ndarray:
     out = p ** np.arange(n - 1, -1, -1, dtype=np.int64)
     out.flags.writeable = False
     return out
+
+
+@cache
+def _full_space(p: int, n: int) -> LinearCode:
+    """F_p^n as a code, row-reduced once per (p, n); LinearCode.full returns it.
+
+    Codes are immutable, so every caller can share the one object.
+    """
+    _check_length(n)  # before the n x n identity is built
+    return LinearCode(p, np.eye(n, dtype=np.int64), n=n)
 
 
 @cache

@@ -4,8 +4,8 @@ A generator matrix is serialized as a header line ``p n k`` followed by k
 rows of bare digits and a terminating blank line.  A ring code file is a
 ``ring n`` header followed by the binary block then the ternary block.  A
 list file is just consecutive matrix blocks.  A header length above
-MAX_LENGTH is a ParseError, so a file cannot ask for a matrix (or an n x n
-Gram matrix) too large to allocate.
+gf.MAX_LENGTH, the longest LinearCode, is a ParseError, so a file cannot
+ask for a matrix (or an n x n Gram matrix) too large to allocate.
 
 Catalogs are JSON with sorted keys and no volatile fields, so the same
 inputs always produce byte-identical output; files are written to a
@@ -24,11 +24,8 @@ from . import __version__
 from .classify import ClassificationRecord
 from .codes import HzCode
 from .errors import ParseError, SymhexError
-from .gf import LinearCode
+from .gf import MAX_LENGTH, LinearCode
 from .ring import RingId
-
-# the longest code length a file header may state
-MAX_LENGTH = 1024
 
 
 def format_matrix(code: LinearCode) -> str:

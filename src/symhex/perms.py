@@ -22,7 +22,9 @@ passes per generator instead of a Python object per element.
 
 Double cosets G \\ S_n / H are the connected components of the maps
 sigma -> g sigma and sigma -> sigma h on ranks, one map per generator of
-G and of H.  Every rank starts labelled with itself and repeatedly takes
+G and of H.  Each group builds its left and right maps once, on first
+use, and caches them, so a group that meets many partners pays for its
+maps once.  Every rank starts labelled with itself and repeatedly takes
 the smallest label among its images, with pointer jumping (label of the
 label) to shorten chains; the fixed point labels each component with its
 smallest rank, which is its lexicographically least member (Butler,
@@ -271,7 +273,9 @@ class PermGroup:
     its map m -> g m on member indices, and the closure is marked on a
     boolean array over the members, round by round under every map until
     it stops growing, so each generator costs passes over |G|, not n!.
-    mulclose of the generators reproduces the element set.  A rank set
+    mulclose of the generators reproduces the element set.  left_maps and
+    right_maps, the generators' rank maps over all of S_n that
+    double_cosets reads, are cached on the group like elements.  A rank set
     that is empty, out of range, without the identity or not closed under
     its generators raises ValueError.
     """
@@ -325,6 +329,19 @@ class PermGroup:
     def elements(self) -> tuple[Permutation, ...]:
         return _perms(perm_table(self.n)[self.ranks])
 
+    @cached_property
+    def left_maps(self) -> tuple[np.ndarray, ...]:
+        """Per generator g, the rank of g sigma for every rank sigma of S_n."""
+        table = perm_table(self.n)
+        images = (np.array(g.images, dtype=np.int8) for g in self.generators)
+        return tuple(_frozen(ranks(image[table])) for image in images)
+
+    @cached_property
+    def right_maps(self) -> tuple[np.ndarray, ...]:
+        """Per generator h, the rank of sigma h for every rank sigma of S_n."""
+        table = perm_table(self.n)
+        return tuple(_frozen(ranks(table[:, list(h.images)])) for h in self.generators)
+
     @property
     def order(self) -> int:
         return len(self.ranks)
@@ -355,6 +372,11 @@ def _perms(rows: np.ndarray) -> tuple[Permutation, ...]:
     return tuple(Permutation(tuple(row)) for row in rows.tolist())
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 def automorphism_group(code: LinearCode) -> PermGroup:
     """All coordinate permutations fixing the code setwise.
 
@@ -377,15 +399,15 @@ def automorphism_group(code: LinearCode) -> PermGroup:
 def double_cosets(G: PermGroup, H: PermGroup) -> list[tuple[Permutation, int]]:
     """The double cosets G sigma H, as (lex-min representative, size) pairs.
 
-    Connected components of the generators' rank maps on perm_table(n), by
-    min-label propagation; never touches the |G| x |H| product.  Orbits are
-    reported in order of their representative and their sizes partition n!.
+    Connected components of the generators' rank maps on perm_table(n),
+    which G and H cache, by min-label propagation; never touches the
+    |G| x |H| product.  Orbits are reported in order of their representative
+    and their sizes partition n!.
     """
     if H.n != G.n:
         raise DimensionMismatch(f"groups act on {G.n} and {H.n} points")
     table = perm_table(G.n)
-    maps = [ranks(np.array(g.images, dtype=np.int8)[table]) for g in G.generators]
-    maps += [ranks(table[:, list(h.images)]) for h in H.generators]
+    maps = G.left_maps + H.right_maps
     label = np.arange(len(table), dtype=np.int32)
     while True:
         new = label.copy()

@@ -11,7 +11,6 @@ import pytest
 from symhex.classify import (
     TARGETS,
     ClassificationRecord,
-    _realize,
     _target_predicate,
     classify,
     inequivalent_reps,
@@ -49,6 +48,12 @@ B2 = LinearCode(3, [[1, 1]])
 B3 = LinearCode(3, [[1, 2]])
 LA = [A1, A2]
 LB = [B1, B2, B3]
+
+
+def _realize(pair: HzCode, sigma: Permutation) -> HzCode:
+    """The code of pair with sigma applied to its free component."""
+    governing, free = split(pair)
+    return join(pair.ring, governing, apply_perm(sigma, free))
 
 
 @cache
@@ -391,3 +396,22 @@ def test_every_record_satisfies_its_target(target):
     records = classify(H23, la, lb, target)
     for rec in records:
         assert pred(rec.code)
+
+
+def test_classify_realizes_each_free_component_and_sigma_once(monkeypatch):
+    module = import_module("symhex.classify")
+    calls = []
+
+    def counted(sigma, code):
+        calls.append((sigma, code))
+        return apply_perm(sigma, code)
+
+    monkeypatch.setattr(module, "apply_perm", counted)
+    la, lb = _lists(4, "SO")
+    records = classify(H32, la, lb, "SO")
+    assert len(records) == 423
+    # over H32 the binary side is free, so a realization is fixed by (ca, sigma)
+    assert len(calls) == len({(r.ca_index, r.sigma) for r in records}) == 43
+    assert [rec.code for rec in records] == [
+        _realize(HzCode(H32, la[r.ca_index], lb[r.cb_index]), r.sigma) for r in records
+    ]

@@ -7,6 +7,7 @@ import pytest
 
 from symhex.errors import BudgetExceeded, DimensionMismatch
 from symhex.gf import (
+    MAX_LENGTH,
     LinearCode,
     all_vectors,
     intersect_dim,
@@ -168,3 +169,20 @@ def test_span_and_intersection():
     assert span_union(a, b).k == 3
     assert intersect_dim(a, b) == 1
     assert intersect_dim(a, LinearCode.zero(2, 4)) == 0
+
+
+def test_lengths_past_the_bound_raise_symhex_errors():
+    assert LinearCode.zero(2, MAX_LENGTH).n == MAX_LENGTH
+    for make in (lambda: LinearCode.zero(2, 10**20), lambda: LinearCode.full(3, 2000)):
+        with pytest.raises(BudgetExceeded, match=str(MAX_LENGTH)):
+            make()
+    with pytest.raises(DimensionMismatch):
+        LinearCode.zero(2, -1)
+    with pytest.raises(DimensionMismatch):
+        LinearCode(2, [1, 0], n=2)  # one row given as a flat vector
+
+
+def test_full_space_is_built_once_per_field_and_length():
+    assert LinearCode.full(3, 4) is LinearCode.full(3, 4)
+    assert LinearCode.full(2, 4) is not LinearCode.full(3, 4)
+    assert LinearCode.full(2, 5) == LinearCode(2, np.eye(5, dtype=int))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import time
 from collections import deque
+from importlib import import_module
 from itertools import permutations
 from math import factorial
 
@@ -485,3 +486,41 @@ def test_symmetric_group_of_length_eight_is_pinned():
             "(7 8) (6 7) (5 6) (4 5) (3 4) (2 3) (1 2)"
         )
         assert elapsed < 1.0, f"Aut = S_8 took {elapsed:.2f} s"
+
+
+def _dihedral(n: int) -> PermGroup:
+    """The symmetries of an n-gon on its n vertices, from its rotations and reflections."""
+    rotations = [tuple((i + s) % n for i in range(n)) for s in range(n)]
+    reflections = [tuple((s - i) % n for i in range(n)) for s in range(n)]
+    return PermGroup(n, [rank_images(images) for images in rotations + reflections])
+
+
+def test_cached_rank_maps_are_the_composed_ranks():
+    codes = [
+        LinearCode(2, [[1, 1, 0, 0]]),
+        LinearCode(3, [[1, 1, 1, 0]]),
+        LinearCode(3, [[1, 0, 2, 0], [0, 1, 0, 1]]),
+    ]
+    groups = [automorphism_group(c) for c in codes]
+    groups += [PermGroup.symmetric(4), PermGroup.trivial(4), _dihedral(5)]
+    assert groups[-1].order == 10 and len(groups[-2].left_maps) == 0
+    for G in groups:
+        sigmas = list(all_permutations(G.n))
+        assert len(G.left_maps) == len(G.right_maps) == len(G.generators)
+        for g, left, right in zip(G.generators, G.left_maps, G.right_maps):
+            assert left.tolist() == [rank_images(g.compose(s).images) for s in sigmas]
+            assert right.tolist() == [rank_images(s.compose(g).images) for s in sigmas]
+            assert not left.flags.writeable and not right.flags.writeable
+        assert G.left_maps is G.left_maps and G.right_maps is G.right_maps
+
+
+def test_a_second_double_coset_scan_reuses_the_cached_maps(monkeypatch):
+    G = automorphism_group(LinearCode(2, [[1, 1, 0, 0]]))
+    H = automorphism_group(LinearCode(3, [[1, 1, 1, 0]]))
+    first = double_cosets(G, H)
+
+    def boom(*args, **kwargs):
+        raise AssertionError("double_cosets recomputed a rank map")
+
+    monkeypatch.setattr(import_module("symhex.perms"), "ranks", boom)
+    assert double_cosets(G, H) == first
