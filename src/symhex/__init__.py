@@ -28,12 +28,9 @@ from .codes import (  # noqa: F401
 from .perms import (  # noqa: F401
     PermGroup,
     Permutation,
-    all_permutations,
     apply_perm,
     automorphism_group,
-    double_coset_reps,
     double_cosets,
-    mulclose,
     perm_equivalent,
 )
 from .classify import (  # noqa: F401

@@ -46,18 +46,18 @@ def cmd_dual(args) -> int:
     code = io.parse_hzcode(io.read_text(args.file))
     d = dual(code)
     text = io.format_hzcode(d)
+    if not args.out:
+        sys.stdout.write(text)
+    # compare first, so a budget error or a mismatch leaves no file behind
+    if args.brute:
+        oracle = dual_bruteforce(code)
+        if word_set(d) != oracle:
+            print("oracle: MISMATCH")
+            return 3
+        print(f"oracle: match ({len(oracle)} words)")
     if args.out:
         io.write_text_atomic(args.out, text)
         print(f"wrote {args.out}")
-    else:
-        sys.stdout.write(text)
-    if args.brute:
-        oracle = dual_bruteforce(code)
-        if word_set(d) == oracle:
-            print(f"oracle: match ({len(oracle)} words)")
-        else:
-            print("oracle: MISMATCH")
-            return 3
     return 0
 
 

@@ -80,11 +80,12 @@ class LinearCode:
 
     The zero code (k = 0) and the full space (k = n) are ordinary values.
     Instances are immutable and hashable; two codes compare equal exactly
-    when they have the same row space.  A length above MAX_LENGTH raises
+    when they have the same row space, by the key (p, n, RREF bytes) that
+    __init__ computes once.  A length above MAX_LENGTH raises
     BudgetExceeded.
     """
 
-    __slots__ = ("p", "n", "k", "gen", "pivots")
+    __slots__ = ("p", "n", "k", "gen", "pivots", "_key")
 
     def __init__(self, p: int, rows, n: Optional[int] = None):
         if p not in (2, 3):
@@ -105,6 +106,8 @@ class LinearCode:
         object.__setattr__(self, "k", R.shape[0])
         object.__setattr__(self, "gen", R)
         object.__setattr__(self, "pivots", pivots)
+        # n is in the key: the RREF bytes alone are empty for every zero code
+        object.__setattr__(self, "_key", (p, R.shape[1], R.tobytes()))
 
     def __setattr__(self, name, value):
         raise AttributeError("LinearCode is immutable")
@@ -157,15 +160,10 @@ class LinearCode:
     def __eq__(self, other) -> bool:
         if not isinstance(other, LinearCode):
             return NotImplemented
-        return (
-            self.p == other.p
-            and self.n == other.n
-            and self.k == other.k
-            and bool(np.array_equal(self.gen, other.gen))
-        )
+        return self._key == other._key
 
     def __hash__(self) -> int:
-        return hash((self.p, self.n, self.gen.tobytes()))
+        return hash(self._key)
 
     def __repr__(self) -> str:
         rows = ",".join("".join(str(int(x)) for x in row) for row in self.gen)
@@ -214,15 +212,3 @@ def random_code(p: int, n: int, rng: np.random.Generator, k: Optional[int] = Non
     if k is None:
         k = int(rng.integers(0, n + 1))
     return LinearCode(p, rng.integers(0, p, size=(k, n)), n=n)
-
-
-def span_union(a: LinearCode, b: LinearCode) -> LinearCode:
-    """The sum a + b as row spaces."""
-    if a.p != b.p or a.n != b.n:
-        raise DimensionMismatch("codes live in different spaces")
-    return LinearCode(a.p, np.vstack([a.gen, b.gen]), n=a.n)
-
-
-def intersect_dim(a: LinearCode, b: LinearCode) -> int:
-    """dim(a & b) via dim a + dim b - dim(a + b)."""
-    return a.k + b.k - span_union(a, b).k

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property
-from itertools import permutations as _lex_perms
 from math import factorial
 
 import numpy as np
@@ -91,10 +90,6 @@ class Permutation:
         """Lehmer rank: position in the lexicographic order of S_n."""
         return rank_images(self.images)
 
-    @classmethod
-    def unrank(cls, n: int, r: int) -> "Permutation":
-        return cls(unrank_images(n, r))
-
     def cycle_string(self) -> str:
         """Disjoint cycles on 1-based points; 'e' for the identity."""
         seen = [False] * self.n
@@ -124,18 +119,6 @@ def rank_images(images: tuple[int, ...]) -> int:
         smaller = sum(1 for j in range(i + 1, n) if images[j] < images[i])
         r += smaller * factorial(n - 1 - i)
     return r
-
-
-def unrank_images(n: int, r: int) -> tuple[int, ...]:
-    if not 0 <= r < factorial(n):
-        raise ValueError(f"rank {r} out of range for n={n}")
-    pool = list(range(n))
-    out = []
-    for i in range(n):
-        f = factorial(n - 1 - i)
-        q, r = divmod(r, f)
-        out.append(pool.pop(q))
-    return tuple(out)
 
 
 @cache
@@ -176,12 +159,6 @@ def ranks(images: np.ndarray) -> np.ndarray:
             smaller += cols[j] < cols[i]
         out += smaller * factorial(n - 1 - i)
     return out
-
-
-def all_permutations(n: int):
-    """S_n in lexicographic order (which is Lehmer rank order)."""
-    for images in _lex_perms(range(n)):
-        yield Permutation(images)
 
 
 def apply_perm(perm: Permutation, code: LinearCode) -> LinearCode:
@@ -244,25 +221,6 @@ def first_carrying(sources: tuple, targets: tuple) -> "Permutation | None":
     return None
 
 
-def mulclose(gens: list[Permutation], seed: list[Permutation] | None = None) -> set[Permutation]:
-    """Closure of seed (default the identity) under the generators."""
-    if not gens and not seed:
-        raise ValueError("need at least one generator or seed element")
-    n = gens[0].n if gens else seed[0].n
-    found = {Permutation.identity(n)} if seed is None else set(seed)
-    frontier = list(found)
-    while frontier:
-        nxt = []
-        for s in frontier:
-            for g in gens:
-                t = g * s
-                if t not in found:
-                    found.add(t)
-                    nxt.append(t)
-        frontier = nxt
-    return found
-
-
 class PermGroup:
     """A subgroup of S_n, held as the sorted int32 Lehmer ranks of its members.
 
@@ -273,7 +231,8 @@ class PermGroup:
     its map m -> g m on member indices, and the closure is marked on a
     boolean array over the members, round by round under every map until
     it stops growing, so each generator costs passes over |G|, not n!.
-    mulclose of the generators reproduces the element set.  left_maps and
+    The loop ends only when the generators reach every member, so they
+    generate exactly the member set.  left_maps and
     right_maps, the generators' rank maps over all of S_n that
     double_cosets reads, are cached on the group like elements.  A rank set
     that is empty, out of range, without the identity or not closed under
@@ -420,7 +379,3 @@ def double_cosets(G: PermGroup, H: PermGroup) -> list[tuple[Permutation, int]]:
         label = new
     reps, sizes = np.unique(label, return_counts=True)
     return [(Permutation(tuple(table[r].tolist())), int(size)) for r, size in zip(reps, sizes)]
-
-
-def double_coset_reps(G: PermGroup, H: PermGroup) -> list[Permutation]:
-    return [rep for rep, _ in double_cosets(G, H)]

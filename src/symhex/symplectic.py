@@ -18,17 +18,23 @@ from itertools import combinations
 import numpy as np
 
 from .errors import BudgetExceeded, DimensionMismatch, KOutOfRange, OddLength
-from .gf import LinearCode, all_vectors, rref
+from .gf import MAX_LENGTH, LinearCode, all_vectors, rref
 
 
 class SymplecticSpace:
-    """F_p^(2m) carrying the alternating block form; its gram is read-only."""
+    """F_p^(2m) carrying the alternating block form; its gram is read-only.
+
+    A length 2m above gf.MAX_LENGTH, where no LinearCode can live, raises
+    BudgetExceeded before the gram is built.
+    """
 
     def __init__(self, p: int, m: int):
         if p not in (2, 3):
             raise ValueError(f"p must be 2 or 3, got {p}")
         if m < 0:
             raise ValueError(f"m must be >= 0, got {m}")
+        if 2 * m > MAX_LENGTH:
+            raise BudgetExceeded(f"length 2m = {2 * m} exceeds {MAX_LENGTH}")
         self.p = p
         self.m = m
         self.n = 2 * m

@@ -1,0 +1,69 @@
+"""Reference implementations the suites check the library against.
+
+Each one shares no algorithm with the code it checks: mulclose closes a
+generator set element by element, where PermGroup closes rank maps;
+all_permutations and unrank_images list S_n by itertools and by factorial
+digits, where perm_table stacks shifted blocks and ranks counts
+inversions; intersect_dim measures C & D by the dimension of C + D, where
+SymplecticSpace.is_lcd uses Massey's rank test.
+"""
+
+from __future__ import annotations
+
+from itertools import permutations as _lex_perms
+from math import factorial
+
+import numpy as np
+
+from symhex.errors import DimensionMismatch
+from symhex.gf import LinearCode
+from symhex.perms import Permutation
+
+
+def all_permutations(n: int):
+    """S_n in lexicographic order (which is Lehmer rank order)."""
+    for images in _lex_perms(range(n)):
+        yield Permutation(images)
+
+
+def unrank_images(n: int, r: int) -> tuple[int, ...]:
+    if not 0 <= r < factorial(n):
+        raise ValueError(f"rank {r} out of range for n={n}")
+    pool = list(range(n))
+    out = []
+    for i in range(n):
+        f = factorial(n - 1 - i)
+        q, r = divmod(r, f)
+        out.append(pool.pop(q))
+    return tuple(out)
+
+
+def mulclose(gens: list[Permutation], seed: list[Permutation] | None = None) -> set[Permutation]:
+    """Closure of seed (default the identity) under the generators."""
+    if not gens and not seed:
+        raise ValueError("need at least one generator or seed element")
+    n = gens[0].n if gens else seed[0].n
+    found = {Permutation.identity(n)} if seed is None else set(seed)
+    frontier = list(found)
+    while frontier:
+        nxt = []
+        for s in frontier:
+            for g in gens:
+                t = g * s
+                if t not in found:
+                    found.add(t)
+                    nxt.append(t)
+        frontier = nxt
+    return found
+
+
+def span_union(a: LinearCode, b: LinearCode) -> LinearCode:
+    """The sum a + b as row spaces."""
+    if a.p != b.p or a.n != b.n:
+        raise DimensionMismatch("codes live in different spaces")
+    return LinearCode(a.p, np.vstack([a.gen, b.gen]), n=a.n)
+
+
+def intersect_dim(a: LinearCode, b: LinearCode) -> int:
+    """dim(a & b) via dim a + dim b - dim(a + b)."""
+    return a.k + b.k - span_union(a, b).k

@@ -30,13 +30,14 @@ from symhex.errors import BudgetExceeded, DimensionMismatch, OddLength
 from symhex.gf import LinearCode
 from symhex.perms import (
     Permutation,
-    all_permutations,
     apply_perm,
     automorphism_group,
     double_cosets,
 )
 from symhex.ring import RingId
 from symhex.symplectic import SymplecticSpace, isotropic_subspaces
+
+from oracles import all_permutations
 
 H23, H32 = RingId.H23, RingId.H32
 

@@ -9,7 +9,7 @@ import pytest
 from symhex import cli, codes, io
 from symhex.codes import build, dual
 from symhex.errors import ParseError
-from symhex.gf import LinearCode
+from symhex.gf import MAX_LENGTH, LinearCode
 from symhex.ring import RingId
 
 R2_FILE = "H23 2\n2 2 1\n11\n\n3 2 1\n11\n\n"
@@ -90,11 +90,30 @@ def test_dual_brute_compares_word_codes(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().out == io.format_hzcode(dual(code)) + "oracle: match (46656 words)\n"
 
 
-def test_dual_brute_reports_a_mismatch(r2_path, capsys, monkeypatch):
+def test_dual_brute_reports_a_mismatch(r2_path, tmp_path, capsys, monkeypatch):
     wrong = io.parse_hzcode(R2_FILE)  # the code itself, not its dual
     monkeypatch.setattr(cli, "dual", lambda code: wrong)
     assert cli.main(["dual", r2_path, "--brute"]) == 3
     assert capsys.readouterr().out == io.format_hzcode(wrong) + "oracle: MISMATCH\n"
+    out_path = tmp_path / "dual.code"
+    assert cli.main(["dual", r2_path, "--brute", "--out", str(out_path)]) == 3
+    assert capsys.readouterr().out == "oracle: MISMATCH\n"
+    assert not out_path.exists()
+
+
+def test_dual_brute_out_writes_only_after_a_match(r2_path, tmp_path, capsys):
+    out_path = tmp_path / "dual.code"
+    assert cli.main(["dual", r2_path, "--brute", "--out", str(out_path)]) == 0
+    assert capsys.readouterr().out == f"oracle: match (18 words)\nwrote {out_path}\n"
+    assert out_path.read_text() == io.format_hzcode(dual(io.parse_hzcode(R2_FILE)))
+    # n = 10 is past the oracle's 6^n word budget: exit 2 and no file
+    code = build(RingId.H23, LinearCode(2, [[1] * 10]), LinearCode(3, [[1] * 10]))
+    p = tmp_path / "c10.code"
+    p.write_text(io.format_hzcode(code))
+    out10 = tmp_path / "dual10.code"
+    assert cli.main(["dual", str(p), "--brute", "--out", str(out10)]) == 2
+    assert capsys.readouterr().out == ""
+    assert not out10.exists()
 
 
 def test_dual_writes_file(r2_path, tmp_path, capsys):
@@ -192,6 +211,12 @@ def test_count_isotropic(capsys):
     assert "= 4" in out and "enumerated: 4 (matches)" in out
     assert cli.main(["count-isotropic", "2", "3", "0"]) == 0
     assert "= 1" in capsys.readouterr().out
+    # the k = 0 count is 1 for any m, so only the space can refuse the length
+    m = MAX_LENGTH // 2 + 1
+    assert cli.main(["count-isotropic", "2", str(m), "0", "--enumerate"]) == 2
+    out, err = capsys.readouterr()
+    assert out == f"count(2, {m}, 0) = 1\n"
+    assert err.startswith("error: ") and f"exceeds {MAX_LENGTH}" in err
 
 
 def test_count_isotropic_k_out_of_range(capsys):

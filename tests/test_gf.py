@@ -10,13 +10,13 @@ from symhex.gf import (
     MAX_LENGTH,
     LinearCode,
     all_vectors,
-    intersect_dim,
     nullspace,
     places,
     random_code,
     rref,
-    span_union,
 )
+
+from oracles import intersect_dim, span_union
 
 
 def test_rref_examples():
@@ -61,6 +61,19 @@ def test_code_equality_is_row_space_equality():
     assert hash(c1) == hash(c2)
     assert c1 != LinearCode(2, [[1, 1]])
     assert LinearCode(2, [[1, 1]]) != LinearCode(3, [[1, 1]])
+    # the generator bytes are empty for every zero code: p and n tell them apart
+    z = LinearCode.zero(2, 2)
+    assert z == LinearCode.zero(2, 2) and hash(z) == hash(LinearCode.zero(2, 2))
+    assert z != LinearCode.zero(2, 3) and z != LinearCode.zero(3, 2)
+    assert LinearCode.zero(2, 0) == LinearCode.full(2, 0)
+    # equal codes from different generators hash alike
+    rng = np.random.default_rng(57)
+    for p in (2, 3):
+        for _ in range(10):
+            c = random_code(p, 5, rng)
+            mixed = (rng.integers(0, p, size=(c.k + 2, c.k)) @ c.gen) % p
+            other = LinearCode(p, np.vstack([mixed, c.gen]), n=5)
+            assert other == c and hash(other) == hash(c)
 
 
 def test_zero_and_full_are_first_class():

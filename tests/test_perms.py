@@ -19,22 +19,20 @@ from symhex.perms import (
     MAX_PERM_N,
     PermGroup,
     Permutation,
-    all_permutations,
     apply_perm,
     automorphism_group,
-    double_coset_reps,
     double_cosets,
-    mulclose,
     orbit_keys,
     perm_equivalent,
     perm_table,
     rank_images,
     ranks,
-    unrank_images,
     word_key,
 )
 from symhex.ring import RingId
 from symhex.symplectic import SymplecticSpace, isotropic_subspaces
+
+from oracles import all_permutations, mulclose, unrank_images
 
 
 def test_permutation_basics():
@@ -57,7 +55,7 @@ def test_rank_unrank_is_lex_order():
         assert perms == sorted(perms)
         for r, p in enumerate(perms):
             assert p.rank() == r
-            assert Permutation.unrank(n, r) == p
+            assert Permutation(unrank_images(n, r)) == p
 
 
 def test_cycle_strings():
@@ -151,10 +149,10 @@ def test_automorphisms_fix_the_code():
 def test_double_coset_examples():
     e2 = PermGroup.trivial(2)
     s2 = PermGroup.symmetric(2)
-    assert len(double_coset_reps(e2, e2)) == 2
-    assert len(double_coset_reps(e2, s2)) == 1
-    assert len(double_coset_reps(s2, s2)) == 1
-    reps = double_coset_reps(PermGroup.symmetric(4), PermGroup.symmetric(4))
+    assert len(double_cosets(e2, e2)) == 2
+    assert len(double_cosets(e2, s2)) == 1
+    assert len(double_cosets(s2, s2)) == 1
+    reps = [r for r, _ in double_cosets(PermGroup.symmetric(4), PermGroup.symmetric(4))]
     assert reps == [Permutation.identity(4)]
 
 
@@ -170,7 +168,7 @@ def test_double_cosets_partition_sn():
 def test_double_coset_reps_are_lex_minimal():
     G = automorphism_group(LinearCode(2, [[1, 1, 0, 0]]))
     H = automorphism_group(LinearCode(3, [[1, 0, 0, 0]]))
-    reps = double_coset_reps(G, H)
+    reps = [r for r, _ in double_cosets(G, H)]
     assert reps[0].is_identity()
     assert reps == sorted(reps)
     # every sigma's orbit contains exactly one representative, the minimum
@@ -189,6 +187,10 @@ def test_budget_guards():
         perm_table(9)
     with pytest.raises(BudgetExceeded):
         double_cosets(PermGroup.trivial(9), PermGroup.trivial(9))
+    # HzCode lengths are even, so the first length past the guard is 10
+    c10 = build(RingId.H23, LinearCode.zero(2, 10), LinearCode.zero(3, 10))
+    with pytest.raises(BudgetExceeded):
+        equivalent(c10, c10)
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +393,7 @@ def test_perm_equivalent_finds_a_carrier_beyond_the_first_block():
         blocks = [block for block, keys in orbit_keys((c1,))]
         assert max(len(block) for block in blocks) * p**k <= BLOCK * 64
         assert np.array_equal(np.vstack(blocks), perm_table(8))
-        sigma = Permutation.unrank(8, 40000)
+        sigma = Permutation(unrank_images(8, 40000))
         c2 = apply_perm(sigma, c1)
         pi = perm_equivalent(c1, c2)
         assert pi is not None and apply_perm(pi, c1) == c2

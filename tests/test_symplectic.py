@@ -8,13 +8,15 @@ import numpy as np
 import pytest
 
 from symhex.errors import BudgetExceeded, DimensionMismatch, KOutOfRange, OddLength
-from symhex.gf import LinearCode, all_vectors, intersect_dim, random_code
+from symhex.gf import MAX_LENGTH, LinearCode, all_vectors, random_code
 from symhex.symplectic import (
     COUNT_DIGITS,
     SymplecticSpace,
     count_isotropic,
     isotropic_subspaces,
 )
+
+from oracles import intersect_dim
 
 
 def all_subspaces(p, n, k):
@@ -258,6 +260,18 @@ def test_enumeration_guards():
         isotropic_subspaces(SymplecticSpace(3, 4), 1)
     with pytest.raises(KOutOfRange):
         isotropic_subspaces(SymplecticSpace(2, 2), 3)
+
+
+def test_spaces_past_the_length_bound_raise_before_the_gram(monkeypatch):
+    assert SymplecticSpace(2, MAX_LENGTH // 2).n == MAX_LENGTH
+
+    def boom(*args, **kwargs):
+        raise AssertionError("the gram was built")
+
+    monkeypatch.setattr(np, "eye", boom)
+    for p in (2, 3):
+        with pytest.raises(BudgetExceeded, match=str(MAX_LENGTH)):
+            SymplecticSpace(p, MAX_LENGTH // 2 + 1)
 
 
 def test_length_zero_space():
