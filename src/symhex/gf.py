@@ -7,7 +7,7 @@ space, so code equality is literal array equality.
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, lru_cache
 from typing import Optional
 
 import numpy as np
@@ -53,8 +53,8 @@ def rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
     return R, tuple(pivots)
 
 
-def nullspace(mat: np.ndarray, p: int) -> np.ndarray:
-    """Canonical basis of {v : mat @ v == 0 mod p}, as rows in RREF."""
+def nullspace(mat: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Canonical basis of {v : mat @ v == 0 mod p}: (B, pivots) as rref gives them."""
     M = np.asarray(mat)
     cols = M.shape[1]
     R, pivots = rref(M, p)
@@ -64,8 +64,24 @@ def nullspace(mat: np.ndarray, p: int) -> np.ndarray:
         basis[i, fc] = 1
         for r, pc in enumerate(pivots):
             basis[i, pc] = (-R[r, fc]) % p
-    B, _ = rref(basis, p)
-    return B
+    return rref(basis, p)
+
+
+@lru_cache(maxsize=64)
+def _rref_box(p: int, n: int, pivots: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Bounds lo <= M <= hi that hold exactly for the matrices over 0..p-1
+    in RREF with these pivots.
+
+    Row r is 1 at its pivot (lo = hi = 1), at most p-1 in its free entries
+    (right of its pivot, off the pivot columns) and 0 everywhere else.
+    Cached because duals and enumerations meet the same profiles again.
+    """
+    cols = np.arange(n)
+    piv = np.array(pivots, dtype=np.intp)[:, None]
+    lo = (cols == piv).astype(np.int8)
+    hi = lo + np.int8(p - 1) * ((cols > piv) & ~lo.any(axis=0))
+    lo.flags.writeable = hi.flags.writeable = False
+    return lo, hi
 
 
 def _check_length(n: int) -> None:
@@ -81,8 +97,9 @@ class LinearCode:
     The zero code (k = 0) and the full space (k = n) are ordinary values.
     Instances are immutable and hashable; two codes compare equal exactly
     when they have the same row space, by the key (p, n, RREF bytes) that
-    __init__ computes once.  A length above MAX_LENGTH raises
-    BudgetExceeded.
+    _set computes once.  __init__ reduces its rows with rref; from_rref
+    takes a batch already in RREF and only checks it.  A length above
+    MAX_LENGTH raises BudgetExceeded.
     """
 
     __slots__ = ("p", "n", "k", "gen", "pivots", "_key")
@@ -100,7 +117,10 @@ class LinearCode:
             M = M.reshape(0, n)
         if M.ndim != 2 or M.shape[1] != n:
             raise DimensionMismatch(f"rows have shape {M.shape}, expected length {n}")
-        R, pivots = rref(M, p)
+        self._set(p, *rref(M, p))
+
+    def _set(self, p: int, R: np.ndarray, pivots: tuple[int, ...]) -> None:
+        """Fill the slots from a read-only int8 RREF and its pivots."""
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "n", R.shape[1])
         object.__setattr__(self, "k", R.shape[0])
@@ -108,6 +128,39 @@ class LinearCode:
         object.__setattr__(self, "pivots", pivots)
         # n is in the key: the RREF bytes alone are empty for every zero code
         object.__setattr__(self, "_key", (p, R.shape[1], R.tobytes()))
+
+    @classmethod
+    def from_rref(cls, p: int, mats, pivots: tuple[int, ...]) -> list["LinearCode"]:
+        """The codes of a batch (B, k, n) of matrices already in RREF, without rref.
+
+        Every matrix must have the pivot columns `pivots` (strictly
+        increasing): those columns hold the k x k identity, every entry left
+        of a row's pivot is zero, and all entries lie in 0..p-1.  That is
+        one elementwise test of the whole batch against the bounds of
+        _rref_box; the first matrix that fails is the witness of the
+        ValueError.
+        """
+        if p not in (2, 3):
+            raise ValueError(f"p must be 2 or 3, got {p}")
+        mats = np.asarray(mats)
+        if mats.ndim != 3:
+            raise DimensionMismatch(f"expected a batch (B, k, n), got shape {mats.shape}")
+        _, k, n = mats.shape
+        _check_length(n)
+        pivots = tuple(int(c) for c in pivots)
+        if len(pivots) != k or not all(a < b for a, b in zip((-1, *pivots), (*pivots, n))):
+            raise ValueError(f"pivots {pivots} do not fit {k} rows of length {n}")
+        lo, hi = _rref_box(p, n, pivots)
+        outside = (mats < lo) | (mats > hi)
+        if outside.any():
+            first = mats[outside.any(axis=(1, 2)).argmax()].tolist()
+            raise ValueError(f"not in RREF with pivots {pivots}: {first}")
+        R = mats.astype(np.int8)
+        R.flags.writeable = False
+        codes = [object.__new__(cls) for _ in range(len(R))]
+        for code, gen in zip(codes, R):
+            code._set(p, gen, pivots)
+        return codes
 
     def __setattr__(self, name, value):
         raise AttributeError("LinearCode is immutable")
@@ -155,7 +208,8 @@ class LinearCode:
     def dual_wrt(self, gram: np.ndarray) -> "LinearCode":
         """The code {y : G @ gram @ y == 0}, for a fixed bilinear form."""
         M = (self.gen.astype(np.int64) @ np.asarray(gram, dtype=np.int64)) % self.p
-        return LinearCode(self.p, nullspace(M, self.p), n=self.n)
+        B, pivots = nullspace(M, self.p)
+        return LinearCode.from_rref(self.p, B[None], pivots)[0]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LinearCode):

@@ -345,7 +345,7 @@ def automorphism_group(code: LinearCode) -> PermGroup:
     """
     table = perm_table(code.n)
     G = code.gen.T.astype(np.int16)
-    H = nullspace(code.gen, code.p).astype(np.int16)
+    H = nullspace(code.gen, code.p)[0].astype(np.int16)
     kept = []
     for start in range(0, len(table), BLOCK):
         block = table[start : start + BLOCK]

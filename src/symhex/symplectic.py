@@ -101,7 +101,7 @@ def count_isotropic(p: int, m: int, k: int) -> int:
     """Number of totally isotropic k-subspaces of F_p^(2m), exactly.
 
     prod_{i=0}^{k-1} (p^(2m-2i) - 1) / prod_{j=1}^{k} (p^j - 1), evaluated
-    in exact integer arithmetic with the divisibility asserted.  The count
+    in exact integer arithmetic with the divisibility checked.  The count
     is about p^E with E = 2mk - k(3k-1)/2, so one that would take more than
     COUNT_DIGITS decimal digits raises BudgetExceeded before any product.
     """
@@ -116,7 +116,8 @@ def count_isotropic(p: int, m: int, k: int) -> int:
     den = 1
     for j in range(1, k + 1):
         den *= p**j - 1
-    assert num % den == 0, (p, m, k)
+    if num % den:
+        raise ArithmeticError(f"count for (p, m, k) = {(p, m, k)} is not an integer")
     return num // den
 
 
@@ -135,7 +136,9 @@ def isotropic_subspaces(space: SymplecticSpace, k: int) -> list[LinearCode]:
     row always pairs to zero with itself.  Every RREF matrix is produced
     at most once, so no dedup pass is needed, and np.nonzero keeps the
     output order lexicographic: pivot profiles first, then free entries
-    row by row.  k = 0 is the one empty profile.
+    row by row.  k = 0 is the one empty profile.  Each profile's batch
+    is already in RREF, so LinearCode.from_rref turns it into codes after
+    one vectorized shape check, without reducing any leaf again.
     """
     p, n, m = space.p, space.n, space.m
     if not 0 <= k <= m:
@@ -154,8 +157,5 @@ def isotropic_subspaces(space: SymplecticSpace, k: int) -> list[LinearCode]:
             clash = (mats @ space.gram @ rows.T % p).any(axis=1)
             b, r = np.nonzero(~clash)
             mats = np.concatenate([mats[b], rows[r, None]], axis=1)
-        for mat in mats:
-            code = LinearCode(p, mat, n=n)
-            assert code.pivots == pivots
-            out.append(code)
+        out += LinearCode.from_rref(p, mats, pivots)
     return out

@@ -155,8 +155,48 @@ def test_nullspace_rank_nullity():
 
 
 def test_nullspace_of_zero_map():
-    B = nullspace(np.zeros((0, 3), dtype=int), 2)
-    assert B.tolist() == np.eye(3, dtype=int).tolist()
+    B, pivots = nullspace(np.zeros((0, 3), dtype=int), 2)
+    assert B.tolist() == np.eye(3, dtype=int).tolist() and pivots == (0, 1, 2)
+
+
+def test_from_rref_builds_the_codes_rref_would():
+    mats = np.array([[[1, 0, 2, 0], [0, 1, 1, 0]], [[1, 0, 0, 1], [0, 1, 2, 2]]])
+    codes = LinearCode.from_rref(3, mats, (0, 1))
+    for code, mat in zip(codes, mats):
+        ref = LinearCode(3, mat, n=4)
+        assert code._key == ref._key and code.pivots == ref.pivots == (0, 1)
+        assert code.gen.dtype == np.int8 and not code.gen.flags.writeable
+    assert LinearCode.from_rref(2, np.zeros((1, 0, 3), dtype=int), ()) == [LinearCode.zero(2, 3)]
+    assert LinearCode.from_rref(2, np.zeros((0, 2, 3), dtype=int), (0, 1)) == []
+
+
+@pytest.mark.parametrize(
+    "mat,pivots",
+    [
+        ([[1, 0, 1], [1, 0, 1]], (0, 2)),
+        ([[1, 1, 0], [0, 0, 2]], (0, 2)),
+        ([[1, 1, 1], [0, 0, 1]], (0, 2)),
+        ([[1, 1, 0], [0, 0, 1]], (0, 1)),
+        ([[1, 3, 0], [0, 0, 1]], (0, 2)),
+    ],
+    ids=["nonzero left of a pivot", "pivot entry 2", "pivot column not cleared",
+         "wrong pivots", "entry out of range"],
+)
+def test_from_rref_rejects_a_matrix_not_in_rref(mat, pivots):
+    good = np.zeros((2, 3), dtype=int)
+    good[[0, 1], pivots] = 1  # in RREF with these pivots, so not the witness
+    with pytest.raises(ValueError, match=r"not in RREF with pivots \(%d, %d\)" % pivots) as err:
+        LinearCode.from_rref(3, np.array([good, mat, mat]), pivots)
+    assert str(mat) in str(err.value)  # the first bad matrix is the witness
+
+
+def test_from_rref_rejects_pivot_tuples_that_do_not_fit():
+    mats = np.array([[[1, 0, 0], [0, 0, 1]]])
+    for pivots in ((0,), (0, 2, 2), (2, 0), (0, 3), (-1, 2)):
+        with pytest.raises(ValueError, match="do not fit"):
+            LinearCode.from_rref(2, mats, pivots)
+    with pytest.raises(DimensionMismatch):
+        LinearCode.from_rref(2, mats[0], (0, 2))
 
 
 def test_immutable():

@@ -229,7 +229,7 @@ def _words(code: LinearCode) -> set:
 def ref_automorphisms(code: LinearCode) -> list[Permutation]:
     """The parity-check test, one permutation at a time."""
     G = code.gen.astype(np.int64)
-    H = nullspace(G, code.p).astype(np.int64) if code.k < code.n else None
+    H = nullspace(G, code.p)[0].astype(np.int64) if code.k < code.n else None
     return [
         Permutation(images)
         for images in permutations(range(code.n))

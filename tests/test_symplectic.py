@@ -7,8 +7,11 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
+import symhex.gf
+from symhex.codes import build, dual, join, split
 from symhex.errors import BudgetExceeded, DimensionMismatch, KOutOfRange, OddLength
-from symhex.gf import MAX_LENGTH, LinearCode, all_vectors, random_code
+from symhex.gf import MAX_LENGTH, LinearCode, all_vectors, nullspace, random_code
+from symhex.ring import RingId
 from symhex.symplectic import (
     COUNT_DIGITS,
     SymplecticSpace,
@@ -246,6 +249,55 @@ def test_enumeration_order_matches_the_reference_search(p, m, k):
     assert found == ref_isotropic_subspaces(sp, k)  # same order too
     if (p, m, k) == (2, 4, 4):
         assert len(found) == 2295
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (2, 4)])
+def test_isotropic_leaves_are_the_codes_rref_would_build(p, m):
+    # the leaves skip rref; reducing each one again must change nothing
+    sp = SymplecticSpace(p, m)
+    for k in range(m + 1) if m < 4 else [m]:  # n = 8: the 2,295 binary Lagrangians
+        for leaf in isotropic_subspaces(sp, k):
+            ref = LinearCode(p, leaf.gen, n=sp.n)
+            assert leaf._key == ref._key and leaf.pivots == ref.pivots
+            assert leaf.gen.dtype == np.int8 and not leaf.gen.flags.writeable
+
+
+def test_isotropic_subspaces_never_reduce(monkeypatch):
+    sp = SymplecticSpace(3, 3)
+    want = isotropic_subspaces(sp, 3)
+
+    def boom(*args, **kwargs):
+        raise AssertionError("an enumerated leaf was reduced again")
+
+    monkeypatch.setattr(symhex.gf, "rref", boom)
+    assert isotropic_subspaces(sp, 3) == want and len(want) == 1120
+
+
+def test_dual_makes_two_rref_calls_and_matches_the_reducing_path(monkeypatch):
+    rng = np.random.default_rng(71)
+    codes = [
+        build(ring, random_code(2, n, rng), random_code(3, n, rng))
+        for n in (2, 4, 6)
+        for ring in RingId
+        for _ in range(15)
+    ]
+    want = []
+    for code in codes:  # reference: LinearCode reduces the nullspace basis once more
+        g, f = split(code)
+        M = g.gen.astype(np.int64) @ SymplecticSpace.for_length(g.p, code.n).gram % g.p
+        ref = LinearCode(g.p, nullspace(M, g.p)[0], n=code.n)
+        want.append((ref, join(code.ring, ref, LinearCode.full(f.p, code.n))))
+    calls = []
+    real = symhex.gf.rref
+    monkeypatch.setattr(symhex.gf, "rref", lambda *a: calls.append(1) or real(*a))
+    for code, (ref, whole) in zip(codes, want):
+        calls.clear()
+        d = dual(code)
+        assert len(calls) == 2  # one for the map, one for its nullspace basis
+        assert d == whole
+        g, _ = split(d)
+        assert g._key == ref._key and g.pivots == ref.pivots
+        assert g.gen.dtype == np.int8 and not g.gen.flags.writeable
 
 
 def test_enumeration_deterministic():
