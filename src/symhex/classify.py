@@ -173,7 +173,7 @@ def verify_classification(
     list entry lies in the orbit of an earlier one, and no record's free key
     is among the Stab(g) . sigma . f keys an earlier record claimed.
     Completeness, by orbit-stabilizer: the records claim as many keys as
-    S_n . f has.  Keys are codeword sets, so this never calls
+    S_n . f has, n! / |Stab(f)|.  Keys are codeword sets, so this never calls
     automorphism_group, double_cosets or their parity-check product, which
     classify is built on.
     """
@@ -200,10 +200,10 @@ def verify_classification(
     free_key = cache(lambda f: word_key((f,)).tobytes())
 
     @cache
-    def orbit(c: LinearCode) -> tuple[np.ndarray, int]:
-        """c's orbit keys in table order, and how many distinct keys they hold."""
+    def orbit(c: LinearCode) -> tuple[np.ndarray, np.ndarray]:
+        """c's orbit keys in table order, and Stab(c): the rows keyed like row 0 (the identity)."""
         keys = np.vstack([k for _, k in orbit_keys((c,))])
-        return keys, len(set(map(bytes, keys)))
+        return keys, (keys == keys[0]).all(axis=1)
 
     for i, ca in enumerate(la):
         for j, cb in enumerate(lb):
@@ -220,9 +220,8 @@ def verify_classification(
                     log.warning("record %r misstates its ring, length, size or flags", rec)
                     return False
             governing, free = split(pair)
-            gkeys, _ = orbit(governing)
-            fkeys, norbit = orbit(free)
-            stab = table[(gkeys == gkeys[0]).all(axis=1)]
+            stab = table[orbit(governing)[1]]
+            fkeys, fstab = orbit(free)
             # claims[r, s] is the rank of stab[s] * sigma_r, so its key is that
             # of stab[s] . (sigma_r . f); stab[0] is the identity
             sigmas = np.array([rec.sigma.images for rec in mine], dtype=np.int8).reshape(-1, n)
@@ -240,7 +239,7 @@ def verify_classification(
                     log.warning("records %r and %r are equivalent under %s", mine[o], rec, sigma)
                     return False
                 owner.update(dict.fromkeys(map(bytes, fkeys[claim]), r))
-            if len(owner) != norbit:
+            if len(owner) != len(table) // np.count_nonzero(fstab):  # |S_n . f|
                 missing = next(row for row, key in zip(table, fkeys) if key.tobytes() not in owner)
                 sigma = Permutation(tuple(missing.tolist())).cycle_string()
                 log.warning("pair (%d, %d) under %s has no equivalent record", i, j, sigma)

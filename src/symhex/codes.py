@@ -37,7 +37,7 @@ from .errors import (
     RingMismatch,
 )
 from .gf import LinearCode, all_vectors, places
-from .perms import MAX_PERM_N, Permutation, first_carrying
+from .perms import Permutation, first_carrying
 from .ring import RingElement, RingId
 from .symplectic import SymplecticSpace
 
@@ -435,9 +435,4 @@ def equivalent(c1: HzCode, c2: HzCode) -> Optional[Permutation]:
         raise RingMismatch(f"{c1.ring} vs {c2.ring}")
     if c1.n != c2.n:
         raise LengthMismatch(f"lengths differ: {c1.n} vs {c2.n}")
-    n = c1.n
-    if n > MAX_PERM_N:
-        raise BudgetExceeded(f"n={n} beyond equivalence scan guard {MAX_PERM_N}")
-    if c1.ca.k != c2.ca.k or c1.cb.k != c2.cb.k:
-        return None
     return first_carrying((c1.ca, c1.cb), (c2.ca, c2.cb))

@@ -54,17 +54,22 @@ def rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
 
 
 def nullspace(mat: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Canonical basis of {v : mat @ v == 0 mod p}: (B, pivots) as rref gives them."""
-    M = np.asarray(mat)
-    cols = M.shape[1]
-    R, pivots = rref(M, p)
-    free = [c for c in range(cols) if c not in pivots]
-    basis = np.zeros((len(free), cols), dtype=np.int64)
-    for i, fc in enumerate(free):
-        basis[i, fc] = 1
-        for r, pc in enumerate(pivots):
-            basis[i, pc] = (-R[r, fc]) % p
-    return rref(basis, p)
+    """Canonical basis of {v : mat @ v == 0 mod p}: (B, pivots) as rref gives them.
+
+    One rref, R, of mat with its columns reversed.  Row f of K = (I - R at
+    its pivot rows)^T is, for free f, the kernel vector 1 at f and -R[r, f]
+    at each pivot c_r < f, and 0 for pivot f.  Reversed both ways, f's row
+    leads on the diagonal at n-1-f, where the other rows are 0: the rows
+    with a diagonal 1 are already the RREF.
+    """
+    R, pivots = rref(np.asarray(mat)[..., ::-1], p)
+    K = np.eye(R.shape[1], dtype=np.int8)
+    K[list(pivots)] -= R
+    K = K.T[::-1, ::-1] % p
+    lead = np.flatnonzero(K.diagonal())
+    B = K[lead]
+    B.flags.writeable = False
+    return B, tuple(lead.tolist())
 
 
 @lru_cache(maxsize=64)

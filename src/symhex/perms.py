@@ -173,11 +173,6 @@ def perm_equivalent(c1: LinearCode, c2: LinearCode) -> "Permutation | None":
     """A permutation carrying c1 onto c2, or None; exhaustive over S_n."""
     if c1.p != c2.p or c1.n != c2.n:
         raise DimensionMismatch("codes live in different spaces")
-    n = c1.n
-    if n > MAX_PERM_N:
-        raise BudgetExceeded(f"n={n} beyond equivalence scan guard {MAX_PERM_N}")
-    if c1.k != c2.k:
-        return None
     return first_carrying((c1,), (c2,))
 
 
@@ -212,7 +207,11 @@ def _place_and_words(code: LinearCode) -> tuple[np.ndarray, np.ndarray]:
 
 
 def first_carrying(sources: tuple, targets: tuple) -> "Permutation | None":
-    """The lex-first sigma with sigma . sources[i] == targets[i] for each i, or None."""
+    """The lex-first sigma with sigma . sources[i] == targets[i] for each i, or None.
+    Past MAX_PERM_N it raises BudgetExceeded, even when a dimension differs."""
+    perm_table(sources[0].n)  # the S_n guard
+    if any(s.k != t.k for s, t in zip(sources, targets)):
+        return None
     want = word_key(targets)
     for block, keys in orbit_keys(sources):
         hits = np.flatnonzero((keys == want).all(axis=1))

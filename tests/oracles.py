@@ -4,8 +4,10 @@ Each one shares no algorithm with the code it checks: mulclose closes a
 generator set element by element, where PermGroup closes rank maps;
 all_permutations and unrank_images list S_n by itertools and by factorial
 digits, where perm_table stacks shifted blocks and ranks counts
-inversions; intersect_dim measures C & D by the dimension of C + D, where
-SymplecticSpace.is_lcd uses Massey's rank test.
+inversions; ref_nullspace reduces mat as given and then its kernel basis
+again, where nullspace reduces the column-reversed matrix once and writes
+the basis down in RREF; intersect_dim measures C & D by the dimension of
+C + D, where SymplecticSpace.is_lcd uses Massey's rank test.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from math import factorial
 import numpy as np
 
 from symhex.errors import DimensionMismatch
-from symhex.gf import LinearCode
+from symhex.gf import LinearCode, rref
 from symhex.perms import Permutation
 
 
@@ -55,6 +57,20 @@ def mulclose(gens: list[Permutation], seed: list[Permutation] | None = None) -> 
                     nxt.append(t)
         frontier = nxt
     return found
+
+
+def ref_nullspace(mat: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The kernel basis one free column per row, then reduced again by rref."""
+    M = np.asarray(mat)
+    cols = M.shape[1]
+    R, pivots = rref(M, p)
+    free = [c for c in range(cols) if c not in pivots]
+    basis = np.zeros((len(free), cols), dtype=np.int64)
+    for i, fc in enumerate(free):
+        basis[i, fc] = 1
+        for r, pc in enumerate(pivots):
+            basis[i, pc] = (-R[r, fc]) % p
+    return rref(basis, p)
 
 
 def span_union(a: LinearCode, b: LinearCode) -> LinearCode:

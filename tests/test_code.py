@@ -220,6 +220,17 @@ def test_every_import_in_the_package_is_used():
     assert unused == []
 
 
+def test_the_package_holds_no_assert():
+    # python -O strips assert statements, so every check in src raises instead
+    asserts = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(symhex.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert asserts == []
+
+
 def test_every_private_module_name_in_the_package_is_used():
     # a module-level _helper or _CONSTANT that nothing in src reads is dead code
     trees = {

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import ast
+import inspect
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -16,7 +20,7 @@ from symhex.gf import (
     rref,
 )
 
-from oracles import intersect_dim, span_union
+from oracles import intersect_dim, ref_nullspace, span_union
 
 
 def test_rref_examples():
@@ -157,6 +161,38 @@ def test_nullspace_rank_nullity():
 def test_nullspace_of_zero_map():
     B, pivots = nullspace(np.zeros((0, 3), dtype=int), 2)
     assert B.tolist() == np.eye(3, dtype=int).tolist() and pivots == (0, 1, 2)
+
+
+def _same_nullspace(mat, p):
+    B, pivots = nullspace(mat, p)
+    want, want_pivots = ref_nullspace(mat, p)
+    assert B.dtype == want.dtype == np.int8
+    assert B.shape == want.shape and B.tobytes() == want.tobytes()
+    assert not B.flags.writeable and not want.flags.writeable
+    assert pivots == want_pivots and all(type(c) is int for c in pivots)
+
+
+@pytest.mark.parametrize("p,rows,cols", [(2, 3, 4), (3, 2, 3)])
+def test_nullspace_matches_the_two_pass_reference_exhaustively(p, rows, cols):
+    for entries in product(range(p), repeat=rows * cols):
+        _same_nullspace(np.array(entries).reshape(rows, cols), p)
+
+
+def test_nullspace_matches_the_two_pass_reference_on_random_matrices():
+    rng = np.random.default_rng(29)
+    for p in (2, 3):
+        for shape in ((0, 0), (2, 0)):
+            _same_nullspace(np.zeros(shape, dtype=int), p)
+        for cols in range(1, 9):
+            for rows in range(cols + 2):  # zero rows up to more rows than columns
+                for _ in range(6):
+                    _same_nullspace(rng.integers(0, p, size=(rows, cols)), p)
+
+
+def test_nullspace_writes_its_basis_without_a_python_loop():
+    tree = ast.parse(inspect.getsource(nullspace))
+    loops = (ast.For, ast.While, ast.comprehension)
+    assert not [node for node in ast.walk(tree) if isinstance(node, loops)]
 
 
 def test_from_rref_builds_the_codes_rref_would():

@@ -11,9 +11,10 @@ from math import factorial
 import numpy as np
 import pytest
 
+import symhex.gf
 from symhex.codes import build, equivalent
 from symhex.errors import BudgetExceeded
-from symhex.gf import LinearCode, nullspace, random_code
+from symhex.gf import LinearCode, random_code
 from symhex.perms import (
     BLOCK,
     MAX_PERM_N,
@@ -32,7 +33,7 @@ from symhex.perms import (
 from symhex.ring import RingId
 from symhex.symplectic import SymplecticSpace, isotropic_subspaces
 
-from oracles import all_permutations, mulclose, unrank_images
+from oracles import all_permutations, mulclose, ref_nullspace, unrank_images
 
 
 def test_permutation_basics():
@@ -183,6 +184,8 @@ def test_budget_guards():
         automorphism_group(LinearCode.zero(2, 9))
     with pytest.raises(BudgetExceeded):
         perm_equivalent(LinearCode.zero(2, 9), LinearCode.zero(2, 9))
+    with pytest.raises(BudgetExceeded):  # the guard comes before the dimension test
+        perm_equivalent(LinearCode.zero(2, 9), LinearCode.full(2, 9))
     with pytest.raises(BudgetExceeded):
         perm_table(9)
     with pytest.raises(BudgetExceeded):
@@ -191,6 +194,11 @@ def test_budget_guards():
     c10 = build(RingId.H23, LinearCode.zero(2, 10), LinearCode.zero(3, 10))
     with pytest.raises(BudgetExceeded):
         equivalent(c10, c10)
+    # pairs of different dimensions meet the guard before the dimension test
+    full2, full3 = LinearCode.full(2, 10), LinearCode.full(3, 10)
+    for other in (build(RingId.H23, full2, c10.cb), build(RingId.H23, c10.ca, full3)):
+        with pytest.raises(BudgetExceeded):
+            equivalent(c10, other)
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +237,7 @@ def _words(code: LinearCode) -> set:
 def ref_automorphisms(code: LinearCode) -> list[Permutation]:
     """The parity-check test, one permutation at a time."""
     G = code.gen.astype(np.int64)
-    H = nullspace(G, code.p)[0].astype(np.int64) if code.k < code.n else None
+    H = ref_nullspace(G, code.p)[0].astype(np.int64) if code.k < code.n else None
     return [
         Permutation(images)
         for images in permutations(range(code.n))
@@ -301,6 +309,18 @@ def test_automorphism_group_matches_the_loop():
     codes += _random_codes(5, 4, seed=501) + _random_codes(6, 4, seed=601)
     for code in codes:
         assert list(automorphism_group(code).elements) == ref_automorphisms(code)
+
+
+def test_automorphism_group_makes_one_rref_call(monkeypatch):
+    codes = _random_codes(5, 4, seed=503) + [LinearCode.zero(3, 4), LinearCode.full(2, 4)]
+    want = [automorphism_group(code).ranks.tolist() for code in codes]
+    calls = []
+    real = symhex.gf.rref
+    monkeypatch.setattr(symhex.gf, "rref", lambda *a: calls.append(1) or real(*a))
+    for code, members in zip(codes, want):
+        calls.clear()
+        assert automorphism_group(code).ranks.tolist() == members
+        assert len(calls) == 1  # the parity checks' nullspace, reduced once
 
 
 def test_double_cosets_match_the_bfs():
