@@ -16,14 +16,17 @@ word codes: a*u + b*v is the int64 u*3^n + v (u read in base 2, v in base
 3), exact for n <= MAX_WORD_CODE_N.  ``word_set`` and ``dual_bruteforce``
 return a WordSet, an immutable set of HzWords backed by the sorted array of
 those codes, which decodes HzWords only when iterated; the twins compare
-WordSets, so their set tests are array comparisons.
+WordSets, so their set tests are array comparisons.  Each HzCode computes
+its word set and its oracle dual once, on first use, and holds them while
+it lives, so the five twins and the oracle dual share one evaluation; each
+array holds at most WORD_BUDGET int64 codes, about 13 MB.
 """
 
 from __future__ import annotations
 
 from collections.abc import Set
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from typing import Optional
 
 import numpy as np
@@ -126,6 +129,16 @@ class HzCode:
 
     def __repr__(self) -> str:
         return f"HzCode({self.ring}, ca={self.ca!r}, cb={self.cb!r})"
+
+    # The word-level oracles' sets, built on first use and held in the
+    # instance __dict__; eq and hash read only the fields.
+    @cached_property
+    def _word_set(self) -> "WordSet":
+        return WordSet(self.ring, self.n, _word_codes(self))
+
+    @cached_property
+    def _dual_bruteforce(self) -> "WordSet":
+        return WordSet(self.ring, self.n, _dual_codes(self))
 
 
 def build(ring: RingId, ca: LinearCode, cb: LinearCode) -> HzCode:
@@ -255,7 +268,7 @@ class WordSet(Set):
 
 
 def word_set(code: HzCode) -> WordSet:
-    return WordSet(code.ring, code.n, _word_codes(code))
+    return code._word_set
 
 
 def split(code: HzCode) -> tuple[LinearCode, LinearCode]:
@@ -340,7 +353,7 @@ def _dual_codes(code: HzCode) -> np.ndarray:
 
 def dual_bruteforce(code: HzCode) -> WordSet:
     """Oracle dual: every word of H_z^n orthogonal to every codeword."""
-    return WordSet(code.ring, code.n, _dual_codes(code))
+    return code._dual_bruteforce
 
 
 # ---------------------------------------------------------------------------
@@ -400,12 +413,12 @@ def is_qsd_bruteforce(code: HzCode) -> bool:
 
 
 def is_nice_bruteforce(code: HzCode) -> bool:
-    return code.size * len(_dual_codes(code)) == 36**code.m
+    return code.size * len(code._dual_bruteforce) == 36**code.m
 
 
 def is_lcd_bruteforce(code: HzCode) -> bool:
     """The code meets its dual exactly in the zero word, whose code is 0."""
-    both = np.intersect1d(_word_codes(code), _dual_codes(code), assume_unique=True)
+    both = np.intersect1d(code._word_set.codes, code._dual_bruteforce.codes, assume_unique=True)
     return both.tolist() == [0]
 
 

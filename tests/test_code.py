@@ -487,6 +487,10 @@ def test_word_oracles_never_reach_the_fast_path(monkeypatch, pair_surface_n2):
     # tests, so they must give the same answers with all of those gone
     codes = [build(ring, ca, cb) for ring in (H23, H32) for ca, cb in pair_surface_n2]
     want = [[oracle(c) for oracle in WORD_ORACLES] for c in codes]
+    # value-equal codes with empty caches, so the patched pass evaluates
+    # every oracle again instead of reading what the first pass kept
+    fresh = [build(c.ring, c.ca, c.cb) for c in codes]
+    assert fresh == codes and all(f is not c for f, c in zip(fresh, codes))
 
     def boom(*args, **kwargs):
         raise AssertionError("a word-level oracle reached the fast path")
@@ -499,7 +503,52 @@ def test_word_oracles_never_reach_the_fast_path(monkeypatch, pair_surface_n2):
         monkeypatch.setattr(SymplecticSpace, name, boom)
     with pytest.raises(AssertionError, match="fast path"):
         flags(codes[0])
-    assert [[oracle(c) for oracle in WORD_ORACLES] for c in codes] == want
+    assert [[oracle(c) for oracle in WORD_ORACLES] for c in fresh] == want
+
+
+def test_word_level_evaluation_runs_once_per_code(monkeypatch):
+    # an H32 code at n = 4 whose governing side pairs with some vectors
+    c = build(H32, rep2(4), LinearCode(3, [[1, 0, 0, 0], [0, 1, 0, 0]]))
+    codes_module = import_module("symhex.codes")
+    calls = {"_orthogonal_rows": 0, "_outer_codes": 0}
+    for name in calls:
+        real = getattr(codes_module, name)
+
+        def counted(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(codes_module, name, counted)
+    oracles = (word_set, dual_bruteforce, *TWINS.values())
+    first = [oracle(c) for oracle in oracles]
+    assert [oracle(c) for oracle in oracles] == first
+    assert calls == {"_orthogonal_rows": 1, "_outer_codes": 2}
+    for get in (word_set, dual_bruteforce):
+        ws = get(c)
+        assert ws is get(c) and not ws.codes.flags.writeable
+
+
+def test_word_level_errors_and_identity_are_not_cached():
+    # the int64 guard (n = 26) and the candidate budget (6^10 > WORD_BUDGET)
+    # raise on every call on the same instance, never from a cached value
+    long = build(H32, rep2(26), rep3(26))
+    wide = build(H23, LinearCode.zero(2, 10), LinearCode.zero(3, 10))
+    assert 6**10 > WORD_BUDGET
+    for code, oracle, match in [
+        (long, word_set, "int64"),
+        (long, is_lcd_bruteforce, "int64"),
+        (wide, dual_bruteforce, "budget"),
+        (wide, is_nice_bruteforce, "budget"),
+    ]:
+        for _ in range(2):
+            with pytest.raises(BudgetExceeded, match=match):
+                oracle(code)
+    # filled caches change neither equality nor hash
+    c = build(H23, rep2(), rep3())
+    for oracle in (word_set, dual_bruteforce, *TWINS.values()):
+        oracle(c)
+    copy = build(c.ring, c.ca, c.cb)
+    assert c == copy and copy == c and hash(c) == hash(copy)
 
 
 def _n6_codes(ring: RingId) -> list[HzCode]:
