@@ -97,8 +97,8 @@ def cmd_count_isotropic(args) -> int:
             return 3
         print(f"enumerated: {len(found)} (matches)")
         for code in found:
-            for row in code.gen:
-                print("".join(str(int(x)) for x in row))
+            for row in io._matrix_rows(code):
+                print(row)
             print()
     return 0
 

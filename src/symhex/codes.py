@@ -62,14 +62,6 @@ class HzWord:
     ys: bytes
 
     @classmethod
-    def from_parts(cls, ring: RingId, u, v) -> "HzWord":
-        ux = np.asarray(u, dtype=np.int64) % 2
-        vy = np.asarray(v, dtype=np.int64) % 3
-        if ux.shape != vy.shape:
-            raise LengthMismatch(f"component lengths {ux.shape} vs {vy.shape}")
-        return cls(ring, ux.astype(np.int8).tobytes(), vy.astype(np.int8).tobytes())
-
-    @classmethod
     def from_symbols(cls, ring: RingId, symbols: str) -> "HzWord":
         els = [rg.from_symbol(s) for s in symbols]
         return cls(ring, bytes(e.x for e in els), bytes(e.y for e in els))
@@ -86,9 +78,6 @@ class HzWord:
 
     def elements(self) -> tuple[RingElement, ...]:
         return tuple(rg.compose(x, y) for x, y in zip(self.xs, self.ys))
-
-    def is_zero(self) -> bool:
-        return not any(self.xs) and not any(self.ys)
 
     def __str__(self) -> str:
         return "".join(e.symbol for e in self.elements())
@@ -172,20 +161,23 @@ def _outer_codes(us: np.ndarray, vs: np.ndarray) -> np.ndarray:
     return (ui[:, None] * 3**n + vi[None, :]).ravel()
 
 
-def _word_codes(code: HzCode) -> np.ndarray:
-    """The integer codes of every word of the code, in enumerate_words order."""
+def _component_words(code: HzCode) -> tuple[np.ndarray, np.ndarray]:
+    """The codewords of ca and of cb, once the code's word count is within budget."""
     if code.size > WORD_BUDGET:
         raise BudgetExceeded(f"{code.size} words exceeds budget {WORD_BUDGET}")
-    return _outer_codes(code.ca.codewords(), code.cb.codewords())
+    return code.ca.codewords(), code.cb.codewords()
+
+
+def _word_codes(code: HzCode) -> np.ndarray:
+    """The integer codes of every word of the code, in enumerate_words order."""
+    return _outer_codes(*_component_words(code))
 
 
 def enumerate_words(code: HzCode) -> list[HzWord]:
     """All 2^ka * 3^kb words a*u + b*v, u outer and v inner, message-lex."""
-    if code.size > WORD_BUDGET:
-        raise BudgetExceeded(f"{code.size} words exceeds budget {WORD_BUDGET}")
+    us, vs = map(_rows, _component_words(code))
     ring = code.ring
-    vs = _rows(code.cb.codewords())
-    return [HzWord(ring, u, v) for u in _rows(code.ca.codewords()) for v in vs]
+    return [HzWord(ring, u, v) for u in us for v in vs]
 
 
 class WordSet(Set):
@@ -289,26 +281,26 @@ def join(ring: RingId, governing: LinearCode, free: LinearCode) -> HzCode:
     return HzCode(ring, free, governing)
 
 
-def symplectic_inner(w1: HzWord, w2: HzWord) -> RingElement:
-    """<w1, w2> in the ring: a * <x1, x2>_F2 over H23, b * <y1, y2>_F3 over H32."""
+def _check_same_space(w1: HzWord, w2: HzWord) -> None:
     if w1.ring is not w2.ring:
         raise RingMismatch(f"{w1.ring} vs {w2.ring}")
     if w1.n != w2.n:
         raise LengthMismatch(f"word lengths differ: {w1.n} vs {w2.n}")
-    sp2, sp3 = SymplecticSpace.for_length(2, w1.n), SymplecticSpace.for_length(3, w1.n)
+
+
+def symplectic_inner(w1: HzWord, w2: HzWord) -> RingElement:
+    """<w1, w2> in the ring: a * <x1, x2>_F2 over H23, b * <y1, y2>_F3 over H32."""
+    _check_same_space(w1, w2)
     x1, y1 = w1.parts()
     x2, y2 = w2.parts()
     if w1.ring is RingId.H23:
-        return rg.compose(sp2.inner(x1, x2), 0)
-    return rg.compose(0, sp3.inner(y1, y2))
+        return rg.compose(SymplecticSpace.for_length(2, w1.n).inner(x1, x2), 0)
+    return rg.compose(0, SymplecticSpace.for_length(3, w1.n).inner(y1, y2))
 
 
 def euclidean_inner(w1: HzWord, w2: HzWord) -> RingElement:
     """Coordinatewise ring products, summed in the ring."""
-    if w1.ring is not w2.ring:
-        raise RingMismatch(f"{w1.ring} vs {w2.ring}")
-    if w1.n != w2.n:
-        raise LengthMismatch(f"word lengths differ: {w1.n} vs {w2.n}")
+    _check_same_space(w1, w2)
     prods = [
         rg.mul(w1.ring, e1, e2) for e1, e2 in zip(w1.elements(), w2.elements())
     ]

@@ -175,8 +175,11 @@ class LinearCode:
         return cls(p, [], n=n)
 
     @classmethod
+    @cache
     def full(cls, p: int, n: int) -> "LinearCode":
-        return _full_space(p, n)
+        """F_p^n, row-reduced once per (p, n); codes are immutable, so callers share it."""
+        _check_length(n)  # before the n x n identity is built
+        return cls(p, np.eye(n, dtype=np.int64), n=n)
 
     @property
     def size(self) -> int:
@@ -239,16 +242,6 @@ def places(p: int, n: int) -> np.ndarray:
     out = p ** np.arange(n - 1, -1, -1, dtype=np.int64)
     out.flags.writeable = False
     return out
-
-
-@cache
-def _full_space(p: int, n: int) -> LinearCode:
-    """F_p^n as a code, row-reduced once per (p, n); LinearCode.full returns it.
-
-    Codes are immutable, so every caller can share the one object.
-    """
-    _check_length(n)  # before the n x n identity is built
-    return LinearCode(p, np.eye(n, dtype=np.int64), n=n)
 
 
 @cache

@@ -28,12 +28,12 @@ from .gf import MAX_LENGTH, LinearCode
 from .ring import RingId
 
 
+def _matrix_rows(code: LinearCode) -> list[str]:
+    return ["".join(str(int(x)) for x in row) for row in code.gen]
+
+
 def format_matrix(code: LinearCode) -> str:
-    lines = [f"{code.p} {code.n} {code.k}"]
-    for row in code.gen:
-        lines.append("".join(str(int(x)) for x in row))
-    lines.append("")
-    return "\n".join(lines) + "\n"
+    return "\n".join([f"{code.p} {code.n} {code.k}", *_matrix_rows(code), ""]) + "\n"
 
 
 def format_matrix_list(codes: Iterable[LinearCode]) -> str:
@@ -175,10 +175,6 @@ def _digest(text: str) -> str:
     return hashlib.sha256(text.encode("ascii")).hexdigest()
 
 
-def _matrix_rows(code: LinearCode) -> list[str]:
-    return ["".join(str(int(x)) for x in row) for row in code.gen]
-
-
 def catalog_dict(
     ring: RingId,
     n: int,
@@ -229,8 +225,3 @@ def catalog_text(catalog: dict) -> str:
 
 def write_catalog(path: str, catalog: dict) -> None:
     write_text_atomic(path, catalog_text(catalog))
-
-
-def read_catalog(path: str) -> dict:
-    with open(path, "r", encoding="ascii") as fh:
-        return json.load(fh)

@@ -63,16 +63,6 @@ class Permutation:
     def n(self) -> int:
         return len(self.images)
 
-    @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(tuple(range(n)))
-
-    def is_identity(self) -> bool:
-        return self.images == tuple(range(self.n))
-
-    def __call__(self, i: int) -> int:
-        return self.images[i]
-
     def compose(self, other: "Permutation") -> "Permutation":
         """self * other: apply other first, then self."""
         return Permutation(tuple(self.images[j] for j in other.images))
@@ -313,14 +303,6 @@ class PermGroup:
 
     def __iter__(self):
         return iter(self.elements)
-
-    @classmethod
-    def trivial(cls, n: int) -> "PermGroup":
-        return cls(n, [0])
-
-    @classmethod
-    def symmetric(cls, n: int) -> "PermGroup":
-        return cls(n, np.arange(len(perm_table(n))))
 
     def __repr__(self) -> str:
         return f"PermGroup(n={self.n}, order={self.order})"

@@ -45,7 +45,7 @@ def mulclose(gens: list[Permutation], seed: list[Permutation] | None = None) -> 
     if not gens and not seed:
         raise ValueError("need at least one generator or seed element")
     n = gens[0].n if gens else seed[0].n
-    found = {Permutation.identity(n)} if seed is None else set(seed)
+    found = {Permutation(tuple(range(n)))} if seed is None else set(seed)
     frontier = list(found)
     while frontier:
         nxt = []

@@ -115,7 +115,7 @@ def test_self_dual_target():
     records = classify(H23, [A2], [LinearCode.full(3, 2)], "SD")
     assert len(records) == 1
     rec = records[0]
-    assert rec.sigma.is_identity()
+    assert rec.sigma == Permutation(tuple(range(2)))
     assert is_self_dual(rec.code)
     assert verify_classification(records, H23, [A2], [LinearCode.full(3, 2)], "SD")
 
@@ -260,7 +260,7 @@ def test_verification_catches_a_lone_record_of_an_inadmissible_pair():
         n=2,
         ca_index=1,
         cb_index=0,
-        sigma=Permutation.identity(2),
+        sigma=Permutation(tuple(range(2))),
         code=pair,
         flags=flags(pair),
         size=pair.size,
@@ -278,7 +278,8 @@ def test_verification_catches_a_duplicate_under_the_governing_stabilizer():
         for pi in automorphism_group(split(pair)[0]):
             dup = dataclasses.replace(rec, sigma=pi * rec.sigma, code=_realize(pair, pi * rec.sigma))
             if dup.code != rec.code:
-                assert not pi.is_identity() and equivalent(rec.code, dup.code) is not None
+                assert pi != Permutation(tuple(range(pi.n)))
+                assert equivalent(rec.code, dup.code) is not None
                 assert not verify_classification(records + [dup], H23, la, lb, "SO")
                 found += 1
                 break

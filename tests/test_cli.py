@@ -219,6 +219,19 @@ def test_count_isotropic(capsys):
     assert err.startswith("error: ") and f"exceeds {MAX_LENGTH}" in err
 
 
+# the 15 binary Lagrangians of F_2^4 as --enumerate prints them, rows in RREF
+LAGRANGIANS_2_2 = (
+    "1000 0100, 1000 0101, 1001 0110, 1001 0111, 1010 0100, 1010 0101, 1011 0110, 1011 0111, "
+    "1100 0011, 1101 0011, 1000 0001, 1010 0001, 0100 0010, 0101 0010, 0010 0001"
+).split(", ")
+
+
+def test_count_isotropic_enumerate_prints_every_block(capsys):
+    assert cli.main(["count-isotropic", "2", "2", "2", "--enumerate"]) == 0
+    blocks = "".join(block.replace(" ", "\n") + "\n\n" for block in LAGRANGIANS_2_2)
+    assert capsys.readouterr().out == "count(2, 2, 2) = 15\nenumerated: 15 (matches)\n" + blocks
+
+
 def test_count_isotropic_k_out_of_range(capsys):
     assert cli.main(["count-isotropic", "2", "1", "2"]) == 2
 
