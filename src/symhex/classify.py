@@ -13,9 +13,12 @@ not preserved by arbitrary coordinate permutations, so moving the
 governing component could silently leave the target class; moving the
 free one cannot.  The double coset count is the same either way round.
 
-Within one classify call each Aut group is computed once per component
-and each (free component, sigma) is realized once, however many pairs
-share them; the groups cache their double coset maps themselves.
+Within one classify call each Aut group is computed once per component,
+equal groups are interned by their member ranks, the double cosets are
+enumerated once per (governing group, free group) pair and each (free
+component, sigma) is realized once, however many pairs share them; the
+groups cache their double coset maps themselves.  None of these caches
+outlives the call.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from .codes import (
 from .errors import BudgetExceeded, DimensionMismatch, LengthMismatch, OddLength
 from .gf import LinearCode
 from .perms import (
+    PermGroup,
     Permutation,
     apply_perm,
     automorphism_group,
@@ -110,7 +114,15 @@ def classify(
     """
     n = _check_lists(la, lb)
     pred = _target_predicate(target)
-    aut = cache(automorphism_group)
+    groups: dict[bytes, PermGroup] = {}
+
+    @cache
+    def aut(code: LinearCode) -> PermGroup:
+        group = automorphism_group(code)
+        return groups.setdefault(group.ranks.tobytes(), group)
+
+    # interned groups are equal exactly when they are the same object
+    cosets = cache(double_cosets)
     moved = cache(apply_perm)
 
     records: list[ClassificationRecord] = []
@@ -123,7 +135,7 @@ def classify(
             # realization has the pair's flags and size
             fl = flags(pair)
             governing, free = split(pair)
-            for sigma, _size in double_cosets(aut(governing), aut(free)):
+            for sigma, _size in cosets(aut(governing), aut(free)):
                 records.append(
                     ClassificationRecord(
                         ring=ring,

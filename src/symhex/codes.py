@@ -281,11 +281,12 @@ def join(ring: RingId, governing: LinearCode, free: LinearCode) -> HzCode:
     return HzCode(ring, free, governing)
 
 
-def _check_same_space(w1: HzWord, w2: HzWord) -> None:
-    if w1.ring is not w2.ring:
-        raise RingMismatch(f"{w1.ring} vs {w2.ring}")
-    if w1.n != w2.n:
-        raise LengthMismatch(f"word lengths differ: {w1.n} vs {w2.n}")
+def _check_same_space(a: HzWord | HzCode, b: HzWord | HzCode) -> None:
+    """The ring and length guard of the inner products and of equivalent."""
+    if a.ring is not b.ring:
+        raise RingMismatch(f"{a.ring} vs {b.ring}")
+    if a.n != b.n:
+        raise LengthMismatch(f"lengths differ: {a.n} vs {b.n}")
 
 
 def symplectic_inner(w1: HzWord, w2: HzWord) -> RingElement:
@@ -436,8 +437,5 @@ def is_euclidean_self_orthogonal(code: HzCode) -> bool:
 def equivalent(c1: HzCode, c2: HzCode) -> Optional[Permutation]:
     """The lex-first permutation carrying c1 onto c2 componentwise, or None:
     a word-key scan (perms.first_carrying), never automorphism_group's parity product."""
-    if c1.ring is not c2.ring:
-        raise RingMismatch(f"{c1.ring} vs {c2.ring}")
-    if c1.n != c2.n:
-        raise LengthMismatch(f"lengths differ: {c1.n} vs {c2.n}")
+    _check_same_space(c1, c2)
     return first_carrying((c1.ca, c1.cb), (c2.ca, c2.cb))

@@ -8,8 +8,10 @@ gf.MAX_LENGTH, the longest LinearCode, is a ParseError, so a file cannot
 ask for a matrix (or an n x n Gram matrix) too large to allocate.
 
 Catalogs are JSON with sorted keys and no volatile fields, so the same
-inputs always produce byte-identical output; files are written to a
-temporary name and renamed into place.
+inputs always produce byte-identical output; catalog_text writes the
+fixed catalog schema directly, byte for byte what json.dumps(indent=2,
+sort_keys=True) writes.  Files are written to a temporary name and
+renamed into place.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ import hashlib
 import json
 import os
 import tempfile
+from functools import cache
+from json.encoder import encode_basestring_ascii
 from typing import Iterable
 
 from . import __version__
@@ -29,7 +33,7 @@ from .ring import RingId
 
 
 def _matrix_rows(code: LinearCode) -> list[str]:
-    return ["".join(str(int(x)) for x in row) for row in code.gen]
+    return ["".join(map(str, row)) for row in code.gen.tolist()]
 
 
 def format_matrix(code: LinearCode) -> str:
@@ -183,7 +187,12 @@ def catalog_dict(
     la: list[LinearCode],
     lb: list[LinearCode],
 ) -> dict:
-    """The catalog as a plain dict; digests are over canonical list texts."""
+    """The catalog as a plain dict; digests are over canonical list texts.
+
+    Each distinct component code's rows are rendered once per call (codes
+    hash by their RREF); every record gets its own copy of the list.
+    """
+    rows = cache(_matrix_rows)
     recs = []
     for rec in records:
         recs.append(
@@ -193,8 +202,8 @@ def catalog_dict(
                 "ca": rec.ca_index,
                 "cb": rec.cb_index,
                 "sigma": [i + 1 for i in rec.sigma.images],
-                "ca_gen": _matrix_rows(rec.code.ca),
-                "cb_gen": _matrix_rows(rec.code.cb),
+                "ca_gen": list(rows(rec.code.ca)),
+                "cb_gen": list(rows(rec.code.cb)),
                 "flags": rec.flags,
                 "size": rec.size,
             }
@@ -219,8 +228,83 @@ def catalog_dict(
     }
 
 
+_CATALOG_KEYS = {"meta", "records", "summary"}
+_RECORD_KEYS = {"ca", "ca_gen", "cb", "cb_gen", "flags", "n", "ring", "sigma", "size"}
+_FLAG_KEYS = {"lcd", "nice", "qsd", "sd", "so"}
+
+# one record as json.dumps(indent=2, sort_keys=True) lays it out inside "records"
+_RECORD = """\
+    {
+      "ca": %s,
+      "ca_gen": %s,
+      "cb": %s,
+      "cb_gen": %s,
+      "flags": {
+        "lcd": %s,
+        "nice": %s,
+        "qsd": %s,
+        "sd": %s,
+        "so": %s
+      },
+      "n": %s,
+      "ring": %s,
+      "sigma": %s,
+      "size": %s
+    }"""
+
+_BOOL = {True: "true", False: "false"}
+
+
+def _list_text(items) -> str:
+    """Encoded list items as a field of a record; [] when there are none."""
+    body = ",\n        ".join(items)
+    return "[\n        " + body + "\n      ]" if body else "[]"
+
+
+def _check_keys(what: str, d: dict, keys: set) -> None:
+    if d.keys() != keys:
+        raise ValueError(f"{what} has keys {sorted(d)}, the catalog schema has {sorted(keys)}")
+
+
+def _record_text(rec: dict) -> str:
+    _check_keys("record", rec, _RECORD_KEYS)
+    fl = rec["flags"]
+    _check_keys("record flags", fl, _FLAG_KEYS)
+    return _RECORD % (
+        int.__repr__(rec["ca"]),
+        _list_text(map(encode_basestring_ascii, rec["ca_gen"])),
+        int.__repr__(rec["cb"]),
+        _list_text(map(encode_basestring_ascii, rec["cb_gen"])),
+        _BOOL[fl["lcd"]],
+        _BOOL[fl["nice"]],
+        _BOOL[fl["qsd"]],
+        _BOOL[fl["sd"]],
+        _BOOL[fl["so"]],
+        int.__repr__(rec["n"]),
+        encode_basestring_ascii(rec["ring"]),
+        _list_text(map(int.__repr__, rec["sigma"])),
+        int.__repr__(rec["size"]),
+    )
+
+
 def catalog_text(catalog: dict) -> str:
-    return json.dumps(catalog, indent=2, sort_keys=True) + "\n"
+    """The catalog's bytes: json.dumps(catalog, indent=2, sort_keys=True) plus a newline.
+
+    Records are written from the fixed schema catalog_dict builds, since
+    json's indenting encoder runs in pure Python; meta and summary still go
+    through json.dumps.  A dict whose keys are not the schema's raises
+    ValueError instead of losing or inventing a field; values must have the
+    types catalog_dict gives them (ints, strs, bool flags).
+    """
+    _check_keys("catalog", catalog, _CATALOG_KEYS)
+    meta, summary = (
+        json.dumps(catalog[key], indent=2, sort_keys=True).replace("\n", "\n  ")
+        for key in ("meta", "summary")
+    )
+    records = catalog["records"]
+    body = ",\n".join(map(_record_text, records))
+    records_text = "[\n" + body + "\n  ]" if records else "[]"
+    return f'{{\n  "meta": {meta},\n  "records": {records_text},\n  "summary": {summary}\n}}\n'
 
 
 def write_catalog(path: str, catalog: dict) -> None:

@@ -417,3 +417,44 @@ def test_classify_realizes_each_free_component_and_sigma_once(monkeypatch):
     assert [rec.code for rec in records] == [
         _realize(HzCode(H32, la[r.ca_index], lb[r.cb_index]), r.sigma) for r in records
     ]
+
+
+@pytest.mark.parametrize("ring", [H23, H32])
+def test_classify_computes_double_cosets_once_per_distinct_group_pair(monkeypatch, ring):
+    module = import_module("symhex.classify")
+    calls = []
+
+    def counted(G, H):
+        calls.append((G.ranks.tobytes(), H.ranks.tobytes()))
+        return double_cosets(G, H)
+
+    monkeypatch.setattr(module, "double_cosets", counted)
+    la, lb = _lists(4, "SO")
+    pairs = [HzCode(ring, ca, cb) for ca in la for cb in lb]
+    admissible = [pair for pair in pairs if is_self_orthogonal(pair)]
+    distinct = {
+        tuple(automorphism_group(c).ranks.tobytes() for c in split(pair)) for pair in admissible
+    }
+    assert (len(admissible), len(distinct)) == (189, 105)
+
+    records = classify(ring, la, lb, "SO")
+    assert len(calls) == len(set(calls)) == len(distinct)
+    assert set(calls) == distinct
+    # nothing outlives a call: a second call computes every pair again
+    calls.clear()
+    assert classify(ring, la, lb, "SO") == records
+    assert len(calls) == len(distinct)
+
+    # the same records, field by field, as a loop without any cache
+    want = []
+    for i, ca in enumerate(la):
+        for j, cb in enumerate(lb):
+            pair = HzCode(ring, ca, cb)
+            if not is_self_orthogonal(pair):
+                continue
+            governing, free = split(pair)
+            for sigma, _ in double_cosets(automorphism_group(governing), automorphism_group(free)):
+                code = join(ring, governing, apply_perm(sigma, free))
+                want.append((ring, 4, i, j, sigma, code, flags(pair), pair.size))
+    got = [tuple(getattr(r, f.name) for f in dataclasses.fields(r)) for r in records]
+    assert got == want

@@ -662,6 +662,22 @@ def test_equivalent_symmetry_and_dimension_prune():
     assert equivalent(small, big) is None
 
 
+def test_equivalent_shares_the_inner_products_ring_and_length_guard():
+    c = build(H23, rep2(), rep3())
+    w2, w4 = HzWord.from_symbols(H23, "aa"), HzWord.from_symbols(H23, "aaaa")
+    with pytest.raises(RingMismatch, match="H23 vs H32"):
+        equivalent(c, build(H32, rep2(), rep3()))
+    with pytest.raises(RingMismatch, match="H23 vs H32"):
+        symplectic_inner(w2, HzWord.from_symbols(H32, "aa"))
+    # one wording for all three callers
+    with pytest.raises(LengthMismatch, match="^lengths differ: 2 vs 4$"):
+        equivalent(c, build(H23, rep2(4), rep3(4)))
+    with pytest.raises(LengthMismatch, match="^lengths differ: 2 vs 4$"):
+        symplectic_inner(w2, w4)
+    with pytest.raises(LengthMismatch, match="^lengths differ: 2 vs 4$"):
+        euclidean_inner(w2, w4)
+
+
 def test_equivalent_applies_one_permutation_to_both_sides():
     from symhex.perms import apply_perm
 

@@ -3,15 +3,17 @@
 from __future__ import annotations
 
 import json
+from functools import cache
 
 import pytest
 
-from symhex.classify import classify
+from symhex.classify import classify, inequivalent_reps
 from symhex.codes import HzCode
 from symhex.errors import ParseError
 from symhex.gf import LinearCode
 from symhex.io import (
     MAX_LENGTH,
+    _matrix_rows,
     catalog_dict,
     catalog_text,
     format_hzcode,
@@ -24,8 +26,9 @@ from symhex.io import (
     write_text_atomic,
 )
 from symhex.ring import RingId
+from symhex.symplectic import SymplecticSpace, isotropic_subspaces
 
-H23 = RingId.H23
+H23, H32 = RingId.H23, RingId.H32
 
 
 def test_matrix_round_trip():
@@ -146,3 +149,71 @@ def test_catalog_is_valid_json_with_sorted_keys():
     text = catalog_text(cat)
     parsed = json.loads(text)
     assert list(parsed) == sorted(parsed)
+
+
+def _oracle(cat: dict) -> str:
+    return json.dumps(cat, indent=2, sort_keys=True) + "\n"
+
+
+@cache
+def _isotropic(p: int, n: int) -> list[LinearCode]:
+    space = SymplecticSpace.for_length(p, n)
+    return [c for k in range(space.m + 1) for c in isotropic_subspaces(space, k)]
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_catalog_text_is_json_dumps_on_the_criterion_8_catalogs(n):
+    la, lb = inequivalent_reps(_isotropic(2, n)), inequivalent_reps(_isotropic(3, n))
+    lists = {
+        "SO": (la, lb),
+        "QSD": (la, lb),
+        "SD": (la + [LinearCode.full(2, n)], lb + [LinearCode.full(3, n)]),
+    }
+    for ring in (H23, H32):
+        for target, (xla, xlb) in lists.items():
+            cat = catalog_dict(ring, n, target, classify(ring, xla, xlb, target), xla, xlb)
+            assert catalog_text(cat) == _oracle(cat), (n, ring, target)
+
+
+def test_catalog_text_is_json_dumps_without_records_and_with_empty_generators():
+    cat, records = _small_catalog()
+    assert catalog_text(cat) == _oracle(cat)
+    empty = catalog_dict(H23, 2, "SO", [], [LinearCode.zero(2, 2)], [LinearCode.zero(3, 2)])
+    assert empty["records"] == [] and '"records": []' in catalog_text(empty)
+    assert catalog_text(empty) == _oracle(empty)
+    # the zero code has no generator rows, on either side
+    zero = classify(H23, [LinearCode.zero(2, 2)], [LinearCode.zero(3, 2)], "SO")
+    cat = catalog_dict(H23, 2, "SO", zero + records, [LinearCode.zero(2, 2)], [LinearCode.zero(3, 2)])
+    assert cat["records"][0]["ca_gen"] == cat["records"][0]["cb_gen"] == []
+    assert catalog_text(cat) == _oracle(cat)
+
+
+def test_catalog_text_rejects_keys_outside_the_schema():
+    def mutated(edit):
+        cat = json.loads(catalog_text(_small_catalog()[0]))
+        edit(cat)
+        return cat
+
+    edits = [
+        lambda c: c.update(extra=1),
+        lambda c: c.pop("summary"),
+        lambda c: c["records"][0].update(extra=1),
+        lambda c: c["records"][1].pop("sigma"),
+        lambda c: c["records"][0]["flags"].update(extra=True),
+        lambda c: c["records"][2]["flags"].pop("lcd"),
+    ]
+    for edit in edits:
+        with pytest.raises(ValueError, match="catalog schema"):
+            catalog_text(mutated(edit))
+
+
+def test_catalog_rows_share_no_list_between_records():
+    cat, _ = _small_catalog()
+    first, second = cat["records"][:2]
+    assert first["ca_gen"] == second["ca_gen"] and first["ca_gen"] is not second["ca_gen"]
+
+
+def test_matrix_rows_match_the_per_entry_rendering():
+    codes = [c for n in (2, 4) for p in (2, 3) for c in _isotropic(p, n) + [LinearCode.full(p, n)]]
+    for code in codes:
+        assert _matrix_rows(code) == ["".join(str(int(x)) for x in row) for row in code.gen]
