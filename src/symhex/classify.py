@@ -23,7 +23,6 @@ outlives the call.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from functools import cache
 
@@ -39,7 +38,7 @@ from .codes import (
     join,
     split,
 )
-from .errors import BudgetExceeded, DimensionMismatch, LengthMismatch, OddLength
+from .errors import BudgetExceeded, DimensionMismatch, LengthMismatch, OddLength, VerificationFailed
 from .gf import LinearCode
 from .perms import (
     PermGroup,
@@ -54,8 +53,6 @@ from .perms import (
     word_key,
 )
 from .ring import RingId
-
-log = logging.getLogger(__name__)
 
 TARGETS = ("SO", "QSD", "SD")
 
@@ -172,8 +169,12 @@ def verify_classification(
     la: list[LinearCode],
     lb: list[LinearCode],
     target: str = "SO",
-) -> bool:
+) -> None:
     """Independent check of a classification: sound, irredundant, complete.
+
+    Returns None; a failed check raises VerificationFailed whose message
+    starts with the check's name (lists, sound, irredundant, complete) and
+    names its witness.
 
     The realizations (g, sigma . f) of an admissible pair are equivalent
     exactly when some pi in Stab(g) carries one free component onto the
@@ -197,14 +198,14 @@ def verify_classification(
         for j, c in enumerate(lst):
             if (i := _claim(owner, j, (c,))) != j:
                 sigma = perm_equivalent(lst[i], c).cycle_string()
-                log.warning("%s entries %d and %d are equivalent under %s", tag, i, j, sigma)
-                return False
+                raise VerificationFailed(
+                    f"lists: {tag} entries {i} and {j} are equivalent under {sigma}"
+                )
 
     by_pair: dict[tuple[int, int], list[ClassificationRecord]] = {}
     for rec in records:
         if not (0 <= rec.ca_index < len(la) and 0 <= rec.cb_index < len(lb)):
-            log.warning("record %r points outside the lists", rec)
-            return False
+            raise VerificationFailed(f"sound: {rec!r} points outside the lists")
         by_pair.setdefault((rec.ca_index, rec.cb_index), []).append(rec)
 
     table = perm_table(n)
@@ -223,14 +224,14 @@ def verify_classification(
             mine = by_pair.get((i, j), [])
             if not pred(pair):
                 if mine:
-                    log.warning("record %r cites an inadmissible pair", mine[0])
-                    return False
+                    raise VerificationFailed(f"sound: {mine[0]!r} cites an inadmissible pair")
                 continue
             stated = (ring, n, n, pair.size, flags(pair))
             for rec in mine:
                 if (rec.ring, rec.n, rec.sigma.n, rec.size, rec.flags) != stated:
-                    log.warning("record %r misstates its ring, length, size or flags", rec)
-                    return False
+                    raise VerificationFailed(
+                        f"sound: {rec!r} misstates its ring, length, size or flags"
+                    )
             governing, free = split(pair)
             stab = table[orbit(governing)[1]]
             fkeys, fstab = orbit(free)
@@ -244,19 +245,19 @@ def verify_classification(
                 g, f = split(rec.code)
                 # under another ring g has the other field and cannot equal governing
                 if g != governing or free_key(f) != own:
-                    log.warning("record %r does not match its stated pair", rec)
-                    return False
+                    raise VerificationFailed(f"sound: {rec!r} does not match its stated pair")
                 if (o := owner.setdefault(own, r)) != r:
                     sigma = equivalent(mine[o].code, rec.code).cycle_string()
-                    log.warning("records %r and %r are equivalent under %s", mine[o], rec, sigma)
-                    return False
+                    raise VerificationFailed(
+                        f"irredundant: records {mine[o]!r} and {rec!r} are equivalent under {sigma}"
+                    )
                 owner.update(dict.fromkeys(map(bytes, fkeys[claim]), r))
             if len(owner) != len(table) // np.count_nonzero(fstab):  # |S_n . f|
                 missing = next(row for row, key in zip(table, fkeys) if key.tobytes() not in owner)
                 sigma = Permutation(tuple(missing.tolist())).cycle_string()
-                log.warning("pair (%d, %d) under %s has no equivalent record", i, j, sigma)
-                return False
-    return True
+                raise VerificationFailed(
+                    f"complete: pair ({i}, {j}) under {sigma} has no equivalent record"
+                )
 
 
 def inequivalent_reps(codes: list[LinearCode]) -> list[LinearCode]:

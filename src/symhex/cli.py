@@ -2,7 +2,8 @@
 
 Subcommands: check, dual, classify, count-isotropic, aut.  Exit codes:
 0 on success, 2 on unusable input, 3 when a verification or oracle
-comparison fails.
+comparison fails.  Every failure is raised and main alone maps it to its
+exit code and one ``error:`` line on stderr.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ def _flags_line(fl: dict) -> str:
     )
 
 
-def cmd_check(args) -> int:
+def cmd_check(args) -> None:
     code = io.parse_hzcode(io.read_text(args.file))
     print(f"ring: {code.ring}")
     print(f"n: {code.n}  (m = {code.m})")
@@ -39,10 +40,9 @@ def cmd_check(args) -> int:
     print(_flags_line(flags(code)))
     if args.euclidean:
         print(f"euclidean_SO={_yesno(is_euclidean_self_orthogonal(code))}")
-    return 0
 
 
-def cmd_dual(args) -> int:
+def cmd_dual(args) -> None:
     code = io.parse_hzcode(io.read_text(args.file))
     d = dual(code)
     text = io.format_hzcode(d)
@@ -51,17 +51,17 @@ def cmd_dual(args) -> int:
     # compare first, so a budget error or a mismatch leaves no file behind
     if args.brute:
         oracle = dual_bruteforce(code)
-        if word_set(d) != oracle:
-            print("oracle: MISMATCH")
-            return 3
+        if (words := word_set(d)) != oracle:
+            raise VerificationFailed(
+                f"oracle: the dual has {len(words)} words, the word-level oracle {len(oracle)}"
+            )
         print(f"oracle: match ({len(oracle)} words)")
     if args.out:
         io.write_text_atomic(args.out, text)
         print(f"wrote {args.out}")
-    return 0
 
 
-def cmd_classify(args) -> int:
+def cmd_classify(args) -> None:
     ring = RingId(args.ring)
     la = io.parse_matrix_list(io.read_text(args.ca_list))
     lb = io.parse_matrix_list(io.read_text(args.cb_list))
@@ -78,32 +78,30 @@ def cmd_classify(args) -> int:
     print(f"total: {len(records)}")
     # verify first, so a failed verification leaves no catalog behind
     if args.verify:
-        if not verify_classification(records, ring, la, lb, args.target):
-            raise VerificationFailed("classification failed verification")
+        verify_classification(records, ring, la, lb, args.target)
         print("verification: ok")
     if args.out:
         io.write_catalog(args.out, io.catalog_dict(ring, args.n, args.target, records, la, lb))
         print(f"wrote {args.out}")
-    return 0
 
 
-def cmd_count_isotropic(args) -> int:
+def cmd_count_isotropic(args) -> None:
     value = count_isotropic(args.p, args.m, args.k)
     print(f"count({args.p}, {args.m}, {args.k}) = {value}")
     if args.enumerate:
         found = isotropic_subspaces(SymplecticSpace(args.p, args.m), args.k)
         if len(found) != value:
-            print(f"enumerated: {len(found)} (MISMATCH)")
-            return 3
+            raise VerificationFailed(
+                f"enumerate: count({args.p}, {args.m}, {args.k}) = {value}, enumerated {len(found)}"
+            )
         print(f"enumerated: {len(found)} (matches)")
         for code in found:
             for row in io._matrix_rows(code):
                 print(row)
             print()
-    return 0
 
 
-def cmd_aut(args) -> int:
+def cmd_aut(args) -> None:
     code = io.parse_matrix(io.read_text(args.file))
     if args.p is not None and code.p != args.p:
         raise ParseError(f"file says p={code.p}, flag says p={args.p}")
@@ -111,7 +109,6 @@ def cmd_aut(args) -> int:
     print(f"|Aut| = {group.order}")
     print("generators: " + (" ".join(g.cycle_string() for g in group.generators) or "e"))
     print(f"elements: {group.order}")
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -161,13 +158,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except VerificationFailed as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        args.func(args)
     except (SymhexError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, VerificationFailed) else 2
+    return 0
 
 
 if __name__ == "__main__":

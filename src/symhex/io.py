@@ -19,7 +19,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 from functools import cache
 from json.encoder import encode_basestring_ascii
 from typing import Iterable
@@ -163,8 +162,9 @@ def read_text(path: str) -> str:
 
 def write_text_atomic(path: str, text: str) -> None:
     """Write via a sibling temp file and rename, so readers never see halves."""
-    d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", text=True)
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".tmp-{os.urandom(8).hex()}")
+    # 0o666 less the umask, the mode open(path, "w") gives; os.replace keeps the temp file's mode
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="ascii") as fh:
             fh.write(text)

@@ -9,9 +9,12 @@ brute-force oracles in this repository, or counts with closed forms.
 
 from __future__ import annotations
 
+import re
 import time
 from hashlib import sha256
 from math import factorial
+
+import pytest
 
 from symhex import io
 from symhex.classify import classify, inequivalent_reps, verify_classification
@@ -35,6 +38,7 @@ from symhex.codes import (
     is_self_orthogonal_bruteforce,
     word_set,
 )
+from symhex.errors import VerificationFailed
 from symhex.gf import LinearCode
 from symhex.perms import automorphism_group, double_cosets
 from symhex.ring import (
@@ -223,8 +227,7 @@ def test_criterion_4_seven_codes():
     got_pairs = [(rec.code.ca, rec.code.cb) for rec in records]
     if got_pairs != want_pairs:
         failures.append("realized component pairs differ")
-    if not verify_classification(records, H23, la, lb, "SO"):
-        failures.append("verification rejected the classification")
+    verify_classification(records, H23, la, lb, "SO")
 
     _finish(4, "seven codes at length 2", t0, 1.0, failures)
 
@@ -390,17 +393,20 @@ def test_criterion_8_classification_verified():
                 text = io.catalog_text(io.catalog_dict(ring, n, target, records, xla, xlb))
                 if sha256(text.encode("ascii")).hexdigest() != CATALOG_SHA256[(n, ring, target)]:
                     failures.append(f"n={n} {ring} {target}: catalog bytes changed")
-                if not verify_classification(records, ring, xla, xlb, target):
-                    failures.append(f"n={n} {ring} {target}: verification failed")
+                verify_classification(records, ring, xla, xlb, target)
 
-    # mutations must be caught: a dropped record and a duplicated record
+    # mutations must be caught, each by its check: a dropped record and a duplicated record
     la = _iso_classes(2, 2)
     lb = _iso_classes(3, 2)
     records = classify(H23, la, lb, "SO")
-    if verify_classification(records[1:], H23, la, lb, "SO"):
-        failures.append("verification accepted a dropped record")
-    if verify_classification(records + [records[0]], H23, la, lb, "SO"):
-        failures.append("verification accepted a duplicated record")
+    first = records[0]
+    pair = f"({first.ca_index}, {first.cb_index})"
+    dropped = f"complete: pair {pair} under {first.sigma.cycle_string()} has no equivalent record"
+    with pytest.raises(VerificationFailed, match=f"^{re.escape(dropped)}$"):
+        verify_classification(records[1:], H23, la, lb, "SO")
+    twins = f"irredundant: records {first!r} and {first!r} are equivalent under e"
+    with pytest.raises(VerificationFailed, match=f"^{re.escape(twins)}$"):
+        verify_classification(records + [first], H23, la, lb, "SO")
 
     _finish(8, "classification verified, lengths 2 and 4", t0, 600.0, failures)
 

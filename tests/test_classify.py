@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import re
 from functools import cache
 from importlib import import_module
 
@@ -26,7 +27,7 @@ from symhex.codes import (
     join,
     split,
 )
-from symhex.errors import BudgetExceeded, DimensionMismatch, OddLength
+from symhex.errors import BudgetExceeded, DimensionMismatch, OddLength, VerificationFailed
 from symhex.gf import LinearCode
 from symhex.perms import (
     Permutation,
@@ -61,6 +62,22 @@ def _realize(pair: HzCode, sigma: Permutation) -> HzCode:
 def _iso_classes(p: int, n: int) -> list[LinearCode]:
     space = SymplecticSpace.for_length(p, n)
     return inequivalent_reps([c for k in range(space.m + 1) for c in isotropic_subspaces(space, k)])
+
+
+def _fails(message: str):
+    """Expect VerificationFailed with exactly this message: the check's name, then its witness."""
+    return pytest.raises(VerificationFailed, match=f"^{re.escape(message)}$")
+
+
+def _missing(rec: ClassificationRecord) -> str:
+    # the dropped record's sigma is the lex-first member of the class no record claims
+    pair = f"({rec.ca_index}, {rec.cb_index})"
+    return f"complete: pair {pair} under {rec.sigma.cycle_string()} has no equivalent record"
+
+
+def _duplicate(rec: ClassificationRecord, dup: ClassificationRecord) -> str:
+    sigma = equivalent(rec.code, dup.code).cycle_string()
+    return f"irredundant: records {rec!r} and {dup!r} are equivalent under {sigma}"
 
 
 def _lists(n: int, target: str) -> tuple[list[LinearCode], list[LinearCode]]:
@@ -117,7 +134,7 @@ def test_self_dual_target():
     rec = records[0]
     assert rec.sigma == Permutation(tuple(range(2)))
     assert is_self_dual(rec.code)
-    assert verify_classification(records, H23, [A2], [LinearCode.full(3, 2)], "SD")
+    verify_classification(records, H23, [A2], [LinearCode.full(3, 2)], "SD")
 
 
 def test_h32_moves_the_binary_side():
@@ -128,7 +145,7 @@ def test_h32_moves_the_binary_side():
     assert all(r.code.cb == B1 for r in records)
     for r in records:
         assert is_self_orthogonal(r.code)
-    assert verify_classification(records, H32, [A1], [B1], "SO")
+    verify_classification(records, H32, [A1], [B1], "SO")
 
 
 def test_admissibility():
@@ -152,13 +169,14 @@ def test_admissibility():
 
 def test_verification_passes_for_fresh_output():
     records = classify(H23, LA, LB, "SO")
-    assert verify_classification(records, H23, LA, LB, "SO")
+    verify_classification(records, H23, LA, LB, "SO")
 
 
 def test_verification_catches_dropped_record():
     records = classify(H23, LA, LB, "SO")
-    for i in range(len(records)):
-        assert not verify_classification(records[:i] + records[i + 1:], H23, LA, LB, "SO")
+    for i, rec in enumerate(records):
+        with _fails(_missing(rec)):
+            verify_classification(records[:i] + records[i + 1:], H23, LA, LB, "SO")
 
 
 def test_verification_is_independent_of_aut_groups_and_double_cosets(monkeypatch):
@@ -178,8 +196,9 @@ def test_verification_is_independent_of_aut_groups_and_double_cosets(monkeypatch
     for module in (import_module("symhex.perms"), import_module("symhex.classify")):
         monkeypatch.setattr(module, "automorphism_group", boom)
         monkeypatch.setattr(module, "double_cosets", boom)
-    assert verify_classification(records, H23, la, lb, "SO")
-    assert not verify_classification(records[:-1], H23, la, lb, "SO")
+    verify_classification(records, H23, la, lb, "SO")
+    with _fails(_missing(records[-1])):
+        verify_classification(records[:-1], H23, la, lb, "SO")
 
 
 def test_verification_catches_duplicate_under_nonrep_sigma():
@@ -188,7 +207,8 @@ def test_verification_catches_duplicate_under_nonrep_sigma():
     twist = Permutation((1, 0))
     dup = dataclasses.replace(rec, sigma=twist, code=_realize(HzCode(H23, A1, B2), twist))
     assert equivalent(dup.code, rec.code) is not None
-    assert not verify_classification(records + [dup], H23, LA, LB, "SO")
+    with _fails(_duplicate(rec, dup)):
+        verify_classification(records + [dup], H23, LA, LB, "SO")
 
 
 def test_verification_catches_misstated_catalog_fields():
@@ -200,7 +220,18 @@ def test_verification_catches_misstated_catalog_fields():
         dataclasses.replace(rec, ring=H32),
         dataclasses.replace(rec, n=4),
     ):
-        assert not verify_classification([bad] + records[1:], H23, LA, LB, "SO")
+        with _fails(f"sound: {bad!r} misstates its ring, length, size or flags"):
+            verify_classification([bad] + records[1:], H23, LA, LB, "SO")
+
+
+def test_verification_catches_a_record_outside_the_lists():
+    records = classify(H23, LA, LB, "SO")
+    for bad in (
+        dataclasses.replace(records[0], ca_index=len(LA)),
+        dataclasses.replace(records[-1], cb_index=-1),
+    ):
+        with _fails(f"sound: {bad!r} points outside the lists"):
+            verify_classification(records + [bad], H23, LA, LB, "SO")
 
 
 def test_verification_catches_a_code_realized_under_another_sigma():
@@ -216,7 +247,8 @@ def test_verification_catches_a_code_realized_under_another_sigma():
             if other is None:
                 continue
             bad = dataclasses.replace(rec, code=other)
-            assert not verify_classification(records[:r] + [bad] + records[r + 1:], ring, la, lb, "SO")
+            with _fails(f"sound: {bad!r} does not match its stated pair"):
+                verify_classification(records[:r] + [bad] + records[r + 1:], ring, la, lb, "SO")
             checked += 1
         assert checked >= 5
 
@@ -240,7 +272,8 @@ def test_verification_catches_a_permuted_governing_component():
                 HzCode(other_ring, rec.code.ca, rec.code.cb),
             ):
                 bad = dataclasses.replace(rec, code=code)
-                assert not verify_classification(records[:r] + [bad] + records[r + 1:], ring, la, lb, "SO")
+                with _fails(f"sound: {bad!r} does not match its stated pair"):
+                    verify_classification(records[:r] + [bad] + records[r + 1:], ring, la, lb, "SO")
             checked += 1
             if checked == 4:
                 break
@@ -252,7 +285,7 @@ def test_verification_catches_a_lone_record_of_an_inadmissible_pair():
     la = [A1, zero]
     records = classify(H23, la, LB, "QSD")
     assert records and all(rec.ca_index == 0 for rec in records)
-    assert verify_classification(records, H23, la, LB, "QSD")
+    verify_classification(records, H23, la, LB, "QSD")
     pair = HzCode(H23, zero, B1)
     assert not is_qsd(pair)
     lone = ClassificationRecord(
@@ -265,7 +298,8 @@ def test_verification_catches_a_lone_record_of_an_inadmissible_pair():
         flags=flags(pair),
         size=pair.size,
     )
-    assert not verify_classification(records + [lone], H23, la, LB, "QSD")
+    with _fails(f"sound: {lone!r} cites an inadmissible pair"):
+        verify_classification(records + [lone], H23, la, LB, "QSD")
 
 
 def test_verification_catches_a_duplicate_under_the_governing_stabilizer():
@@ -280,7 +314,8 @@ def test_verification_catches_a_duplicate_under_the_governing_stabilizer():
             if dup.code != rec.code:
                 assert pi != Permutation(tuple(range(pi.n)))
                 assert equivalent(rec.code, dup.code) is not None
-                assert not verify_classification(records + [dup], H23, la, lb, "SO")
+                with _fails(_duplicate(rec, dup)):
+                    verify_classification(records + [dup], H23, la, lb, "SO")
                 found += 1
                 break
         if found == 4:
@@ -324,7 +359,8 @@ def test_flags_and_classify_never_build_a_dual(monkeypatch):
 def test_verification_catches_equivalent_list_entries():
     bad_lb = [B1, LinearCode(3, [[0, 1]])]  # equivalent pair
     records = classify(H23, [A1], bad_lb, "SO")
-    assert not verify_classification(records, H23, [A1], bad_lb, "SO")
+    with _fails("lists: Lb entries 0 and 1 are equivalent under (1 2)"):
+        verify_classification(records, H23, [A1], bad_lb, "SO")
 
 
 def test_verification_catches_wrong_flag_target():
@@ -332,7 +368,8 @@ def test_verification_catches_wrong_flag_target():
     la = [LinearCode.zero(2, 2)]
     records = classify(H23, la, LB, "SO")
     assert records and all(not is_qsd(r.code) for r in records)
-    assert not verify_classification(records, H23, la, LB, "QSD")
+    with _fails(f"sound: {records[0]!r} cites an inadmissible pair"):
+        verify_classification(records, H23, la, LB, "QSD")
 
 
 def test_verification_budget():
@@ -377,8 +414,9 @@ def test_self_dual_classification_verified_at_length_six(ring, count):
     la, lb = _lists(6, "SD")
     records = classify(ring, la, lb, "SD")
     assert len(records) == count
-    assert verify_classification(records, ring, la, lb, "SD")
-    assert not verify_classification(records[1:], ring, la, lb, "SD")
+    verify_classification(records, ring, la, lb, "SD")
+    with _fails(_missing(records[0])):
+        verify_classification(records[1:], ring, la, lb, "SD")
 
 
 @pytest.mark.parametrize("target", TARGETS)

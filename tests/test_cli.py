@@ -16,6 +16,9 @@ R2_FILE = "H23 2\n2 2 1\n11\n\n3 2 1\n11\n\n"
 EX4_FILE = "H23 4\n2 4 2\n1000\n0100\n\n3 4 2\n1000\n0100\n\n"
 CA_LIST = "2 2 1\n10\n\n2 2 1\n11\n\n"
 CB_LIST = "3 2 1\n10\n\n3 2 1\n11\n\n3 2 1\n12\n\n"
+# La entries <10> and <01> are equivalent under (1 2), so --verify must refuse the lists
+EQUIVALENT_CA_LIST = "2 2 1\n10\n\n2 2 1\n01\n\n"
+LISTS_FAILURE = "error: lists: La entries 0 and 1 are equivalent under (1 2)\n"
 
 
 @pytest.fixture
@@ -93,11 +96,13 @@ def test_dual_brute_compares_word_codes(tmp_path, capsys, monkeypatch):
 def test_dual_brute_reports_a_mismatch(r2_path, tmp_path, capsys, monkeypatch):
     wrong = io.parse_hzcode(R2_FILE)  # the code itself, not its dual
     monkeypatch.setattr(cli, "dual", lambda code: wrong)
+    # the code has 6 words, its dual 18
+    counts = "error: oracle: the dual has 6 words, the word-level oracle 18\n"
     assert cli.main(["dual", r2_path, "--brute"]) == 3
-    assert capsys.readouterr().out == io.format_hzcode(wrong) + "oracle: MISMATCH\n"
+    assert capsys.readouterr() == (io.format_hzcode(wrong), counts)
     out_path = tmp_path / "dual.code"
     assert cli.main(["dual", r2_path, "--brute", "--out", str(out_path)]) == 3
-    assert capsys.readouterr().out == "oracle: MISMATCH\n"
+    assert capsys.readouterr() == ("", counts)
     assert not out_path.exists()
 
 
@@ -162,31 +167,32 @@ def test_classify_rejects_wrong_length(tmp_path, capsys):
     ]) == 2
 
 
-def test_classify_verification_failure_exits_3(tmp_path, capsys, monkeypatch):
+def test_classify_verification_failure_exits_3(tmp_path, capsys):
     ca = tmp_path / "ca.list"
     cb = tmp_path / "cb.list"
-    ca.write_text(CA_LIST)
+    ca.write_text(EQUIVALENT_CA_LIST)
     cb.write_text(CB_LIST)
-    monkeypatch.setattr(cli, "verify_classification", lambda *a, **k: False)
     assert cli.main([
         "classify", "--ring", "H23", "--n", "2",
         "--ca-list", str(ca), "--cb-list", str(cb), "--verify",
     ]) == 3
+    assert capsys.readouterr().err == LISTS_FAILURE
 
 
-def test_classify_failed_verification_writes_no_catalog(tmp_path, capsys, monkeypatch):
+def test_classify_failed_verification_writes_no_catalog(tmp_path, capsys):
     ca = tmp_path / "ca.list"
     cb = tmp_path / "cb.list"
     out = tmp_path / "catalog.json"
-    ca.write_text(CA_LIST)
+    ca.write_text(EQUIVALENT_CA_LIST)
     cb.write_text(CB_LIST)
-    monkeypatch.setattr(cli, "verify_classification", lambda *a, **k: False)
     assert cli.main([
         "classify", "--ring", "H23", "--n", "2",
         "--ca-list", str(ca), "--cb-list", str(cb), "--out", str(out), "--verify",
     ]) == 3
     assert not out.exists()
-    assert "wrote" not in capsys.readouterr().out
+    captured = capsys.readouterr()
+    assert "wrote" not in captured.out
+    assert captured.err == LISTS_FAILURE
 
 
 def test_classify_verify_beyond_the_guard_exits_2_before_classifying(tmp_path, capsys, monkeypatch):
@@ -230,6 +236,16 @@ def test_count_isotropic_enumerate_prints_every_block(capsys):
     assert cli.main(["count-isotropic", "2", "2", "2", "--enumerate"]) == 0
     blocks = "".join(block.replace(" ", "\n") + "\n\n" for block in LAGRANGIANS_2_2)
     assert capsys.readouterr().out == "count(2, 2, 2) = 15\nenumerated: 15 (matches)\n" + blocks
+
+
+def test_count_isotropic_enumerate_reports_a_mismatch(capsys, monkeypatch):
+    real = cli.isotropic_subspaces
+    monkeypatch.setattr(cli, "isotropic_subspaces", lambda space, k: real(space, k)[1:])
+    assert cli.main(["count-isotropic", "2", "2", "2", "--enumerate"]) == 3
+    assert capsys.readouterr() == (
+        "count(2, 2, 2) = 15\n",
+        "error: enumerate: count(2, 2, 2) = 15, enumerated 14\n",
+    )
 
 
 def test_count_isotropic_k_out_of_range(capsys):

@@ -280,6 +280,37 @@ def test_the_package_holds_no_assert():
     assert asserts == []
 
 
+def test_a_failed_check_has_one_channel():
+    # a failed check raises VerificationFailed: src logs nothing, and only
+    # cli.main turns an exception into an exit code
+    pkg = Path(symhex.__file__).parent
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in pkg.glob("*.py")}
+    loggers = []
+    for name, tree in sorted(trees.items()):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            loggers += [f"{name}:{node.lineno}" for m in modules if m.split(".")[0] == "logging"]
+    assert loggers == []
+    exit_codes = [
+        f"cli.py:{f.name}"
+        for f in ast.walk(trees["cli.py"])
+        if isinstance(f, ast.FunctionDef) and f.name != "main"
+        if (f.returns is not None and ast.unparse(f.returns) == "int")
+        or any(
+            isinstance(node, ast.Return)
+            and isinstance(node.value, ast.Constant)
+            and type(node.value.value) is int
+            for node in ast.walk(f)
+        )
+    ]
+    assert exit_codes == []
+
+
 def test_every_private_module_name_in_the_package_is_used():
     # a module-level _helper or _CONSTANT that nothing in src reads is dead code
     trees = {

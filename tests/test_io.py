@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import os
+import stat
 from functools import cache
 
 import pytest
@@ -104,6 +106,27 @@ def test_atomic_write(tmp_path):
     write_text_atomic(str(path), "replaced\n")
     assert path.read_text() == "replaced\n"
     assert list(tmp_path.iterdir()) == [path]  # no temp droppings
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+def test_atomic_write_follows_the_umask(tmp_path, umask):
+    # a new and a replaced file both get the mode open(path, "w") gives a new file
+    old = os.umask(umask)
+    try:
+        ref = tmp_path / "ref.txt"
+        ref.write_text("ref\n")
+        new = tmp_path / "new.txt"
+        write_text_atomic(str(new), "new\n")
+        replaced = tmp_path / "replaced.txt"
+        replaced.write_text("old\n")
+        replaced.chmod(0o640)
+        write_text_atomic(str(replaced), "replaced\n")
+    finally:
+        os.umask(old)
+    modes = [stat.S_IMODE(path.stat().st_mode) for path in (ref, new, replaced)]
+    assert modes == [0o666 & ~umask] * 3
+    assert replaced.read_text() == "replaced\n"
+    assert len(list(tmp_path.iterdir())) == 3  # no temp droppings
 
 
 def _small_catalog():
