@@ -163,6 +163,17 @@ def check_verify_budget(n: int) -> None:
         raise BudgetExceeded(f"full verification guarded to n <= {_VERIFY_MAX_N}")
 
 
+def verify_lists(la: list[LinearCode], lb: list[LinearCode]) -> None:
+    """Raise VerificationFailed, starting with lists:, when two entries of a list are equivalent."""
+    for lst, tag, owner in ((la, "La", {}), (lb, "Lb", {})):
+        for j, c in enumerate(lst):
+            if (i := _claim(owner, j, (c,))) != j:
+                sigma = perm_equivalent(lst[i], c).cycle_string()
+                raise VerificationFailed(
+                    f"lists: {tag} entries {i} and {j} are equivalent under {sigma}"
+                )
+
+
 def verify_classification(
     records: list[ClassificationRecord],
     ring: RingId,
@@ -193,14 +204,7 @@ def verify_classification(
     n = _check_lists(la, lb)
     check_verify_budget(n)
     pred = _target_predicate(target)
-
-    for lst, tag, owner in ((la, "La", {}), (lb, "Lb", {})):
-        for j, c in enumerate(lst):
-            if (i := _claim(owner, j, (c,))) != j:
-                sigma = perm_equivalent(lst[i], c).cycle_string()
-                raise VerificationFailed(
-                    f"lists: {tag} entries {i} and {j} are equivalent under {sigma}"
-                )
+    verify_lists(la, lb)
 
     by_pair: dict[tuple[int, int], list[ClassificationRecord]] = {}
     for rec in records:

@@ -12,7 +12,7 @@ import argparse
 import sys
 
 from . import __version__, io
-from .classify import TARGETS, check_verify_budget, classify, verify_classification
+from .classify import TARGETS, check_verify_budget, classify, verify_classification, verify_lists
 from .codes import dual, dual_bruteforce, flags, is_euclidean_self_orthogonal, word_set
 from .errors import ParseError, SymhexError, VerificationFailed
 from .perms import automorphism_group
@@ -46,15 +46,16 @@ def cmd_dual(args) -> None:
     code = io.parse_hzcode(io.read_text(args.file))
     d = dual(code)
     text = io.format_hzcode(d)
-    if not args.out:
-        sys.stdout.write(text)
-    # compare first, so a budget error or a mismatch leaves no file behind
+    # compare first, so a budget error or a mismatch leaves nothing on stdout or disk
     if args.brute:
         oracle = dual_bruteforce(code)
         if (words := word_set(d)) != oracle:
             raise VerificationFailed(
                 f"oracle: the dual has {len(words)} words, the word-level oracle {len(oracle)}"
             )
+    if not args.out:
+        sys.stdout.write(text)
+    if args.brute:
         print(f"oracle: match ({len(oracle)} words)")
     if args.out:
         io.write_text_atomic(args.out, text)
@@ -70,6 +71,8 @@ def cmd_classify(args) -> None:
     if args.verify:
         check_verify_budget(args.n)
     records = classify(ring, la, lb, args.target)
+    if not args.verify:  # verify_classification checks the lists itself
+        verify_lists(la, lb)
     counts: dict[tuple[int, int], int] = {}
     for rec in records:
         counts[(rec.ca_index, rec.cb_index)] = counts.get((rec.ca_index, rec.cb_index), 0) + 1

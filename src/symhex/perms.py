@@ -10,7 +10,14 @@ permutations as int8 rows in lexicographic (Lehmer rank) order.  Scans
 take it in blocks of at most BLOCK rows, so their temporaries stay small
 and an equivalence search can stop at the first block with a hit.
 Equivalence compares word keys over the table (orbit_keys), never the
-parity-check product of automorphism_group.
+parity-check product of automorphism_group.  That product packs each
+column of the parity-check matrix into one int64, one check per byte, so
+a block's syndromes are one integer matmul; a syndrome is at most
+n (p-1)^2 <= 32, so no byte carries into the next.
+
+Permutations read off the table, or composed and inverted from valid
+ones, are built by Permutation._known, which skips the sorted(images)
+check; every public Permutation(...) call keeps it.
 
 A PermGroup is the sorted array of its members' Lehmer ranks, which are
 row indices into perm_table(n); its Permutation objects are built only
@@ -24,11 +31,14 @@ Double cosets G \\ S_n / H are the connected components of the maps
 sigma -> g sigma and sigma -> sigma h on ranks, one map per generator of
 G and of H.  Each group builds its left and right maps once, on first
 use, and caches them, so a group that meets many partners pays for its
-maps once.  Every rank starts labelled with itself and repeatedly takes
-the smallest label among its images, with pointer jumping (label of the
-label) to shorten chains; the fixed point labels each component with its
-smallest rank, which is its lexicographically least member (Butler,
-Fundamental Algorithms for Permutation Groups, LNCS 559, 1991).
+maps once.  A left map is read off a right map: with inv the rank of each
+row's inverse (inverse_ranks, cached per n), rank(g sigma) =
+inv[rank(sigma^-1 g^-1)].  Every rank starts labelled with itself and
+repeatedly takes the smallest label among its images, with pointer
+jumping (label of the label) to shorten chains; the fixed point labels
+each component with its smallest rank, which is its lexicographically
+least member (Butler, Fundamental Algorithms for Permutation Groups,
+LNCS 559, 1991).
 """
 
 from __future__ import annotations
@@ -59,13 +69,23 @@ class Permutation:
         if sorted(self.images) != list(range(len(self.images))):
             raise ValueError(f"not a permutation of 0..{len(self.images)-1}: {self.images}")
 
+    @classmethod
+    def _known(cls, images: tuple[int, ...]) -> "Permutation":
+        """Unchecked: for images that are a permutation by construction."""
+        perm = object.__new__(cls)
+        object.__setattr__(perm, "images", images)
+        return perm
+
     @property
     def n(self) -> int:
         return len(self.images)
 
     def compose(self, other: "Permutation") -> "Permutation":
         """self * other: apply other first, then self."""
-        return Permutation(tuple(self.images[j] for j in other.images))
+        images = self.images
+        if len(other.images) != len(images):
+            raise DimensionMismatch(f"permutations on {self.n} and {other.n} points")
+        return Permutation._known(tuple(images[j] for j in other.images))
 
     def __mul__(self, other: "Permutation") -> "Permutation":
         return self.compose(other)
@@ -74,7 +94,7 @@ class Permutation:
         inv = [0] * self.n
         for i, j in enumerate(self.images):
             inv[j] = i
-        return Permutation(tuple(inv))
+        return Permutation._known(tuple(inv))
 
     def rank(self) -> int:
         """Lehmer rank: position in the lexicographic order of S_n."""
@@ -151,6 +171,13 @@ def ranks(images: np.ndarray) -> np.ndarray:
     return out
 
 
+@cache
+def inverse_ranks(n: int) -> np.ndarray:
+    """Read-only int32 array: entry r is the rank of the inverse of row r of perm_table(n)."""
+    # a row's argsort is its inverse
+    return _frozen(ranks(np.argsort(perm_table(n), axis=1)))
+
+
 def apply_perm(perm: Permutation, code: LinearCode) -> LinearCode:
     """The code {pi . v : v in code}, recanonicalized."""
     if perm.n != code.n:
@@ -172,7 +199,7 @@ def orbit_keys(codes: tuple[LinearCode, ...]):
     keys[r] holds the word keys of block[r] . code for each code, side by
     side.  A word key is the codewords as sorted base-p integers, so codes
     of one (p, n) are equal exactly when their keys are.  Blocks hold at
-    most BLOCK * 64 keys, the widest gather of automorphism_group.  pi . w
+    most BLOCK * 64 keys, so their temporaries stay a few MiB.  pi . w
     puts w[i] at pi(i), place value p^(n-1-pi(i)); float64 BLAS is exact
     below p^n.
     """
@@ -206,7 +233,7 @@ def first_carrying(sources: tuple, targets: tuple) -> "Permutation | None":
     for block, keys in orbit_keys(sources):
         hits = np.flatnonzero((keys == want).all(axis=1))
         if hits.size:
-            return Permutation(tuple(block[hits[0]].tolist()))
+            return Permutation._known(tuple(block[hits[0]].tolist()))
     return None
 
 
@@ -279,10 +306,14 @@ class PermGroup:
 
     @cached_property
     def left_maps(self) -> tuple[np.ndarray, ...]:
-        """Per generator g, the rank of g sigma for every rank sigma of S_n."""
-        table = perm_table(self.n)
-        images = (np.array(g.images, dtype=np.int8) for g in self.generators)
-        return tuple(_frozen(ranks(image[table])) for image in images)
+        """Per generator g, the rank of g sigma for every rank sigma of S_n.
+
+        g sigma = (sigma^-1 g^-1)^-1, so the map is inv[R[inv]] with R the
+        right map of g^-1 and inv = inverse_ranks(n).
+        """
+        table, inv = perm_table(self.n), inverse_ranks(self.n)
+        right = (ranks(table[:, list(g.inverse().images)]) for g in self.generators)
+        return tuple(_frozen(inv[r[inv]]) for r in right)
 
     @cached_property
     def right_maps(self) -> tuple[np.ndarray, ...]:
@@ -309,7 +340,8 @@ class PermGroup:
 
 
 def _perms(rows: np.ndarray) -> tuple[Permutation, ...]:
-    return tuple(Permutation(tuple(row)) for row in rows.tolist())
+    """Rows of perm_table as Permutations, unchecked."""
+    return tuple(Permutation._known(tuple(row)) for row in rows.tolist())
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -320,18 +352,25 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 def automorphism_group(code: LinearCode) -> PermGroup:
     """All coordinate permutations fixing the code setwise.
 
-    Scans the whole of S_n in blocks of perm_table(n); each candidate is
-    accepted when the permuted generator rows still satisfy the code's
-    parity checks.  The group is built from the accepted ranks alone.
+    Scans the whole of S_n in blocks of perm_table(n); each candidate sigma
+    is accepted when the permuted generator rows still satisfy the code's
+    parity checks, H (sigma . g)^T = 0 mod p for every generator row g.
+    Column i of H is packed into one int64 with check c in byte c, so one
+    integer product gives every check's syndrome at once, byte by byte.
+    There are at most n - k <= 8 checks and a syndrome is at most
+    n (p-1)^2 <= 32 < 256, so no byte carries into the next.  The group is
+    built from the accepted ranks alone.
     """
     table = perm_table(code.n)
-    G = code.gen.T.astype(np.int16)
-    H = nullspace(code.gen, code.p)[0].astype(np.int16)
+    H = nullspace(code.gen, code.p)[0].astype(np.int64)
+    packed = H.T @ (1 << 8 * np.arange(len(H), dtype=np.int64))  # column i of H, byte c = H[c, i]
+    G = code.gen.T.astype(np.int64)
     kept = []
     for start in range(0, len(table), BLOCK):
         block = table[start : start + BLOCK]
-        # G[:, sigma^-1] @ H.T is G @ H[:, sigma].T, transposed: (checks, rows, k)
-        fails = ((H[:, block] @ G) % code.p).any(axis=(0, 2))
+        # (sigma . g)[sigma(i)] = g[i], so check c reads sum_i H[c, sigma(i)] g[i]
+        syndromes = packed[block] @ G
+        fails = (syndromes.view(np.uint8) % code.p).any(axis=1)
         kept.append(start + np.flatnonzero(~fails))
     return PermGroup(code.n, np.concatenate(kept))
 
@@ -359,4 +398,4 @@ def double_cosets(G: PermGroup, H: PermGroup) -> list[tuple[Permutation, int]]:
             break
         label = new
     reps, sizes = np.unique(label, return_counts=True)
-    return [(Permutation(tuple(table[r].tolist())), int(size)) for r, size in zip(reps, sizes)]
+    return list(zip(_perms(table[reps]), sizes.tolist()))

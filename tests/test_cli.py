@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from importlib import import_module
 
 import pytest
 
@@ -19,6 +20,9 @@ CB_LIST = "3 2 1\n10\n\n3 2 1\n11\n\n3 2 1\n12\n\n"
 # La entries <10> and <01> are equivalent under (1 2), so --verify must refuse the lists
 EQUIVALENT_CA_LIST = "2 2 1\n10\n\n2 2 1\n01\n\n"
 LISTS_FAILURE = "error: lists: La entries 0 and 1 are equivalent under (1 2)\n"
+
+# symhex.classify is the function; the module is reached through import_module
+classify_module = import_module("symhex.classify")
 
 
 @pytest.fixture
@@ -99,7 +103,7 @@ def test_dual_brute_reports_a_mismatch(r2_path, tmp_path, capsys, monkeypatch):
     # the code has 6 words, its dual 18
     counts = "error: oracle: the dual has 6 words, the word-level oracle 18\n"
     assert cli.main(["dual", r2_path, "--brute"]) == 3
-    assert capsys.readouterr() == (io.format_hzcode(wrong), counts)
+    assert capsys.readouterr() == ("", counts)  # the rejected dual is never printed
     out_path = tmp_path / "dual.code"
     assert cli.main(["dual", r2_path, "--brute", "--out", str(out_path)]) == 3
     assert capsys.readouterr() == ("", counts)
@@ -193,6 +197,37 @@ def test_classify_failed_verification_writes_no_catalog(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "wrote" not in captured.out
     assert captured.err == LISTS_FAILURE
+
+
+@pytest.mark.parametrize("out", [False, True])
+def test_classify_without_verify_rejects_equivalent_list_entries(tmp_path, capsys, out):
+    ca = tmp_path / "ca.list"
+    cb = tmp_path / "cb.list"
+    catalog = tmp_path / "catalog.json"
+    ca.write_text(EQUIVALENT_CA_LIST)
+    cb.write_text(CB_LIST)
+    argv = ["classify", "--ring", "H23", "--n", "2", "--ca-list", str(ca), "--cb-list", str(cb)]
+    # the parent counted both entries' classes and printed total: 8 with exit 0
+    assert cli.main(argv + (["--out", str(catalog)] if out else [])) == 3
+    assert capsys.readouterr() == ("", LISTS_FAILURE)
+    assert not catalog.exists()
+
+
+def test_classify_checks_the_lists_once_on_either_path(tmp_path, capsys, monkeypatch):
+    ca = tmp_path / "ca.list"
+    cb = tmp_path / "cb.list"
+    ca.write_text(CA_LIST)
+    cb.write_text(CB_LIST)
+    argv = ["classify", "--ring", "H23", "--n", "2", "--ca-list", str(ca), "--cb-list", str(cb)]
+    calls = []
+    real = classify_module.verify_lists
+    monkeypatch.setattr(classify_module, "verify_lists", lambda *a: calls.append(1) or real(*a))
+    monkeypatch.setattr(cli, "verify_lists", classify_module.verify_lists)
+    for verify in ([], ["--verify"]):
+        calls.clear()
+        assert cli.main(argv + verify) == 0
+        assert "total: 7" in capsys.readouterr().out
+        assert len(calls) == 1
 
 
 def test_classify_verify_beyond_the_guard_exits_2_before_classifying(tmp_path, capsys, monkeypatch):

@@ -13,7 +13,7 @@ import pytest
 
 import symhex.gf
 from symhex.codes import build, equivalent
-from symhex.errors import BudgetExceeded
+from symhex.errors import BudgetExceeded, DimensionMismatch
 from symhex.gf import LinearCode, random_code
 from symhex.perms import (
     BLOCK,
@@ -23,6 +23,7 @@ from symhex.perms import (
     apply_perm,
     automorphism_group,
     double_cosets,
+    inverse_ranks,
     orbit_keys,
     perm_equivalent,
     perm_table,
@@ -547,3 +548,100 @@ def test_a_second_double_coset_scan_reuses_the_cached_maps(monkeypatch):
 
     monkeypatch.setattr(import_module("symhex.perms"), "ranks", boom)
     assert double_cosets(G, H) == first
+
+
+# ---------------------------------------------------------------------------
+# known permutations: built unchecked, equal to the checked ones
+
+
+def test_compose_rejects_a_length_mismatch():
+    three, two = Permutation((0, 1, 2)), Permutation((1, 0))
+    for a, b in ((three, two), (two, three)):
+        with pytest.raises(DimensionMismatch, match="permutations on"):
+            a.compose(b)
+        with pytest.raises(DimensionMismatch):
+            a * b
+    with pytest.raises(ValueError, match="not a permutation"):
+        Permutation((0, 0))
+
+
+def _is_checked_twin(pi: Permutation) -> bool:
+    twin = Permutation(tuple(pi.images))
+    return type(pi) is Permutation and pi == twin and hash(pi) == hash(twin)
+
+
+def test_known_permutations_equal_and_hash_like_checked_ones():
+    codes = _criterion_9_codes() + [LinearCode(3, [[1, 0, 2, 0], [0, 1, 0, 1]])]
+    groups = [automorphism_group(c) for c in codes]
+    found = []
+    for G in groups:
+        found += G.elements + G.generators
+        found += [r for r, _ in double_cosets(G, G)]
+    found += [r for r, _ in double_cosets(*groups[:2])]
+    found += [x.inverse() for x in found[:200]] + [x * y for x, y in zip(found, found[1:200])]
+    c1 = random_code(2, 6, np.random.default_rng(5), k=3)
+    found.append(perm_equivalent(c1, _shuffled(c1, np.random.default_rng(6))))
+    assert all(map(_is_checked_twin, found))
+
+
+# ---------------------------------------------------------------------------
+# the byte-packed parity scan and the rank maps at n = 8
+
+
+def _word_key_stabilizer(code: LinearCode) -> list[int]:
+    """The table rows whose word key is the code's own; shares nothing with the parity scan."""
+    if code.k == code.n:  # F_p^n: every row, without a scan over p^n words per row
+        return list(range(factorial(code.n)))
+    keys = np.vstack([k for _, k in orbit_keys((code,))])
+    return np.flatnonzero((keys == keys[0]).all(axis=1)).tolist()
+
+
+def _length_8_codes() -> list[LinearCode]:
+    rng = np.random.default_rng(808)
+    codes = [random_code(2, 8, rng, k=k) for k in (1, 2, 3, 5, 7)]
+    codes += [random_code(3, 8, rng, k=k) for k in (1, 2, 3, 4)]
+    # ternary k = 1 codes have 7 checks, so their packed syndromes fill bytes 0-6
+    for weight in range(1, 9):
+        row = np.zeros(8, dtype=np.int64)
+        row[rng.permutation(8)[:weight]] = rng.integers(1, 3, size=weight)
+        codes.append(LinearCode(3, [row]))
+    codes += [LinearCode.zero(p, 8) for p in (2, 3)] + [LinearCode.full(p, 8) for p in (2, 3)]
+    return codes + _criterion_9_codes()
+
+
+def test_packed_scan_matches_the_word_key_stabilizer_at_length_8(monkeypatch):
+    codes = _length_8_codes()
+    want = [_word_key_stabilizer(c) for c in codes]
+    assert max(map(len, want)) == factorial(8) and min(map(len, want)) <= 2  # S_8 down to C_2
+
+    def boom(*args, **kwargs):
+        raise AssertionError("automorphism_group used the word keys")
+
+    perms_module = import_module("symhex.perms")
+    monkeypatch.setattr(perms_module, "orbit_keys", boom)
+    monkeypatch.setattr(perms_module, "word_key", boom)
+    for code, members in zip(codes, want):
+        assert automorphism_group(code).ranks.tolist() == members, code
+
+
+def test_inverse_ranks_is_an_involution():
+    for n in range(1, MAX_PERM_N + 1):
+        inv = inverse_ranks(n)
+        assert inv.dtype == np.int32 and not inv.flags.writeable
+        assert np.array_equal(inv[inv], np.arange(factorial(n)))
+        assert inverse_ranks(n) is inv
+    inv = inverse_ranks(8)
+    for r in np.random.default_rng(81).integers(0, factorial(8), size=50).tolist():
+        pi = Permutation(tuple(perm_table(8)[r].tolist()))
+        assert inv[r] == pi.inverse().rank()
+
+
+def test_rank_maps_of_the_length_8_groups_are_the_composed_ranks():
+    table = perm_table(8)
+    sample = np.random.default_rng(88).integers(0, factorial(8), size=500).tolist()
+    for G in map(automorphism_group, _criterion_9_codes()):
+        for g, left, right in zip(G.generators, G.left_maps, G.right_maps):
+            for r in sample:
+                sigma = Permutation(tuple(table[r].tolist()))
+                assert left[r] == rank_images(g.compose(sigma).images)
+                assert right[r] == rank_images(sigma.compose(g).images)
