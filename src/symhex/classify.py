@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from math import factorial
 
 import numpy as np
 
@@ -38,7 +39,7 @@ from .codes import (
     join,
     split,
 )
-from .errors import BudgetExceeded, DimensionMismatch, LengthMismatch, OddLength, VerificationFailed
+from .errors import DimensionMismatch, LengthMismatch, OddLength, VerificationFailed, check_budget
 from .gf import LinearCode
 from .perms import (
     PermGroup,
@@ -55,8 +56,6 @@ from .perms import (
 from .ring import RingId
 
 TARGETS = ("SO", "QSD", "SD")
-
-_VERIFY_MAX_N = 6
 
 
 @dataclass(frozen=True)
@@ -149,18 +148,30 @@ def classify(
 
 
 def _claim(owner: dict[bytes, int], i: int, codes: tuple[LinearCode, ...]) -> int:
-    """The index owning the codes' word key; when none does, i claims their S_n orbit."""
+    """The index owning the codes' word key; when none does, i claims their S_n orbit.
+
+    The owner map grows by up to n! keys a claim, each a bytes object of 4
+    bytes a codeword and about 160 more as a dict entry.
+    """
     o = owner.setdefault(word_key(codes).tobytes(), i)
     if o == i:
+        n, words = codes[0].n, sum(c.size for c in codes)
+        check_budget("orbit claims", (len(owner) + factorial(n)) * (4 * words + 160))
         for _, keys in orbit_keys(codes):
             owner.update(dict.fromkeys(map(bytes, keys), i))
     return o
 
 
-def check_verify_budget(n: int) -> None:
-    """Raise BudgetExceeded when length-n classifications are beyond full verification."""
-    if n > _VERIFY_MAX_N:
-        raise BudgetExceeded(f"full verification guarded to n <= {_VERIFY_MAX_N}")
+def check_verify_budget(la: list[LinearCode], lb: list[LinearCode]) -> None:
+    """Raise BudgetExceeded when verifying over these lists passes the work budget.
+
+    The verifier keys the whole S_n orbit of every list entry it meets: n!
+    int32 word keys, 4 bytes a codeword, in its orbit cache, held again as
+    bytes dict keys (the word bytes and about 160 more) by the owner maps.
+    """
+    n, words = _check_lists(la, lb), sum(c.size for c in (*la, *lb))
+    nbytes = 2**14 + factorial(n) * (8 * words + 160 * (len(la) + len(lb)))
+    check_budget("verify_classification", nbytes, factorial(n) * words)
 
 
 def verify_lists(la: list[LinearCode], lb: list[LinearCode]) -> None:
@@ -202,7 +213,7 @@ def verify_classification(
     classify is built on.
     """
     n = _check_lists(la, lb)
-    check_verify_budget(n)
+    check_verify_budget(la, lb)
     pred = _target_predicate(target)
     verify_lists(la, lb)
 

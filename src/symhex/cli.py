@@ -69,7 +69,7 @@ def cmd_classify(args) -> None:
     if any(c.n != args.n for c in la + lb):
         raise ParseError(f"list entries must all have length n={args.n}")
     if args.verify:
-        check_verify_budget(args.n)
+        check_verify_budget(la, lb)
     records = classify(ring, la, lb, args.target)
     if not args.verify:  # verify_classification checks the lists itself
         verify_lists(la, lb)

@@ -18,8 +18,9 @@ return a WordSet, an immutable set of HzWords backed by the sorted array of
 those codes, which decodes HzWords only when iterated; the twins compare
 WordSets, so their set tests are array comparisons.  Each HzCode computes
 its word set and its oracle dual once, on first use, and holds them while
-it lives, so the five twins and the oracle dual share one evaluation; each
-array holds at most WORD_BUDGET int64 codes, about 13 MB.
+it lives, so the five twins and the oracle dual share one evaluation.
+Each evaluation states its words and candidate products to
+errors.check_budget before it builds them.
 """
 
 from __future__ import annotations
@@ -38,16 +39,12 @@ from .errors import (
     LengthMismatch,
     OddLength,
     RingMismatch,
+    check_budget,
 )
 from .gf import LinearCode, all_vectors, places
 from .perms import Permutation, first_carrying
 from .ring import RingElement, RingId
 from .symplectic import SymplecticSpace
-
-WORD_BUDGET = 6**8
-
-# is_euclidean_self_orthogonal compares every pair of words
-EUCLIDEAN_PAIR_BUDGET = 6**6
 
 # word codes run up to 6^n - 1, which int64 holds for n <= 24 (6^25 > 2^63)
 MAX_WORD_CODE_N = 24
@@ -152,30 +149,31 @@ def _outer_codes(us: np.ndarray, vs: np.ndarray) -> np.ndarray:
     """The int64 code u*3^n + v of every word a*u + b*v, u outer and v inner.
 
     u is read in base 2 and v in base 3, so the code is a bijection from
-    H_z^n onto 0..6^n - 1.
+    H_z^n onto 0..6^n - 1 for n <= MAX_WORD_CODE_N, which callers check.
     """
     n = us.shape[1]
-    _check_word_code_length(n)
     ui = us.astype(np.int64) @ places(2, n)
     vi = vs.astype(np.int64) @ places(3, n)
     return (ui[:, None] * 3**n + vi[None, :]).ravel()
 
 
-def _component_words(code: HzCode) -> tuple[np.ndarray, np.ndarray]:
-    """The codewords of ca and of cb, once the code's word count is within budget."""
-    if code.size > WORD_BUDGET:
-        raise BudgetExceeded(f"{code.size} words exceeds budget {WORD_BUDGET}")
+def _component_words(code: HzCode, site: str, per_word: int) -> tuple[np.ndarray, np.ndarray]:
+    """The codewords of ca and of cb, once the site's words are within budget."""
+    check_budget(site, code.size * per_word, code.size)
     return code.ca.codewords(), code.cb.codewords()
 
 
 def _word_codes(code: HzCode) -> np.ndarray:
     """The integer codes of every word of the code, in enumerate_words order."""
-    return _outer_codes(*_component_words(code))
+    _check_word_code_length(code.n)
+    # 24 bytes a word: its int64 code, the sorted copy and a duplicate test
+    return _outer_codes(*_component_words(code, "word_set", 24))
 
 
 def enumerate_words(code: HzCode) -> list[HzWord]:
     """All 2^ka * 3^kb words a*u + b*v, u outer and v inner, message-lex."""
-    us, vs = map(_rows, _component_words(code))
+    # 128 bytes a word: its HzWord and list slot
+    us, vs = map(_rows, _component_words(code, "enumerate_words", 128))
     ring = code.ring
     return [HzWord(ring, u, v) for u in us for v in vs]
 
@@ -320,8 +318,14 @@ def dual(code: HzCode) -> HzCode:
 
 
 def _orthogonal_rows(side: LinearCode) -> np.ndarray:
-    """Every vector of F_p^n that pairs to zero with every codeword of side."""
+    """Every vector of F_p^n that pairs to zero with every codeword of side.
+
+    Per candidate it holds the int64 row, its image under the gram and the
+    kept copy (8n bytes each), and its int64 products with every codeword
+    and their residues (16 bytes a codeword).
+    """
     p, n = side.p, side.n
+    check_budget("dual_bruteforce", p**n * (24 * n + 16 * side.size), p**n * side.size)
     cand = all_vectors(p, n).astype(np.int64)
     gram = SymplecticSpace.for_length(p, n).gram
     prod = (cand @ gram @ side.codewords().astype(np.int64).T) % p
@@ -337,8 +341,7 @@ def _dual_codes(code: HzCode) -> np.ndarray:
     side is unconstrained.
     """
     n = code.n
-    if 6**n > WORD_BUDGET:
-        raise BudgetExceeded(f"6^{n} candidate words exceeds budget {WORD_BUDGET}")
+    check_budget("dual_bruteforce", 6**n * 24, 6**n)  # at most 6^n word codes, as in word_set
     if code.ring is RingId.H23:
         return _outer_codes(_orthogonal_rows(code.ca), all_vectors(3, n))
     return _outer_codes(all_vectors(2, n), _orthogonal_rows(code.cb))
@@ -416,18 +419,16 @@ def is_lcd_bruteforce(code: HzCode) -> bool:
 
 
 def is_euclidean_self_orthogonal(code: HzCode) -> bool:
-    """Word-by-word check that all Euclidean inner products vanish.
+    """Whether every Euclidean inner product of two codewords vanishes.
 
-    Quadratic in the word count, so budgeted on pairs before any word is
-    built; this exists to expose codes that are symplectically but not
-    Euclideanly self-orthogonal.
+    The ring product keeps only the idempotent's side, so the Euclidean
+    form is the field's dot product on the governing component: the test
+    is G G^T = 0 mod p for its generator matrix G.  It exposes codes that
+    are symplectically but not Euclideanly self-orthogonal.
     """
-    if code.size**2 > EUCLIDEAN_PAIR_BUDGET:
-        raise BudgetExceeded(f"{code.size}^2 word pairs exceeds budget {EUCLIDEAN_PAIR_BUDGET}")
-    words = enumerate_words(code)
-    return all(
-        euclidean_inner(w1, w2) is rg.ZERO for w1 in words for w2 in words
-    )
+    g, _ = split(code)
+    G = g.gen.astype(np.int64)
+    return not ((G @ G.T) % g.p).any()
 
 
 # ---------------------------------------------------------------------------

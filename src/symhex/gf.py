@@ -12,10 +12,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import BudgetExceeded, DimensionMismatch
-
-# ceiling for materializing codeword lists: 3**12 vectors
-CODEWORD_BUDGET = 3**12
+from .errors import BudgetExceeded, DimensionMismatch, check_budget
 
 # the longest code length a LinearCode (and so a file header) may have
 MAX_LENGTH = 1024
@@ -205,9 +202,12 @@ class LinearCode:
         return self.contains(v)
 
     def codewords(self) -> np.ndarray:
-        """All p**k codewords, message vectors in lexicographic order."""
-        if self.size > CODEWORD_BUDGET:
-            raise BudgetExceeded(f"{self.size} codewords exceeds budget {CODEWORD_BUDGET}")
+        """All p**k codewords, message vectors in lexicographic order.
+
+        The int64 messages and product, the product's residues and the int8
+        result: at most 8k + 17n bytes a codeword.
+        """
+        check_budget("codewords", self.size * (8 * self.k + 17 * self.n), self.size * self.n)
         if self.k == 0:
             return np.zeros((1, self.n), dtype=np.int8)
         msgs = all_vectors(self.p, self.k)
@@ -250,10 +250,10 @@ def all_vectors(p: int, n: int) -> np.ndarray:
 
     Row i holds the base-p digits of i.  Cached per (p, n) and read-only,
     like perms.perm_table: callers copy (astype) before any arithmetic.
-    The budget check raises before anything is cached.
+    The int64 indices, quotients and digits and the int8 result take
+    8 + 17n bytes a row; the budget check raises before anything is cached.
     """
-    if p**n > CODEWORD_BUDGET * 6:
-        raise BudgetExceeded(f"p**n = {p**n} is too large to materialize")
+    check_budget("all_vectors", p**n * (8 + 17 * n), p**n * n)
     out = (np.arange(p**n)[:, None] // places(p, n) % p).astype(np.int8)
     out.flags.writeable = False
     return out

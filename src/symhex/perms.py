@@ -8,12 +8,15 @@ sigma . (tau . v) = (sigma * tau) . v.
 Every scan over S_n runs on one cached table, perm_table(n): all n!
 permutations as int8 rows in lexicographic (Lehmer rank) order.  Scans
 take it in blocks of at most BLOCK rows, so their temporaries stay small
-and an equivalence search can stop at the first block with a hit.
+and an equivalence search can stop at the first block with a hit.  Each
+kernel states what it will hold and compute to errors.check_budget before
+it starts, so n itself is never guarded.
 Equivalence compares word keys over the table (orbit_keys), never the
 parity-check product of automorphism_group.  That product packs each
 column of the parity-check matrix into one int64, one check per byte, so
 a block's syndromes are one integer matmul; a syndrome is at most
-n (p-1)^2 <= 32, so no byte carries into the next.
+n (p-1)^2, under 256 for every n whose table fits the budget, so no byte
+carries into the next.
 
 Permutations read off the table, or composed and inverted from valid
 ones, are built by Permutation._known, which skips the sorted(images)
@@ -49,11 +52,8 @@ from math import factorial
 
 import numpy as np
 
-from .errors import BudgetExceeded, DimensionMismatch
+from .errors import DimensionMismatch, check_budget
 from .gf import LinearCode, nullspace, places
-
-# n! table sizes stay sane up to 8! = 40320
-MAX_PERM_N = 8
 
 # rows of perm_table per scan step: 7!, so S_8 is scanned in eight blocks
 BLOCK = 5040
@@ -137,10 +137,10 @@ def perm_table(n: int) -> np.ndarray:
 
     Rows starting with f are f followed by S_{n-1} with every entry >= f
     shifted up by one; that shift keeps S_{n-1}'s order, so stacking the
-    blocks for f = 0..n-1 gives lexicographic order.
+    blocks for f = 0..n-1 gives lexicographic order.  It holds the table
+    and one block's two temporaries, at most (n + 2) n! bytes.
     """
-    if n > MAX_PERM_N:
-        raise BudgetExceeded(f"n={n} beyond permutation table guard {MAX_PERM_N}")
+    check_budget("perm_table", factorial(n) * (n + 2), factorial(n) * n)
     if n <= 0:
         table = np.zeros((1, 0), dtype=np.int8)
     else:
@@ -158,24 +158,35 @@ def ranks(images: np.ndarray) -> np.ndarray:
 
     A row's rank sums, over positions i, (n-1-i)! times the number of later
     entries smaller than entry i; rank_images is the one-row version.  Ranks
-    are int32, exact for n <= 12.
+    are int32, exact for n <= 12.  Beside the column-major copy of images
+    (none when the transpose is already contiguous) it holds 10 bytes a row.
     """
     cols = np.ascontiguousarray(np.asarray(images).T)
     n, m = cols.shape
     out = np.zeros(m, dtype=np.int32)
     for i in range(n - 1):
-        smaller = np.zeros(m, dtype=np.int32)
+        smaller = np.zeros(m, dtype=np.int8)  # at most n - 1 <= 127
         for j in range(i + 1, n):
             smaller += cols[j] < cols[i]
-        out += smaller * factorial(n - 1 - i)
+        out += np.multiply(smaller, factorial(n - 1 - i), dtype=np.int32)
     return out
 
 
 @cache
 def inverse_ranks(n: int) -> np.ndarray:
-    """Read-only int32 array: entry r is the rank of the inverse of row r of perm_table(n)."""
-    # a row's argsort is its inverse
-    return _frozen(ranks(np.argsort(perm_table(n), axis=1)))
+    """Read-only int32 array: entry r is the rank of the inverse of row r of perm_table(n).
+
+    The inverse rows are scattered column-major into int8, so ranks reads
+    them without a copy: row r's inverse holds i at position table[r, i].
+    """
+    table = perm_table(n)
+    # the int8 rows, the intp row numbers and one column as intp, then ranks' 10
+    check_budget("inverse_ranks", len(table) * (n + 26), len(table) * (n + 1))
+    rows = np.arange(len(table))
+    cols = np.empty((n, len(table)), dtype=np.int8)
+    for i in range(n):
+        cols[table[:, i], rows] = i
+    return _frozen(ranks(cols.T))
 
 
 def apply_perm(perm: Permutation, code: LinearCode) -> LinearCode:
@@ -201,11 +212,15 @@ def orbit_keys(codes: tuple[LinearCode, ...]):
     of one (p, n) are equal exactly when their keys are.  Blocks hold at
     most BLOCK * 64 keys, so their temporaries stay a few MiB.  pi . w
     puts w[i] at pi(i), place value p^(n-1-pi(i)); float64 BLAS is exact
-    below p^n.
+    below p^n.  The scan computes n! keys per codeword.
     """
-    table = perm_table(codes[0].n)
+    n, count = codes[0].n, sum(c.size for c in codes)
+    table = perm_table(n)
+    step = min(BLOCK, len(table), max(1, BLOCK * 64 // count))
+    # the float64 codewords, then per block the float64 gather and product
+    # and three int32 copies of the keys
+    check_budget("orbit_keys", 8 * count * n + step * (8 * n + 20 * count), len(table) * count)
     words = [_place_and_words(c) for c in codes]
-    step = min(BLOCK, max(1, BLOCK * 64 // sum(c.size for c in codes)))
     for start in range(0, len(table), step):
         block = table[start : start + step]
         keys = [(place[block] @ W).astype(np.int32) for place, W in words]
@@ -225,8 +240,8 @@ def _place_and_words(code: LinearCode) -> tuple[np.ndarray, np.ndarray]:
 
 def first_carrying(sources: tuple, targets: tuple) -> "Permutation | None":
     """The lex-first sigma with sigma . sources[i] == targets[i] for each i, or None.
-    Past MAX_PERM_N it raises BudgetExceeded, even when a dimension differs."""
-    perm_table(sources[0].n)  # the S_n guard
+    A table past the budget raises BudgetExceeded, even when a dimension differs."""
+    perm_table(sources[0].n)  # the S_n table's budget
     if any(s.k != t.k for s, t in zip(sources, targets)):
         return None
     want = word_key(targets)
@@ -274,6 +289,10 @@ class PermGroup:
     def _greedy_generators(self) -> tuple[Permutation, ...]:
         if self.order == 1:
             return ()
+        bits = self.order.bit_length()
+        # intp rows and one generator's image of them, the maps, and the
+        # closure's gather of them, at 8 bytes an entry
+        check_budget("PermGroup", self.order * (2 * self.n + 2 * bits + 4) * 8)
         rows = perm_table(self.n)[self.ranks].astype(np.intp)
         place = places(self.n, self.n)  # base-n row keys ascend with Lehmer rank
         keys = rows @ place
@@ -282,7 +301,7 @@ class PermGroup:
         closed = 1  # members generated so far
         gens: list[int] = []
         # each generator at least doubles the closure (Lagrange), so at most log2 |G| of them
-        maps = np.empty((self.order.bit_length(), self.order), dtype=np.intp)
+        maps = np.empty((bits, self.order), dtype=np.intp)
         while closed < self.order:
             i = int(inside.argmin())  # the first member not yet generated
             image = rows[i][rows] @ place
@@ -357,14 +376,23 @@ def automorphism_group(code: LinearCode) -> PermGroup:
     parity checks, H (sigma . g)^T = 0 mod p for every generator row g.
     Column i of H is packed into one int64 with check c in byte c, so one
     integer product gives every check's syndrome at once, byte by byte.
-    There are at most n - k <= 8 checks and a syndrome is at most
-    n (p-1)^2 <= 32 < 256, so no byte carries into the next.  The group is
-    built from the accepted ranks alone.
+    A code with more than 8 checks has at most n - 9 generators, and
+    Aut C = Aut C^perp under the dot product that permutations keep, so it
+    is scanned as its dual.  A syndrome is at most n (p-1)^2 < 256, so no
+    byte carries into the next.  The group is built from the accepted ranks
+    alone.
     """
     table = perm_table(code.n)
-    H = nullspace(code.gen, code.p)[0].astype(np.int64)
+    H, gen = nullspace(code.gen, code.p)[0], code.gen
+    if len(H) > 8:
+        H, gen = gen, H
+    # per block the gathered columns, the syndromes and their residues; the
+    # accepted ranks, listed and then joined
+    nbytes = BLOCK * 8 * (code.n + 2 * len(gen)) + 16 * len(table)
+    check_budget("automorphism_group", nbytes, len(table) * (code.n + len(gen)))
+    H = H.astype(np.int64)
     packed = H.T @ (1 << 8 * np.arange(len(H), dtype=np.int64))  # column i of H, byte c = H[c, i]
-    G = code.gen.T.astype(np.int64)
+    G = gen.T.astype(np.int64)
     kept = []
     for start in range(0, len(table), BLOCK):
         block = table[start : start + BLOCK]
@@ -386,6 +414,11 @@ def double_cosets(G: PermGroup, H: PermGroup) -> list[tuple[Permutation, int]]:
     if H.n != G.n:
         raise DimensionMismatch(f"groups act on {G.n} and {H.n} points")
     table = perm_table(G.n)
+    count = len(G.generators) + len(H.generators)
+    # the int32 maps, ranks' temporaries on a gathered copy of the table,
+    # and the labels: label, new, a gather and a jump
+    nbytes = len(table) * (4 * count + 2 * G.n + 10 + 16)
+    check_budget("double_cosets", nbytes, len(table) * count)
     maps = G.left_maps + H.right_maps
     label = np.arange(len(table), dtype=np.int32)
     while True:

@@ -17,7 +17,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import BudgetExceeded, DimensionMismatch, KOutOfRange, OddLength
+from .errors import BudgetExceeded, DimensionMismatch, KOutOfRange, OddLength, check_budget
 from .gf import MAX_LENGTH, LinearCode, all_vectors, rref
 
 
@@ -121,10 +121,6 @@ def count_isotropic(p: int, m: int, k: int) -> int:
     return num // den
 
 
-# enumeration guards: the profile search is exponential in free entries
-_MAX_N = {2: 8, 3: 6}
-
-
 def isotropic_subspaces(space: SymplecticSpace, k: int) -> list[LinearCode]:
     """All totally isotropic k-subspaces, each exactly once.
 
@@ -138,13 +134,12 @@ def isotropic_subspaces(space: SymplecticSpace, k: int) -> list[LinearCode]:
     output order lexicographic: pivot profiles first, then free entries
     row by row.  k = 0 is the one empty profile.  Each profile's batch
     is already in RREF, so LinearCode.from_rref turns it into codes after
-    one vectorized shape check, without reducing any leaf again.
+    one vectorized shape check, without reducing any leaf again.  Each code
+    costs its LinearCode and its share of the batches and clash products,
+    under 512 + 16kn bytes; the budget is checked on count_isotropic codes.
     """
     p, n, m = space.p, space.n, space.m
-    if not 0 <= k <= m:
-        raise KOutOfRange(f"need 0 <= k <= m, got k={k}, m={m}")
-    if n > _MAX_N[p]:
-        raise BudgetExceeded(f"n={n} beyond enumeration guard for p={p}")
+    check_budget("isotropic_subspaces", 4096 + count_isotropic(p, m, k) * (512 + 16 * k * n))
 
     out: list[LinearCode] = []
     for pivots in combinations(range(n), k):

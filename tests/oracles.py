@@ -7,7 +7,10 @@ digits, where perm_table stacks shifted blocks and ranks counts
 inversions; ref_nullspace reduces mat as given and then its kernel basis
 again, where nullspace reduces the column-reversed matrix once and writes
 the basis down in RREF; intersect_dim measures C & D by the dimension of
-C + D, where SymplecticSpace.is_lcd uses Massey's rank test.
+C + D, where SymplecticSpace.is_lcd uses Massey's rank test;
+ref_is_euclidean_self_orthogonal sums ring products over every pair of
+words, where codes.is_euclidean_self_orthogonal reads one component's
+Gram matrix.
 """
 
 from __future__ import annotations
@@ -17,9 +20,11 @@ from math import factorial
 
 import numpy as np
 
+from symhex.codes import HzCode, enumerate_words, euclidean_inner
 from symhex.errors import DimensionMismatch
 from symhex.gf import LinearCode, rref
 from symhex.perms import Permutation
+from symhex.ring import ZERO
 
 
 def all_permutations(n: int):
@@ -83,3 +88,11 @@ def span_union(a: LinearCode, b: LinearCode) -> LinearCode:
 def intersect_dim(a: LinearCode, b: LinearCode) -> int:
     """dim(a & b) via dim a + dim b - dim(a + b)."""
     return a.k + b.k - span_union(a, b).k
+
+
+def ref_is_euclidean_self_orthogonal(code: HzCode) -> bool:
+    """Word-by-word check that all Euclidean inner products vanish."""
+    words = enumerate_words(code)
+    return all(
+        euclidean_inner(w1, w2) is ZERO for w1 in words for w2 in words
+    )

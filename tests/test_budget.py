@@ -1,0 +1,156 @@
+"""The work budget: one helper, and estimates that cover what the sites hold."""
+
+from __future__ import annotations
+
+import ast
+import tracemalloc
+from importlib import import_module
+from math import factorial
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import symhex
+from symhex.classify import classify, inequivalent_reps, verify_classification
+from symhex.codes import build, dual_bruteforce, enumerate_words, word_set
+from symhex.errors import MAX_BYTES, MAX_OPS, BudgetExceeded, check_budget
+from symhex.gf import LinearCode, all_vectors, random_code
+from symhex.perms import (
+    PermGroup,
+    automorphism_group,
+    double_cosets,
+    inverse_ranks,
+    perm_equivalent,
+    perm_table,
+)
+from symhex.ring import RingId
+from symhex.symplectic import SymplecticSpace, isotropic_subspaces
+
+H23, H32 = RingId.H23, RingId.H32
+
+
+def test_check_budget_refuses_past_either_bound():
+    check_budget("site", MAX_BYTES, MAX_OPS)  # the bounds themselves pass
+    with pytest.raises(BudgetExceeded, match=r"^site needs about 1,073,741,825 bytes .* budget"):
+        check_budget("site", MAX_BYTES + 1)
+    with pytest.raises(BudgetExceeded, match=r"^site needs .* and 1,073,741,825 operations"):
+        check_budget("site", 0, MAX_OPS + 1)
+
+
+# the raises of BudgetExceeded outside check_budget: bounds on outside input
+# and on exactness, not budgets
+KEPT_BOUNDS = {
+    "gf._check_length",  # MAX_LENGTH
+    "symplectic.SymplecticSpace.__init__",  # MAX_LENGTH
+    "codes._check_word_code_length",  # MAX_WORD_CODE_N
+    "symplectic.count_isotropic",  # COUNT_DIGITS
+}
+
+
+def test_every_budget_raise_is_the_helper_or_a_kept_bound():
+    raisers = set()
+    for path in sorted(Path(symhex.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        scopes = [(path.stem, node) for node in tree.body]
+        while scopes:
+            prefix, node = scopes.pop()
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                scopes += [(f"{prefix}.{node.name}", child) for child in node.body]
+                continue
+            for sub in ast.walk(node):
+                exc = sub.exc if isinstance(sub, ast.Raise) else None
+                if isinstance(exc, ast.Call) and getattr(exc.func, "id", None) == "BudgetExceeded":
+                    raisers.add(prefix)
+    assert raisers == KEPT_BOUNDS | {"errors.check_budget"}
+
+
+# ---------------------------------------------------------------------------
+# estimates against tracemalloc: one case per site, n <= 9, caches cleared
+
+
+def _verify_case():
+    lists = []
+    for p in (2, 3):
+        space = SymplecticSpace.for_length(p, 4)
+        lists.append(inequivalent_reps([c for k in range(3) for c in isotropic_subspaces(space, k)]))
+    la, lb = lists
+    records = classify(H23, la, lb, "SO")
+    return lambda: verify_classification(records, H23, la, lb, "SO")
+
+
+def _groups_case():
+    pairs = np.hstack([np.kron(np.eye(4, dtype=np.int64), [[1, 1]]), np.zeros((4, 1), np.int64)])
+    G = automorphism_group(LinearCode(2, pairs))
+    H = automorphism_group(LinearCode(3, [[1] * 6 + [0] * 3]))
+    inverse_ranks(9)
+    # fresh groups, so their rank maps are built inside the traced call
+    G, H = PermGroup(9, G.ranks), PermGroup(9, H.ranks)
+    return lambda: double_cosets(G, H)
+
+
+def _dedup_case():
+    perm_table(6)
+    lagrangians = isotropic_subspaces(SymplecticSpace(2, 3), 3)
+    return lambda: inequivalent_reps(lagrangians)
+
+
+def _codes(seed: int, p: int, n: int, k: int, count: int) -> list[LinearCode]:
+    rng = np.random.default_rng(seed)
+    return [random_code(p, n, rng, k=k) for _ in range(count)]
+
+
+# site -> setup run untraced, returning the call to trace
+CASES = {
+    "perm_table": lambda: (perm_table(8), lambda: perm_table(9))[1],
+    "inverse_ranks": lambda: (perm_table(9), lambda: inverse_ranks(9))[1],
+    "PermGroup": lambda: (perm_table(9), lambda: PermGroup(9, np.arange(factorial(9))))[1],
+    "automorphism_group": lambda: (
+        perm_table(9), lambda: automorphism_group(_codes(9, 3, 9, 4, 1)[0])
+    )[1],
+    "orbit_keys": lambda: (
+        perm_table(8), lambda: perm_equivalent(*_codes(8, 3, 8, 3, 2))
+    )[1],
+    "double_cosets": _groups_case,
+    "codewords": lambda: (all_vectors(3, 9), LinearCode.full(3, 9).codewords)[1],
+    "all_vectors": lambda: lambda: all_vectors(3, 9),
+    "word_set": lambda: lambda: word_set(build(H32, LinearCode.full(2, 6), LinearCode.full(3, 6))),
+    "enumerate_words": lambda: lambda: enumerate_words(
+        build(H23, LinearCode.full(2, 4), LinearCode.full(3, 4))
+    ),
+    "dual_bruteforce": lambda: lambda: dual_bruteforce(
+        build(H32, LinearCode.zero(2, 6), LinearCode.full(3, 6))
+    ),
+    "isotropic_subspaces": lambda: lambda: isotropic_subspaces(SymplecticSpace(3, 3), 2),
+    "orbit claims": _dedup_case,
+    "verify_classification": _verify_case,
+}
+
+CACHED = (perm_table, inverse_ranks, all_vectors)
+
+
+@pytest.mark.parametrize("site", CASES)
+def test_estimates_cover_the_traced_peak(site, monkeypatch):
+    for cached in CACHED:
+        cached.cache_clear()
+    estimates: dict[str, int] = {}
+
+    def recording(name, nbytes, ops=0):
+        estimates[name] = max(nbytes, estimates.get(name, 0))
+        check_budget(name, nbytes, ops)
+
+    for module in ("gf", "codes", "perms", "symplectic", "classify"):
+        monkeypatch.setattr(import_module(f"symhex.{module}"), "check_budget", recording)
+    call = CASES[site]()
+    estimates.clear()
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        for cached in CACHED:
+            cached.cache_clear()
+    assert site in estimates
+    # the largest estimate of each site the call checked, summed, against the call's peak
+    assert sum(estimates.values()) >= peak, (estimates, peak)

@@ -373,9 +373,11 @@ def test_verification_catches_wrong_flag_target():
 
 
 def test_verification_budget():
-    la = [LinearCode.zero(2, 8)]
-    lb = [LinearCode.zero(3, 8)]
-    with pytest.raises(BudgetExceeded):
+    # the verifier would key 12! rows per entry, about 150 times the budget;
+    # it refuses before any other site is reached
+    la = [LinearCode.zero(2, 12)]
+    lb = [LinearCode.zero(3, 12)]
+    with pytest.raises(BudgetExceeded, match="^verify_classification needs"):
         verify_classification([], H23, la, lb, "SO")
 
 

@@ -115,14 +115,15 @@ def test_dual_brute_out_writes_only_after_a_match(r2_path, tmp_path, capsys):
     assert cli.main(["dual", r2_path, "--brute", "--out", str(out_path)]) == 0
     assert capsys.readouterr().out == f"oracle: match (18 words)\nwrote {out_path}\n"
     assert out_path.read_text() == io.format_hzcode(dual(io.parse_hzcode(R2_FILE)))
-    # n = 10 is past the oracle's 6^n word budget: exit 2 and no file
-    code = build(RingId.H23, LinearCode(2, [[1] * 10]), LinearCode(3, [[1] * 10]))
-    p = tmp_path / "c10.code"
+    # at n = 12 the oracle's 6^n candidate words are past the byte budget: exit 2 and no file
+    code = build(RingId.H23, LinearCode(2, [[1] * 12]), LinearCode(3, [[1] * 12]))
+    p = tmp_path / "c12.code"
     p.write_text(io.format_hzcode(code))
-    out10 = tmp_path / "dual10.code"
-    assert cli.main(["dual", str(p), "--brute", "--out", str(out10)]) == 2
-    assert capsys.readouterr().out == ""
-    assert not out10.exists()
+    out12 = tmp_path / "dual12.code"
+    assert cli.main(["dual", str(p), "--brute", "--out", str(out12)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "budget" in err
+    assert not out12.exists()
 
 
 def test_dual_writes_file(r2_path, tmp_path, capsys):
@@ -233,15 +234,16 @@ def test_classify_checks_the_lists_once_on_either_path(tmp_path, capsys, monkeyp
 def test_classify_verify_beyond_the_guard_exits_2_before_classifying(tmp_path, capsys, monkeypatch):
     ca = tmp_path / "ca.list"
     cb = tmp_path / "cb.list"
-    ca.write_text("2 8 0\n\n")
-    cb.write_text("3 8 0\n\n")
+    # the verifier would key 12! rows per entry, about 150 times the byte budget
+    ca.write_text("2 12 0\n\n")
+    cb.write_text("3 12 0\n\n")
     monkeypatch.setattr(cli, "classify", _raise)
     assert cli.main([
-        "classify", "--ring", "H23", "--n", "8",
+        "classify", "--ring", "H23", "--n", "12",
         "--ca-list", str(ca), "--cb-list", str(cb), "--verify",
     ]) == 2
     out, err = capsys.readouterr()
-    assert out == "" and err.startswith("error: ") and "n <= 6" in err
+    assert out == "" and err.startswith("error: ") and "budget" in err
 
 
 def test_count_isotropic(capsys):

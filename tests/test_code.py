@@ -13,7 +13,6 @@ import pytest
 import symhex
 from symhex.codes import (
     MAX_WORD_CODE_N,
-    WORD_BUDGET,
     HzCode,
     HzWord,
     WordSet,
@@ -50,6 +49,8 @@ from symhex.gf import LinearCode, all_vectors, random_code
 from symhex.perms import Permutation
 from symhex.ring import A, RingId, ZERO
 from symhex.symplectic import SymplecticSpace, isotropic_subspaces
+
+from oracles import ref_is_euclidean_self_orthogonal
 
 H23, H32 = RingId.H23, RingId.H32
 
@@ -369,19 +370,37 @@ def test_dual_matches_bruteforce_oracle_n2(ring):
         assert word_set(dual(c)) == dual_bruteforce(c)
 
 
-def test_euclidean_budget_is_checked_before_any_word(monkeypatch):
-    def boom(code):
-        raise AssertionError("words enumerated before the budget check")
+def test_euclidean_self_orthogonality_never_enumerates_words(monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("words enumerated")
 
     monkeypatch.setattr(import_module("symhex.codes"), "enumerate_words", boom)
-    c = build(H23, LinearCode.full(2, 8), LinearCode.zero(3, 8))  # 256^2 pairs
-    with pytest.raises(BudgetExceeded):
-        is_euclidean_self_orthogonal(c)
+    monkeypatch.setattr(LinearCode, "codewords", boom)
+    c = build(H23, LinearCode.full(2, 8), LinearCode.zero(3, 8))  # 256 words
+    assert not is_euclidean_self_orthogonal(c)  # <e_i, e_i> = a
+    # the governing side decides: the even-weight pairs are dot-orthogonal mod 2
+    pairs = np.kron(np.eye(4, dtype=np.int64), [[1, 1]])
+    assert is_euclidean_self_orthogonal(build(H23, LinearCode(2, pairs), LinearCode.full(3, 8)))
+    assert not is_euclidean_self_orthogonal(build(H32, LinearCode(2, pairs), LinearCode.full(3, 8)))
+
+
+def test_euclidean_self_orthogonality_agrees_with_the_word_pair_loop(pair_surface_n2):
+    rng = np.random.default_rng(47)
+    small = [(random_code(2, 4, rng, k=int(rng.integers(0, 3))),
+              random_code(3, 4, rng, k=int(rng.integers(0, 3)))) for _ in range(20)]
+    verdicts = []
+    for ring in (H23, H32):
+        for ca, cb in pair_surface_n2 + small:
+            c = build(ring, ca, cb)
+            verdicts.append(is_euclidean_self_orthogonal(c))
+            assert verdicts[-1] == ref_is_euclidean_self_orthogonal(c), c
+    assert True in verdicts and False in verdicts
 
 
 def test_dual_bruteforce_budget():
-    c = build(H23, LinearCode.zero(2, 10), LinearCode.zero(3, 10))
-    with pytest.raises(BudgetExceeded):
+    # 6^12 candidate words, about 48 times the byte budget
+    c = build(H23, LinearCode.zero(2, 12), LinearCode.zero(3, 12))
+    with pytest.raises(BudgetExceeded, match="dual_bruteforce"):
         dual_bruteforce(c)
 
 
@@ -533,13 +552,36 @@ def test_word_sets_stop_where_word_codes_leave_int64():
     assert word_set(top) == frozenset(ref_enumerate_words(top)) == set(word_set(top))
     assert int(word_set(top).codes[-1]) == 6**24 - 1
     long = build(H32, rep2(26), rep3(26))
-    assert long.size <= WORD_BUDGET
+    assert long.size == 6
     with pytest.raises(BudgetExceeded, match="int64"):
         word_set(long)
     with pytest.raises(BudgetExceeded, match="int64"):
         is_lcd_bruteforce(long)
     with pytest.raises(BudgetExceeded, match="int64"):
         WordSet(H23, 26, [])
+
+
+def test_word_code_length_is_checked_before_any_codeword(monkeypatch):
+    def boom(self):
+        raise AssertionError(f"codewords built at n = {self.n}")
+
+    monkeypatch.setattr(LinearCode, "codewords", boom)
+    long = build(H32, rep2(26), rep3(26))
+    for oracle in (word_set, is_self_orthogonal_bruteforce, is_lcd_bruteforce):
+        with pytest.raises(BudgetExceeded, match="int64"):
+            oracle(long)
+
+
+def test_codewords_past_the_byte_budget_raise_before_allocating():
+    # a 12-dimensional ternary code of length 1024: its int64 codeword
+    # product alone would be 3^12 x 1024 x 8 bytes, 4.05 GiB
+    rng = np.random.default_rng(1024)
+    cb = LinearCode(3, rng.integers(0, 3, size=(12, 1024)))
+    assert cb.k == 12
+    with pytest.raises(BudgetExceeded, match="codewords"):
+        cb.codewords()
+    with pytest.raises(BudgetExceeded):
+        word_set(build(H32, LinearCode.zero(2, 1024), cb))
 
 
 def test_word_set_rejects_bad_codes_and_is_immutable():
@@ -614,11 +656,10 @@ def test_word_level_evaluation_runs_once_per_code(monkeypatch):
 
 
 def test_word_level_errors_and_identity_are_not_cached():
-    # the int64 guard (n = 26) and the candidate budget (6^10 > WORD_BUDGET)
+    # the int64 guard (n = 26) and the byte budget on 6^12 candidate words
     # raise on every call on the same instance, never from a cached value
     long = build(H32, rep2(26), rep3(26))
-    wide = build(H23, LinearCode.zero(2, 10), LinearCode.zero(3, 10))
-    assert 6**10 > WORD_BUDGET
+    wide = build(H23, LinearCode.zero(2, 12), LinearCode.zero(3, 12))
     for code, oracle, match in [
         (long, word_set, "int64"),
         (long, is_lcd_bruteforce, "int64"),

@@ -115,8 +115,9 @@ def test_codewords_are_message_ordered():
 
 
 def test_codeword_budget():
-    with pytest.raises(BudgetExceeded):
-        LinearCode.full(3, 13).codewords()
+    # 3^15 codewords at 375 bytes each, about 5 times the byte budget
+    with pytest.raises(BudgetExceeded, match="budget"):
+        LinearCode.full(3, 15).codewords()
 
 
 def test_places_read_all_vectors_rows_as_their_index():
@@ -133,7 +134,7 @@ def test_all_vectors_is_cached_and_read_only():
     assert not first.flags.writeable
     for _ in range(2):  # the budget check runs before anything is cached
         with pytest.raises(BudgetExceeded):
-            all_vectors(3, 14)
+            all_vectors(3, 16)  # 3^16 rows at 280 bytes, about 11 times the budget
 
 
 def test_nullspace_examples():

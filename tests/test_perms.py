@@ -17,7 +17,6 @@ from symhex.errors import BudgetExceeded, DimensionMismatch
 from symhex.gf import LinearCode, random_code
 from symhex.perms import (
     BLOCK,
-    MAX_PERM_N,
     PermGroup,
     Permutation,
     apply_perm,
@@ -182,25 +181,25 @@ def test_double_coset_reps_are_lex_minimal():
 
 
 def test_budget_guards():
+    # perm_table(12) would take 12! x 14 bytes, about 6 times the byte budget
     with pytest.raises(BudgetExceeded):
-        automorphism_group(LinearCode.zero(2, 9))
+        automorphism_group(LinearCode.zero(2, 12))
     with pytest.raises(BudgetExceeded):
-        perm_equivalent(LinearCode.zero(2, 9), LinearCode.zero(2, 9))
+        perm_equivalent(LinearCode.zero(2, 12), LinearCode.zero(2, 12))
     with pytest.raises(BudgetExceeded):  # the guard comes before the dimension test
-        perm_equivalent(LinearCode.zero(2, 9), LinearCode.full(2, 9))
+        perm_equivalent(LinearCode.zero(2, 12), LinearCode.full(2, 12))
+    with pytest.raises(BudgetExceeded, match="budget"):
+        perm_table(12)
     with pytest.raises(BudgetExceeded):
-        perm_table(9)
+        double_cosets(PermGroup(12, [0]), PermGroup(12, [0]))
+    c12 = build(RingId.H23, LinearCode.zero(2, 12), LinearCode.zero(3, 12))
     with pytest.raises(BudgetExceeded):
-        double_cosets(PermGroup(9, [0]), PermGroup(9, [0]))
-    # HzCode lengths are even, so the first length past the guard is 10
-    c10 = build(RingId.H23, LinearCode.zero(2, 10), LinearCode.zero(3, 10))
-    with pytest.raises(BudgetExceeded):
-        equivalent(c10, c10)
+        equivalent(c12, c12)
     # pairs of different dimensions meet the guard before the dimension test
-    full2, full3 = LinearCode.full(2, 10), LinearCode.full(3, 10)
-    for other in (build(RingId.H23, full2, c10.cb), build(RingId.H23, c10.ca, full3)):
+    full2, full3 = LinearCode.full(2, 12), LinearCode.full(3, 12)
+    for other in (build(RingId.H23, full2, c12.cb), build(RingId.H23, c12.ca, full3)):
         with pytest.raises(BudgetExceeded):
-            equivalent(c10, other)
+            equivalent(c12, other)
 
 
 # ---------------------------------------------------------------------------
@@ -493,11 +492,12 @@ def test_rank_sets_that_are_not_groups_raise_value_error():
 
 
 def test_groups_beyond_the_table_guard_raise_budget_exceeded():
-    assert PermGroup(MAX_PERM_N + 1, [0]).order == 1
+    # the trivial group needs no table; any other group of S_12 needs perm_table(12)
+    assert PermGroup(12, [0]).order == 1
     with pytest.raises(BudgetExceeded):
-        PermGroup(MAX_PERM_N + 1, np.arange(factorial(MAX_PERM_N + 1)))
+        PermGroup(12, np.arange(factorial(9)))  # S_9 on the last nine points
     with pytest.raises(BudgetExceeded):
-        PermGroup(MAX_PERM_N + 1, [0, 1])
+        PermGroup(12, [0, 1])
 
 
 def test_symmetric_group_of_length_eight_is_pinned():
@@ -510,6 +510,54 @@ def test_symmetric_group_of_length_eight_is_pinned():
             "(7 8) (6 7) (5 6) (4 5) (3 4) (2 3) (1 2)"
         )
         assert elapsed < 1.0, f"Aut = S_8 took {elapsed:.2f} s"
+
+
+# lengths 9 and 10, inside the work budget
+
+
+def test_automorphism_group_of_the_length_nine_zero_code_is_s9():
+    # nine checks: more than an int64 packs, so the scan runs on the dual
+    g = automorphism_group(LinearCode.zero(2, 9))
+    assert g.order == factorial(9)
+    assert " ".join(pi.cycle_string() for pi in g.generators) == (
+        "(8 9) (7 8) (6 7) (5 6) (4 5) (3 4) (2 3) (1 2)"
+    )
+
+
+def test_double_cosets_at_length_nine_partition_s9():
+    pairs = np.hstack([np.kron(np.eye(4, dtype=np.int64), [[1, 1]]), np.zeros((4, 1), np.int64)])
+    G = automorphism_group(LinearCode(2, pairs))
+    H = automorphism_group(LinearCode(3, [[1] * 6 + [0] * 3]))
+    assert (G.order, H.order) == (2**4 * factorial(4), factorial(6) * factorial(3))
+    cosets = double_cosets(G, H)
+    assert sum(size for _, size in cosets) == factorial(9)
+    reps = [sigma for sigma, _ in cosets]
+    assert reps == sorted(reps) and reps[0] == Permutation(tuple(range(9)))
+
+
+def test_perm_table_of_length_ten():
+    table = perm_table(10)
+    assert table.shape == (factorial(10), 10) and not table.flags.writeable
+    sample = np.random.default_rng(10).integers(0, factorial(10), size=20)
+    assert ranks(table[sample]).tolist() == sample.tolist()
+    assert [tuple(table[r].tolist()) for r in sample.tolist()] == [
+        unrank_images(10, r) for r in sample.tolist()
+    ]
+
+
+def test_automorphism_group_of_five_pairs_at_length_ten():
+    five_pairs = LinearCode(2, np.kron(np.eye(5, dtype=np.int64), [[1, 1]]))
+    assert automorphism_group(five_pairs).order == 2**5 * factorial(5)  # 3,840
+
+
+def test_codes_with_more_than_eight_checks_are_scanned_as_their_dual(monkeypatch):
+    # one generator and nine checks; the first eight checks alone would also
+    # let the last point move to the ninth.  The accepted ranks are read
+    # before the group closure, which the other tests cover.
+    monkeypatch.setattr(import_module("symhex.perms"), "PermGroup", lambda n, ranks: ranks)
+    accepted = automorphism_group(LinearCode(3, [[0] * 9 + [1]]))
+    assert len(accepted) == factorial(9)
+    assert (perm_table(10)[accepted, 9] == 9).all()
 
 
 def _dihedral(n: int) -> PermGroup:
@@ -625,7 +673,7 @@ def test_packed_scan_matches_the_word_key_stabilizer_at_length_8(monkeypatch):
 
 
 def test_inverse_ranks_is_an_involution():
-    for n in range(1, MAX_PERM_N + 1):
+    for n in range(1, 10):
         inv = inverse_ranks(n)
         assert inv.dtype == np.int32 and not inv.flags.writeable
         assert np.array_equal(inv[inv], np.arange(factorial(n)))

@@ -308,8 +308,9 @@ def test_enumeration_deterministic():
 
 
 def test_enumeration_guards():
+    # 22,405,120 ternary Lagrangians of length 10, about 27 times the byte budget
     with pytest.raises(BudgetExceeded):
-        isotropic_subspaces(SymplecticSpace(3, 4), 1)
+        isotropic_subspaces(SymplecticSpace(3, 5), 5)
     with pytest.raises(KOutOfRange):
         isotropic_subspaces(SymplecticSpace(2, 2), 3)
 
