@@ -42,6 +42,7 @@ from .codes import (
 from .errors import DimensionMismatch, LengthMismatch, OddLength, VerificationFailed, check_budget
 from .gf import LinearCode
 from .perms import (
+    BLOCK,
     PermGroup,
     Permutation,
     apply_perm,
@@ -52,6 +53,7 @@ from .perms import (
     perm_table,
     ranks,
     word_key,
+    word_keys,
 )
 from .ring import RingId
 
@@ -147,19 +149,54 @@ def classify(
     return records
 
 
-def _claim(owner: dict[bytes, int], i: int, codes: tuple[LinearCode, ...]) -> int:
-    """The index owning the codes' word key; when none does, i claims their S_n orbit.
+def _owners(codes: list[LinearCode]) -> np.ndarray:
+    """owners[j]: the first index whose code is equivalent to codes[j], codes of one (p, n).
 
-    The owner map grows by up to n! keys a claim, each a bytes object of 4
-    bytes a codeword and about 160 more as a dict entry.
+    Permutations keep k, so each k is one batch: word_keys keys every input
+    at once and the keys are sorted as whole rows, equal inputs forming one
+    run.  Each code not yet owned, in input order, owns its run and, while
+    other runs are left, scans its S_n orbit once and owns the runs its
+    keys hit, found by binary search.  Only the inputs' keys are held,
+    beside one word_keys chunk of c codes and one orbit block; the estimate
+    counts all three.
     """
-    o = owner.setdefault(word_key(codes).tobytes(), i)
-    if o == i:
-        n, words = codes[0].n, sum(c.size for c in codes)
-        check_budget("orbit claims", (len(owner) + factorial(n)) * (4 * words + 160))
-        for _, keys in orbit_keys(codes):
-            owner.update(dict.fromkeys(map(bytes, keys), i))
-    return o
+    dims = np.array([c.k for c in codes], dtype=np.intp)
+    owners = np.arange(len(codes))
+    for k in dict.fromkeys(dims.tolist()):
+        index = np.flatnonzero(dims == k)
+        if len(index) == 1:  # a code alone in its dimension owns itself
+            continue
+        batch = [codes[i] for i in index]
+        n, words = batch[0].n, batch[0].size
+        c = min(len(batch), max(1, BLOCK * 64 // words))
+        nbytes = len(batch) * (k * n + 8 * words + 80) + c * words * (24 * n + 16)
+        check_budget("orbit claims", nbytes + BLOCK * (4 * words + 40), len(batch) * words * n)
+        keys = _rows(word_keys(batch))
+        order = np.argsort(keys)
+        ordered = keys[order]
+        # run[s]: the run of equal keys that sorted position s lies in
+        run = np.cumsum(np.concatenate(([0], ordered[1:] != ordered[:-1])))
+        run_of = np.empty_like(run)
+        run_of[order] = run
+        run_owner = np.full(run[-1] + 1, -1)
+        for i, r in zip(index, run_of):
+            if run_owner[r] >= 0:
+                continue
+            run_owner[r] = i
+            if run_owner.min() >= 0:  # no other input is left to claim
+                break
+            for _, orbit in orbit_keys((codes[i],)):
+                orbit = _rows(orbit)
+                at = np.minimum(np.searchsorted(ordered, orbit), len(ordered) - 1)
+                run_owner[run[at[ordered[at] == orbit]]] = i
+        owners[index] = run_owner[run_of]
+    return owners
+
+
+def _rows(keys: np.ndarray) -> np.ndarray:
+    """Each row of a 2-D int32 key array as one opaque value, so rows sort and match whole."""
+    keys = np.ascontiguousarray(keys)
+    return keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel()
 
 
 def check_verify_budget(la: list[LinearCode], lb: list[LinearCode]) -> None:
@@ -175,14 +212,21 @@ def check_verify_budget(la: list[LinearCode], lb: list[LinearCode]) -> None:
 
 
 def verify_lists(la: list[LinearCode], lb: list[LinearCode]) -> None:
-    """Raise VerificationFailed, starting with lists:, when two entries of a list are equivalent."""
-    for lst, tag, owner in ((la, "La", {}), (lb, "Lb", {})):
-        for j, c in enumerate(lst):
-            if (i := _claim(owner, j, (c,))) != j:
-                sigma = perm_equivalent(lst[i], c).cycle_string()
-                raise VerificationFailed(
-                    f"lists: {tag} entries {i} and {j} are equivalent under {sigma}"
-                )
+    """Raise VerificationFailed, starting with lists:, when two entries of a list are equivalent.
+
+    The witness is the first entry j, La before Lb, equivalent to an earlier
+    entry, with i the first such earlier entry and sigma the lex-first
+    permutation carrying i to j.
+    """
+    for lst, tag in ((la, "La"), (lb, "Lb")):
+        owners = _owners(lst)
+        if (later := np.flatnonzero(owners != np.arange(len(lst)))).size:
+            j = int(later[0])
+            i = int(owners[j])
+            sigma = perm_equivalent(lst[i], lst[j]).cycle_string()
+            raise VerificationFailed(
+                f"lists: {tag} entries {i} and {j} are equivalent under {sigma}"
+            )
 
 
 def verify_classification(
@@ -276,8 +320,12 @@ def verify_classification(
 
 
 def inequivalent_reps(codes: list[LinearCode]) -> list[LinearCode]:
-    """Greedy dedup up to coordinate permutation: keep each code outside the kept orbits."""
+    """Greedy dedup up to coordinate permutation: the first code of each class, in input order.
+
+    These are the codes a greedy pass over whole orbits keeps, but each class
+    scans its orbit once and claims only the inputs it meets (_owners).
+    """
     if any((c.p, c.n) != (codes[0].p, codes[0].n) for c in codes):
         raise DimensionMismatch("codes live in different spaces")
-    owner: dict[bytes, int] = {}
-    return [c for i, c in enumerate(codes) if _claim(owner, i, (c,)) == i]
+    owners = _owners(codes)
+    return [codes[i] for i in np.flatnonzero(owners == np.arange(len(codes)))]

@@ -8,6 +8,7 @@ space, so code equality is literal array equality.
 from __future__ import annotations
 
 from functools import cache, lru_cache
+from itertools import repeat
 from typing import Optional
 
 import numpy as np
@@ -69,7 +70,7 @@ def nullspace(mat: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
     return B, tuple(lead.tolist())
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=256)
 def _rref_box(p: int, n: int, pivots: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     """Bounds lo <= M <= hi that hold exactly for the matrices over 0..p-1
     in RREF with these pivots.
@@ -77,6 +78,9 @@ def _rref_box(p: int, n: int, pivots: tuple[int, ...]) -> tuple[np.ndarray, np.n
     Row r is 1 at its pivot (lo = hi = 1), at most p-1 in its free entries
     (right of its pivot, off the pivot columns) and 0 everywhere else.
     Cached because duals and enumerations meet the same profiles again.
+    Length n has 2^n profiles, so the cache holds every profile of both
+    fields up to n = 7: a second sweep of isotropic_subspaces at n = 6,
+    which meets 84, hits on each.
     """
     cols = np.arange(n)
     piv = np.array(pivots, dtype=np.intp)[:, None]
@@ -99,7 +103,7 @@ class LinearCode:
     The zero code (k = 0) and the full space (k = n) are ordinary values.
     Instances are immutable and hashable; two codes compare equal exactly
     when they have the same row space, by the key (p, n, RREF bytes) that
-    _set computes once.  __init__ reduces its rows with rref; from_rref
+    _fill computes once.  __init__ reduces its rows with rref; from_rref
     takes a batch already in RREF and only checks it.  A length above
     MAX_LENGTH raises BudgetExceeded.
     """
@@ -119,17 +123,8 @@ class LinearCode:
             M = M.reshape(0, n)
         if M.ndim != 2 or M.shape[1] != n:
             raise DimensionMismatch(f"rows have shape {M.shape}, expected length {n}")
-        self._set(p, *rref(M, p))
-
-    def _set(self, p: int, R: np.ndarray, pivots: tuple[int, ...]) -> None:
-        """Fill the slots from a read-only int8 RREF and its pivots."""
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "n", R.shape[1])
-        object.__setattr__(self, "k", R.shape[0])
-        object.__setattr__(self, "gen", R)
-        object.__setattr__(self, "pivots", pivots)
-        # n is in the key: the RREF bytes alone are empty for every zero code
-        object.__setattr__(self, "_key", (p, R.shape[1], R.tobytes()))
+        R, pivots = rref(M, p)
+        _fill((self,), p, R[None], pivots)
 
     @classmethod
     def from_rref(cls, p: int, mats, pivots: tuple[int, ...]) -> list["LinearCode"]:
@@ -140,7 +135,8 @@ class LinearCode:
         of a row's pivot is zero, and all entries lie in 0..p-1.  That is
         one elementwise test of the whole batch against the bounds of
         _rref_box; the first matrix that fails is the witness of the
-        ValueError.
+        ValueError.  The batch is then one read-only int8 array: each code's
+        gen is a view of it and its key a slice of its one tobytes() buffer.
         """
         if p not in (2, 3):
             raise ValueError(f"p must be 2 or 3, got {p}")
@@ -159,9 +155,8 @@ class LinearCode:
             raise ValueError(f"not in RREF with pivots {pivots}: {first}")
         R = mats.astype(np.int8)
         R.flags.writeable = False
-        codes = [object.__new__(cls) for _ in range(len(R))]
-        for code, gen in zip(codes, R):
-            code._set(p, gen, pivots)
+        codes = list(map(object.__new__, repeat(cls, len(R))))
+        _fill(codes, p, R, pivots)
         return codes
 
     def __setattr__(self, name, value):
@@ -230,6 +225,25 @@ class LinearCode:
     def __repr__(self) -> str:
         rows = ",".join("".join(str(int(x)) for x in row) for row in self.gen)
         return f"LinearCode(p={self.p}, n={self.n}, k={self.k}, [{rows}])"
+
+
+# each slot's own descriptor, which writes past LinearCode.__setattr__
+_SETTERS = tuple(getattr(LinearCode, slot).__set__ for slot in LinearCode.__slots__)
+
+
+def _fill(codes, p: int, R: np.ndarray, pivots: tuple[int, ...]) -> None:
+    """Fill the slots of fresh codes from a read-only int8 batch R (B, k, n) in RREF."""
+    set_p, set_n, set_k, set_gen, set_pivots, set_key = _SETTERS
+    _, k, n = R.shape
+    buf, size = R.tobytes(), k * n
+    for i, (code, gen) in enumerate(zip(codes, R)):
+        set_p(code, p)
+        set_n(code, n)
+        set_k(code, k)
+        set_gen(code, gen)
+        set_pivots(code, pivots)
+        # n is in the key: the RREF bytes alone are empty for every zero code
+        set_key(code, (p, n, buf[i * size : (i + 1) * size]))
 
 
 @cache

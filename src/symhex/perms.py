@@ -53,7 +53,7 @@ from math import factorial
 import numpy as np
 
 from .errors import DimensionMismatch, check_budget
-from .gf import LinearCode, nullspace, places
+from .gf import LinearCode, all_vectors, nullspace, places
 
 # rows of perm_table per scan step: 7!, so S_8 is scanned in eight blocks
 BLOCK = 5040
@@ -231,6 +231,26 @@ def word_key(codes: tuple[LinearCode, ...]) -> np.ndarray:
     """The codes' own word keys side by side: orbit_keys' identity row, without a scan."""
     keys = [(place @ W).astype(np.int32) for place, W in map(_place_and_words, codes)]
     return np.hstack([np.sort(k) for k in keys])
+
+
+def word_keys(codes: list[LinearCode]) -> np.ndarray:
+    """word_key of each code of one (p, n, k), one int32 row a code.
+
+    A chunk's codewords are one float64 product of the p^k messages with the
+    chunk's stacked generators, reduced mod p and read in base p by one more
+    product.  A chunk holds at most BLOCK * 64 codewords, so its float64
+    copies stay a few tens of MiB; the caller states the budget.
+    """
+    p, n, k = codes[0].p, codes[0].n, codes[0].k
+    msgs = all_vectors(p, k).astype(float)
+    place = places(p, n).astype(float)
+    step = max(1, BLOCK * 64 // len(msgs))
+    gens = np.stack([c.gen for c in codes])
+    keys = np.empty((len(codes), len(msgs)), dtype=np.int32)
+    for start in range(0, len(codes), step):
+        words = msgs @ gens[start : start + step].astype(float)
+        keys[start : start + step] = np.sort((words % p) @ place, axis=1)
+    return keys
 
 
 def _place_and_words(code: LinearCode) -> tuple[np.ndarray, np.ndarray]:

@@ -134,9 +134,11 @@ def isotropic_subspaces(space: SymplecticSpace, k: int) -> list[LinearCode]:
     output order lexicographic: pivot profiles first, then free entries
     row by row.  k = 0 is the one empty profile.  Each profile's batch
     is already in RREF, so LinearCode.from_rref turns it into codes after
-    one vectorized shape check, without reducing any leaf again.  Each code
-    costs its LinearCode and its share of the batches and clash products,
-    under 512 + 16kn bytes; the budget is checked on count_isotropic codes.
+    one vectorized shape check, without reducing any leaf again: one int8
+    copy of the batch, whose rows are the codes' generators and whose bytes
+    are their keys.  Each code costs its LinearCode and its share of the
+    batches and clash products, under 512 + 16kn bytes; the budget is
+    checked on count_isotropic codes.
     """
     p, n, m = space.p, space.n, space.m
     check_budget("isotropic_subspaces", 4096 + count_isotropic(p, m, k) * (512 + 16 * k * n))

@@ -10,7 +10,9 @@ the basis down in RREF; intersect_dim measures C & D by the dimension of
 C + D, where SymplecticSpace.is_lcd uses Massey's rank test;
 ref_is_euclidean_self_orthogonal sums ring products over every pair of
 words, where codes.is_euclidean_self_orthogonal reads one component's
-Gram matrix.
+Gram matrix; ref_inequivalent_reps and ref_list_owners put each kept
+code's whole S_n orbit into a dict of keys, where classify's dedup keeps
+only the inputs' keys and searches them.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 from symhex.codes import HzCode, enumerate_words, euclidean_inner
 from symhex.errors import DimensionMismatch
 from symhex.gf import LinearCode, rref
-from symhex.perms import Permutation
+from symhex.perms import Permutation, orbit_keys, word_key
 from symhex.ring import ZERO
 
 
@@ -96,3 +98,24 @@ def ref_is_euclidean_self_orthogonal(code: HzCode) -> bool:
     return all(
         euclidean_inner(w1, w2) is ZERO for w1 in words for w2 in words
     )
+
+
+def _claim(owner: dict[bytes, int], i: int, codes: tuple[LinearCode, ...]) -> int:
+    """The index owning the codes' word key; when none does, i claims their S_n orbit."""
+    o = owner.setdefault(word_key(codes).tobytes(), i)
+    if o == i:
+        for _, keys in orbit_keys(codes):
+            owner.update(dict.fromkeys(map(bytes, keys), i))
+    return o
+
+
+def ref_inequivalent_reps(codes: list[LinearCode]) -> list[LinearCode]:
+    """Greedy dedup up to coordinate permutation: keep each code outside the kept orbits."""
+    owner: dict[bytes, int] = {}
+    return [c for i, c in enumerate(codes) if _claim(owner, i, (c,)) == i]
+
+
+def ref_list_owners(codes: list[LinearCode]) -> list[int]:
+    """Per entry, the index that owned its key when the greedy pass reached it."""
+    owner: dict[bytes, int] = {}
+    return [_claim(owner, j, (c,)) for j, c in enumerate(codes)]

@@ -90,9 +90,12 @@ def _groups_case():
 
 
 def _dedup_case():
+    # the binary Lagrangians, then 5,125 ternary codes whose k = 2 batch
+    # (3,640 codes) is one word_keys chunk
     perm_table(6)
     lagrangians = isotropic_subspaces(SymplecticSpace(2, 3), 3)
-    return lambda: inequivalent_reps(lagrangians)
+    ternary = [c for k in range(4) for c in isotropic_subspaces(SymplecticSpace(3, 3), k)]
+    return lambda: (inequivalent_reps(lagrangians), inequivalent_reps(ternary))
 
 
 def _codes(seed: int, p: int, n: int, k: int, count: int) -> list[LinearCode]:

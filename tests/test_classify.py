@@ -3,11 +3,19 @@
 from __future__ import annotations
 
 import dataclasses
+import os
 import re
+import subprocess
+import sys
 from functools import cache
 from importlib import import_module
+from math import factorial
+from pathlib import Path
 
+import numpy as np
 import pytest
+
+import symhex
 
 from symhex.classify import (
     TARGETS,
@@ -16,6 +24,7 @@ from symhex.classify import (
     classify,
     inequivalent_reps,
     verify_classification,
+    verify_lists,
 )
 from symhex.codes import (
     HzCode,
@@ -28,17 +37,20 @@ from symhex.codes import (
     split,
 )
 from symhex.errors import BudgetExceeded, DimensionMismatch, OddLength, VerificationFailed
-from symhex.gf import LinearCode
+from symhex.gf import LinearCode, random_code
 from symhex.perms import (
     Permutation,
     apply_perm,
     automorphism_group,
     double_cosets,
+    orbit_keys,
+    perm_table,
+    word_keys,
 )
 from symhex.ring import RingId
-from symhex.symplectic import SymplecticSpace, isotropic_subspaces
+from symhex.symplectic import SymplecticSpace, count_isotropic, isotropic_subspaces
 
-from oracles import all_permutations
+from oracles import all_permutations, ref_inequivalent_reps, ref_list_owners
 
 H23, H32 = RingId.H23, RingId.H32
 
@@ -409,6 +421,113 @@ def test_inequivalent_reps_rejects_mixed_spaces():
 
 def test_inequivalent_reps_of_isotropic_subspaces_at_length_six():
     assert (len(_iso_classes(2, 6)), len(_iso_classes(3, 6))) == (31, 186)
+
+
+@pytest.mark.parametrize("p, n", [(p, n) for p in (2, 3) for n in (2, 4, 6)])
+def test_isotropic_classes_carry_the_isotropic_count_as_orbit_mass(p, n):
+    # a class c holds |{pi : pi . c isotropic}| / |Aut c| isotropic codes; the
+    # isotropy of every pi . c is one batched Gram product over the table
+    space, table = SymplecticSpace.for_length(p, n), perm_table(n)
+    grams = space.gram[table[:, :, None], table[:, None, :]]  # gram[pi(i), pi(j)] per pi
+    for k in range(space.m + 1):
+        mass = naive = 0
+        for c in inequivalent_reps(isotropic_subspaces(space, k)):
+            G = c.gen.astype(np.int64)
+            isotropic = np.count_nonzero(~((G @ grams @ G.T) % p).any(axis=(1, 2)))
+            aut = automorphism_group(c).order
+            assert isotropic % aut == 0
+            mass += isotropic // aut
+            naive += factorial(n) // aut
+        assert mass == count_isotropic(p, space.m, k)
+        if (p, n, k) == (2, 4, 2):
+            # S_n moves codes out of the isotropic set, so n!/|Aut c| overcounts
+            assert (naive, mass) == (27, 15)
+
+
+def _seeded_lists(p: int) -> list[list[LinearCode]]:
+    """20 lists at n = 4: random codes, exact repeats and permuted copies, shuffled."""
+    lists = []
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        codes = [random_code(p, 4, rng) for _ in range(12)]
+        codes += [codes[i] for i in rng.integers(0, 12, 3)]
+        codes += [apply_perm(Permutation(tuple(rng.permutation(4).tolist())), codes[i])
+                  for i in rng.integers(0, 12, 6)]
+        lists.append([codes[i] for i in rng.permutation(len(codes))])
+    return lists
+
+
+@pytest.mark.parametrize("p, count, classes", [(2, 514, 31), (3, 5125, 186)])
+def test_dedup_keeps_the_reference_representatives_at_length_six(p, count, classes):
+    space = SymplecticSpace(p, 3)
+    codes = [c for k in range(4) for c in isotropic_subspaces(space, k)]
+    reps = inequivalent_reps(codes)
+    assert (len(codes), len(reps)) == (count, classes)
+    assert list(map(id, reps)) == list(map(id, ref_inequivalent_reps(codes)))
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_dedup_keeps_the_reference_representatives_on_seeded_lists(p):
+    for codes in _seeded_lists(p):
+        assert list(map(id, inequivalent_reps(codes))) == list(map(id, ref_inequivalent_reps(codes)))
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_list_check_names_the_reference_witness(p):
+    tag = {2: "La", 3: "Lb"}[p]
+    for codes in _seeded_lists(p):
+        owners = ref_list_owners(codes)
+        j = next(j for j, i in enumerate(owners) if i != j)
+        i = owners[j]
+        # the lex-first sigma carrying entry i onto entry j, by a scan of S_4
+        sigma = next(s for s in all_permutations(4) if apply_perm(s, codes[i]) == codes[j])
+        lists = (codes, []) if p == 2 else ([], codes)
+        with pytest.raises(VerificationFailed) as err:
+            verify_lists(*lists)
+        assert str(err.value) == (
+            f"lists: {tag} entries {i} and {j} are equivalent under {sigma.cycle_string()}"
+        )
+        reps = ref_inequivalent_reps(codes)
+        verify_lists(*((reps, []) if p == 2 else ([], reps)))
+
+
+def test_dedup_keys_each_dimension_once_and_scans_each_class_orbit_once(monkeypatch):
+    module = import_module("symhex.classify")
+    batches, scans = [], []
+    monkeypatch.setattr(module, "word_keys", lambda codes: batches.append(codes) or word_keys(codes))
+    monkeypatch.setattr(module, "orbit_keys", lambda codes: scans.append(codes) or orbit_keys(codes))
+    codes = [c for k in range(4) for c in isotropic_subspaces(SymplecticSpace(2, 3), k)]
+    reps = inequivalent_reps(codes)
+    # the zero code is alone in its dimension and keys nothing; a class scans
+    # unless no other code of its dimension is left in it or in later classes
+    assert [len(b) for b in batches] == [63, 315, 135]
+    owners = ref_list_owners(codes)
+    want = [
+        codes[i] for i in sorted(set(owners))
+        if any(owners[j] >= i and c.k == codes[i].k and c != codes[i] for j, c in enumerate(codes))
+    ]
+    assert [c for (c,) in scans] == want
+    assert len(reps) == 31 and len(want) < len(reps)
+
+
+def test_dedup_and_list_checks_never_import_numpy_ma():
+    # np.unique and np.isin import numpy.ma on first use, a one-time cost
+    # that no pass of these paths should pay
+    script = "\n".join([
+        "import sys",
+        "from symhex.classify import inequivalent_reps, verify_lists",
+        "from symhex.symplectic import SymplecticSpace, isotropic_subspaces",
+        "lists = [inequivalent_reps([c for k in range(4)"
+        " for c in isotropic_subspaces(SymplecticSpace(p, 3), k)]) for p in (2, 3)]",
+        "verify_lists(*lists)",
+        "print('numpy.ma' in sys.modules)",
+    ])
+    src = str(Path(symhex.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize("ring, count", [(H23, 10), (H32, 86)])

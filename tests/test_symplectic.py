@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 from itertools import combinations, product
 
 import numpy as np
@@ -260,6 +261,33 @@ def test_isotropic_leaves_are_the_codes_rref_would_build(p, m):
             ref = LinearCode(p, leaf.gen, n=sp.n)
             assert leaf._key == ref._key and leaf.pivots == ref.pivots
             assert leaf.gen.dtype == np.int8 and not leaf.gen.flags.writeable
+
+
+# sha256 over every isotropic subspace of F_2^6 and F_3^6, k = 0..3 in turn:
+# p, k and the pivots as bytes, then the RREF bytes, in enumeration order
+ISOTROPIC_N6_SHA256 = "1d4002ba392dac7e60b436b2ec58b49aec3a4f0a1c9d29868664eadccf59afd2"
+
+
+def test_isotropic_enumeration_at_length_six_is_pinned():
+    digest = hashlib.sha256()
+    for p in (2, 3):
+        for k in range(4):
+            for code in isotropic_subspaces(SymplecticSpace(p, 3), k):
+                assert code._key == (p, 6, code.gen.tobytes())
+                digest.update(bytes([p, k, *code.pivots]) + code.gen.tobytes())
+    assert digest.hexdigest() == ISOTROPIC_N6_SHA256
+
+
+def test_rref_box_cache_hits_on_a_second_n6_sweep():
+    # 42 pivot profiles a field at n = 6 (k <= 3), all of them bounded by the cache
+    spaces = [SymplecticSpace(p, 3) for p in (2, 3)]
+    symhex.gf._rref_box.cache_clear()
+    for _ in range(2):
+        for space in spaces:
+            for k in range(4):
+                isotropic_subspaces(space, k)
+    info = symhex.gf._rref_box.cache_info()
+    assert (info.hits, info.misses) == (84, 84)
 
 
 def test_isotropic_subspaces_never_reduce(monkeypatch):
