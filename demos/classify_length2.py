@@ -9,6 +9,7 @@ nothing is redundant.
 """
 
 from symhex.classify import classify, verify_classification
+from symhex.codes import flags
 from symhex.gf import LinearCode
 from symhex.perms import automorphism_group, double_cosets
 from symhex.ring import RingId
@@ -37,8 +38,8 @@ print(f"{len(records)} inequivalent self-orthogonal codes over H23 at length 2:"
 for rec in records:
     ca_s = "".join(str(int(x)) for x in rec.code.ca.gen[0])
     cb_s = "".join(str(int(x)) for x in rec.code.cb.gen[0])
-    print(f"  ca=<{ca_s}> cb=<{cb_s}>  sigma={rec.sigma.cycle_string()}  size {rec.size}  "
-          + " ".join(k for k, v in rec.flags.items() if v))
+    print(f"  ca=<{ca_s}> cb=<{cb_s}>  sigma={rec.sigma.cycle_string()}  size {rec.code.size}  "
+          + " ".join(k for k, v in flags(rec.code).items() if v))
 print()
 
 # raises VerificationFailed, naming the failed check and its witness, unless all pass

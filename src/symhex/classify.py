@@ -32,7 +32,6 @@ import numpy as np
 from .codes import (
     HzCode,
     equivalent,
-    flags,
     is_qsd,
     is_self_dual,
     is_self_orthogonal,
@@ -62,30 +61,37 @@ TARGETS = ("SO", "QSD", "SD")
 
 @dataclass(frozen=True)
 class ClassificationRecord:
-    ring: RingId
-    n: int
+    """One class: the pair (la[ca_index], lb[cb_index]) with sigma applied to its free component.
+
+    code is that realization.  Its ring, length, size and flags are read
+    off it where they are needed; no copy of them is kept beside it.
+    """
+
     ca_index: int
     cb_index: int
     sigma: Permutation
     code: HzCode
-    flags: dict
-    size: int
 
     def __repr__(self) -> str:
         return (
             f"Record(ca={self.ca_index}, cb={self.cb_index}, "
-            f"sigma={self.sigma.cycle_string()}, size={self.size})"
+            f"sigma={self.sigma.cycle_string()}, size={self.code.size})"
         )
 
 
 def _check_lists(la: list[LinearCode], lb: list[LinearCode]) -> int:
+    """The lists' common length; a wrong field or a wrong or zero length names its entry."""
     if not la or not lb:
         raise DimensionMismatch("component lists must be nonempty")
     n = la[0].n
-    if any(c.p != 2 or c.n != n for c in la) or any(c.p != 3 or c.n != n for c in lb):
-        raise LengthMismatch("all list entries must share one length, F2 then F3")
+    for tag, p, codes in (("La", 2, la), ("Lb", 3, lb)):
+        for i, c in enumerate(codes):
+            if c.p != p:
+                raise DimensionMismatch(f"{tag} entry {i} is a code over F{c.p}, not F{p}")
+            if c.n != n:
+                raise LengthMismatch(f"{tag} entry {i} has length {c.n}, La entry 0 has {n}")
     if n == 0:
-        raise LengthMismatch("length must be positive")
+        raise LengthMismatch("La entry 0 has length 0; lengths must be positive")
     if n % 2:
         raise OddLength(f"length must be even, got {n}")
     return n
@@ -110,7 +116,7 @@ def classify(
     equivalence (inequivalent_reps does this).  Records come out ordered by
     (ca index, cb index, sigma rank).
     """
-    n = _check_lists(la, lb)
+    _check_lists(la, lb)
     pred = _target_predicate(target)
     groups: dict[bytes, PermGroup] = {}
 
@@ -129,23 +135,10 @@ def classify(
             pair = HzCode(ring, ca, cb)
             if not pred(pair):
                 continue
-            # sigma moves only the free side and keeps its dimension, so every
-            # realization has the pair's flags and size
-            fl = flags(pair)
             governing, free = split(pair)
             for sigma, _size in cosets(aut(governing), aut(free)):
-                records.append(
-                    ClassificationRecord(
-                        ring=ring,
-                        n=n,
-                        ca_index=i,
-                        cb_index=j,
-                        sigma=sigma,
-                        code=join(ring, governing, moved(sigma, free)),
-                        flags=dict(fl),
-                        size=pair.size,
-                    )
-                )
+                code = join(ring, governing, moved(sigma, free))
+                records.append(ClassificationRecord(i, j, sigma, code))
     return records
 
 
@@ -246,11 +239,11 @@ def verify_classification(
     exactly when some pi in Stab(g) carries one free component onto the
     other, so a pair's records must match the Stab(g)-orbits on S_n . f one
     to one.  Stab(g) is read from g's orbit keys: the table rows whose key
-    is g's own.  Soundness: each record cites an admissible pair, has
-    governing component g and the free key of row sigma of f's orbit keys,
-    and states the pair's ring, length, size and flags.  Irredundancy: no
-    list entry lies in the orbit of an earlier one, and no record's free key
-    is among the Stab(g) . sigma . f keys an earlier record claimed.
+    is g's own.  Soundness: each record cites an admissible pair, has a
+    sigma on n points, governing component g and the free key of row sigma
+    of f's orbit keys.  Irredundancy: no list entry lies in the orbit of an
+    earlier one, and no record's free key is among the Stab(g) . sigma . f
+    keys an earlier record claimed.
     Completeness, by orbit-stabilizer: the records claim as many keys as
     S_n . f has, n! / |Stab(f)|.  Keys are codeword sets, so this never calls
     automorphism_group, double_cosets or their parity-check product, which
@@ -265,6 +258,8 @@ def verify_classification(
     for rec in records:
         if not (0 <= rec.ca_index < len(la) and 0 <= rec.cb_index < len(lb)):
             raise VerificationFailed(f"sound: {rec!r} points outside the lists")
+        if rec.sigma.n != n:
+            raise VerificationFailed(f"sound: {rec!r} has a sigma on {rec.sigma.n} points, not {n}")
         by_pair.setdefault((rec.ca_index, rec.cb_index), []).append(rec)
 
     table = perm_table(n)
@@ -285,12 +280,6 @@ def verify_classification(
                 if mine:
                     raise VerificationFailed(f"sound: {mine[0]!r} cites an inadmissible pair")
                 continue
-            stated = (ring, n, n, pair.size, flags(pair))
-            for rec in mine:
-                if (rec.ring, rec.n, rec.sigma.n, rec.size, rec.flags) != stated:
-                    raise VerificationFailed(
-                        f"sound: {rec!r} misstates its ring, length, size or flags"
-                    )
             governing, free = split(pair)
             stab = table[orbit(governing)[1]]
             fkeys, fstab = orbit(free)

@@ -25,7 +25,7 @@ from typing import Iterable
 
 from . import __version__
 from .classify import ClassificationRecord
-from .codes import HzCode
+from .codes import HzCode, flags
 from .errors import ParseError, SymhexError
 from .gf import MAX_LENGTH, LinearCode
 from .ring import RingId
@@ -190,27 +190,31 @@ def catalog_dict(
     """The catalog as a plain dict; digests are over canonical list texts.
 
     Each distinct component code's rows are rendered once per call (codes
-    hash by their RREF); every record gets its own copy of the list.
+    hash by their RREF), and each pair's flags are computed once: sigma
+    moves only the free component and keeps its dimension, so every
+    realization of a pair has the pair's flags.  Every record gets its own
+    copy of each list and of the flags.
     """
     rows = cache(_matrix_rows)
+    pair_flags = cache(lambda i, j: flags(HzCode(ring, la[i], lb[j])))
     recs = []
     for rec in records:
         recs.append(
             {
-                "ring": str(rec.ring),
-                "n": rec.n,
+                "ring": str(ring),
+                "n": n,
                 "ca": rec.ca_index,
                 "cb": rec.cb_index,
                 "sigma": [i + 1 for i in rec.sigma.images],
                 "ca_gen": list(rows(rec.code.ca)),
                 "cb_gen": list(rows(rec.code.cb)),
-                "flags": rec.flags,
-                "size": rec.size,
+                "flags": dict(pair_flags(rec.ca_index, rec.cb_index)),
+                "size": rec.code.size,
             }
         )
     summary = {"total": len(records)}
     for key in ("so", "sd", "qsd", "nice", "lcd"):
-        summary[key] = sum(1 for rec in records if rec.flags[key])
+        summary[key] = sum(1 for rec in recs if rec["flags"][key])
     return {
         "meta": {
             "tool": "symhex",

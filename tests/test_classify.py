@@ -36,7 +36,13 @@ from symhex.codes import (
     join,
     split,
 )
-from symhex.errors import BudgetExceeded, DimensionMismatch, OddLength, VerificationFailed
+from symhex.errors import (
+    BudgetExceeded,
+    DimensionMismatch,
+    LengthMismatch,
+    OddLength,
+    VerificationFailed,
+)
 from symhex.gf import LinearCode, random_code
 from symhex.perms import (
     Permutation,
@@ -125,8 +131,8 @@ def test_seven_codes_at_length_two():
     assert got == want
     for rec in records:
         assert is_self_orthogonal(rec.code)
-        assert rec.size == 6
-        assert rec.flags["so"] and rec.flags["qsd"]
+        assert rec.code.size == 6
+        assert flags(rec.code)["so"] and flags(rec.code)["qsd"]
 
 
 def test_records_ordered_and_counted_by_double_cosets():
@@ -223,17 +229,12 @@ def test_verification_catches_duplicate_under_nonrep_sigma():
         verify_classification(records + [dup], H23, LA, LB, "SO")
 
 
-def test_verification_catches_misstated_catalog_fields():
+def test_verification_catches_a_sigma_on_the_wrong_number_of_points():
     records = classify(H23, LA, LB, "SO")
-    rec = records[0]
-    for bad in (
-        dataclasses.replace(rec, flags={**rec.flags, "lcd": not rec.flags["lcd"]}),
-        dataclasses.replace(rec, size=rec.size + 1),
-        dataclasses.replace(rec, ring=H32),
-        dataclasses.replace(rec, n=4),
-    ):
-        with _fails(f"sound: {bad!r} misstates its ring, length, size or flags"):
-            verify_classification([bad] + records[1:], H23, LA, LB, "SO")
+    for r, sigma in ((0, Permutation((0,))), (3, Permutation((1, 0, 2, 3)))):
+        bad = dataclasses.replace(records[r], sigma=sigma)
+        with _fails(f"sound: {bad!r} has a sigma on {sigma.n} points, not 2"):
+            verify_classification(records[:r] + [bad] + records[r + 1:], H23, LA, LB, "SO")
 
 
 def test_verification_catches_a_record_outside_the_lists():
@@ -300,16 +301,7 @@ def test_verification_catches_a_lone_record_of_an_inadmissible_pair():
     verify_classification(records, H23, la, LB, "QSD")
     pair = HzCode(H23, zero, B1)
     assert not is_qsd(pair)
-    lone = ClassificationRecord(
-        ring=H23,
-        n=2,
-        ca_index=1,
-        cb_index=0,
-        sigma=Permutation(tuple(range(2))),
-        code=pair,
-        flags=flags(pair),
-        size=pair.size,
-    )
+    lone = ClassificationRecord(1, 0, Permutation(tuple(range(2))), pair)
     with _fails(f"sound: {lone!r} cites an inadmissible pair"):
         verify_classification(records + [lone], H23, la, LB, "QSD")
 
@@ -338,12 +330,15 @@ def test_verification_catches_a_duplicate_under_the_governing_stabilizer():
 @pytest.mark.parametrize("ring", [H23, H32])
 @pytest.mark.parametrize("target", TARGETS)
 def test_record_flags_are_the_flags_of_the_record_code(ring, target):
-    # classify computes flags once per pair; moving the free side changes none
-    records = classify(ring, *_lists(4, target), target)
+    # moving the free side changes no flag and no size, so the catalog
+    # computes flags once per pair
+    la, lb = _lists(4, target)
+    records = classify(ring, la, lb, target)
     assert records
     for rec in records:
-        assert rec.flags == flags(rec.code)
-        assert rec.size == rec.code.size
+        pair = HzCode(ring, la[rec.ca_index], lb[rec.cb_index])
+        assert flags(rec.code) == flags(pair)
+        assert rec.code.size == pair.size
 
 
 def test_flags_and_classify_never_build_a_dual(monkeypatch):
@@ -396,6 +391,15 @@ def test_verification_budget():
 def test_list_validation():
     with pytest.raises(OddLength):
         classify(H23, [LinearCode(2, [[1, 1, 0]])], [LinearCode(3, [[1, 1, 0]])], "SO")
+    # a wrong field is named as such even when every length matches
+    with pytest.raises(DimensionMismatch, match="^La entry 1 is a code over F3, not F2$"):
+        classify(H23, [A1, B1], LB, "SO")
+    with pytest.raises(DimensionMismatch, match="^Lb entry 0 is a code over F2, not F3$"):
+        classify(H23, LA, [A1], "SO")
+    with pytest.raises(LengthMismatch, match="^Lb entry 2 has length 4, La entry 0 has 2$"):
+        classify(H23, LA, [B1, B2, LinearCode.zero(3, 4)], "SO")
+    with pytest.raises(LengthMismatch, match="^La entry 0 has length 0; lengths must be positive$"):
+        classify(H23, [LinearCode.zero(2, 0)], [LinearCode.zero(3, 0)], "SO")
     with pytest.raises(Exception):
         classify(H23, [], [B1], "SO")
 
@@ -614,6 +618,6 @@ def test_classify_computes_double_cosets_once_per_distinct_group_pair(monkeypatc
             governing, free = split(pair)
             for sigma, _ in double_cosets(automorphism_group(governing), automorphism_group(free)):
                 code = join(ring, governing, apply_perm(sigma, free))
-                want.append((ring, 4, i, j, sigma, code, flags(pair), pair.size))
+                want.append((i, j, sigma, code))
     got = [tuple(getattr(r, f.name) for f in dataclasses.fields(r)) for r in records]
     assert got == want

@@ -3,15 +3,22 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from importlib import import_module
+from pathlib import Path
 
 import pytest
 
+import symhex
 from symhex import cli, codes, io
-from symhex.codes import build, dual
+from symhex.classify import classify, inequivalent_reps, verify_classification
+from symhex.codes import HzCode, build, dual, is_self_orthogonal
 from symhex.errors import ParseError
 from symhex.gf import MAX_LENGTH, LinearCode
 from symhex.ring import RingId
+from symhex.symplectic import SymplecticSpace, isotropic_subspaces
 
 R2_FILE = "H23 2\n2 2 1\n11\n\n3 2 1\n11\n\n"
 EX4_FILE = "H23 4\n2 4 2\n1000\n0100\n\n3 4 2\n1000\n0100\n\n"
@@ -244,6 +251,82 @@ def test_classify_verify_beyond_the_guard_exits_2_before_classifying(tmp_path, c
     ]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ") and "budget" in err
+
+
+def _classify_argv(tmp_path, ca_text=CA_LIST, cb_text=CB_LIST, n=2) -> list[str]:
+    """classify over H23 at length n, with the two list files written into tmp_path."""
+    ca = tmp_path / "ca.list"
+    cb = tmp_path / "cb.list"
+    ca.write_text(ca_text)
+    cb.write_text(cb_text)
+    return ["classify", "--ring", "H23", "--n", str(n), "--ca-list", str(ca), "--cb-list", str(cb)]
+
+
+@pytest.mark.parametrize("verify", [[], ["--verify"]])
+def test_classify_with_the_list_files_swapped_names_the_field(tmp_path, capsys, verify):
+    # every length matches; the binary list holds ternary codes
+    assert cli.main(_classify_argv(tmp_path, CB_LIST, CA_LIST) + verify) == 2
+    assert capsys.readouterr() == ("", "error: La entry 0 is a code over F3, not F2\n")
+
+
+def test_classify_out_to_a_directory_exits_2_and_leaves_no_temp_file(tmp_path, capsys):
+    out = tmp_path / "catalog"
+    out.mkdir()
+    assert cli.main(_classify_argv(tmp_path) + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ca.list", "catalog", "cb.list"]
+    assert list(out.iterdir()) == []
+
+
+def _flags_runs(call) -> int:
+    """How often codes.flags runs during call(), under whatever name it is reached."""
+    runs = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is codes.flags.__code__:
+            runs.append(event)
+
+    sys.setprofile(profile)
+    try:
+        call()
+    finally:
+        sys.setprofile(None)
+    return len(runs)
+
+
+def test_classify_verify_out_computes_flags_once_per_admissible_pair(tmp_path, capsys):
+    la, lb = (
+        inequivalent_reps([c for k in range(3) for c in isotropic_subspaces(SymplecticSpace(p, 2), k)])
+        for p in (2, 3)
+    )
+    admissible = sum(is_self_orthogonal(HzCode(RingId.H23, ca, cb)) for ca in la for cb in lb)
+    assert admissible == 189
+    argv = _classify_argv(tmp_path, io.format_matrix_list(la), io.format_matrix_list(lb), n=4)
+    argv += ["--verify", "--out", str(tmp_path / "catalog.json")]
+    assert _flags_runs(lambda: cli.main(argv)) == admissible
+    assert "verification: ok" in capsys.readouterr().out
+    records = classify(RingId.H23, la, lb, "SO")
+    # the catalog alone computes flags; classify and the verifier never do
+    assert _flags_runs(lambda: classify(RingId.H23, la, lb, "SO")) == 0
+    assert _flags_runs(lambda: verify_classification(records, RingId.H23, la, lb, "SO")) == 0
+
+
+@pytest.mark.parametrize("module", ["symhex", "symhex.cli"])
+def test_module_entry_points(tmp_path, module):
+    src = str(Path(symhex.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def run(*args):
+        return subprocess.run(
+            [sys.executable, "-m", module, *args], env=env, capture_output=True, text=True
+        )
+
+    version = run("--version")
+    assert (version.returncode, version.stdout) == (0, f"symhex {symhex.__version__}\n")
+    assert symhex.__version__ == "0.1.0"
+    bad = run("check", str(tmp_path / "missing.code"))
+    assert (bad.returncode, bad.stdout) == (2, "")
+    assert bad.stderr.startswith("error: ") and bad.stderr.count("\n") == 1
 
 
 def test_count_isotropic(capsys):

@@ -249,6 +249,10 @@ def test_dimension_checks():
         LinearCode(2, [[1, 1]], n=3)
     with pytest.raises(DimensionMismatch):
         LinearCode(2, [[1, 1]]).contains([1, 0, 0])
+    with pytest.raises(DimensionMismatch, match="explicit n"):
+        LinearCode(2, [1, 0])  # one row given as a flat vector, and no n
+    with pytest.raises(DimensionMismatch, match="expected a matrix"):
+        rref(np.array([1, 0]), 2)
     with pytest.raises(ValueError):
         LinearCode(5, [[1, 1]])
 

@@ -79,6 +79,12 @@ def test_parse_rejects_bad_input():
         parse_hzcode("H23 4\n2 2 0\n\n3 2 0\n\n")  # header length mismatch
     with pytest.raises(ParseError):
         parse_hzcode("H23 3\n2 3 1\n111\n\n3 3 1\n111\n\n")  # odd length
+    with pytest.raises(ParseError, match="trailing content after matrix"):
+        parse_matrix("2 2 1\n11\n\n2 2 0\n\n")
+    with pytest.raises(ParseError, match="trailing content after code blocks"):
+        parse_hzcode("H23 2\n2 2 0\n\n3 2 0\n\n2 2 0\n\n")
+    with pytest.raises(ParseError, match="unexpected end of input"):
+        parse_hzcode("H23 2\n2 2 0\n\n")  # no ternary block
 
 
 @pytest.mark.parametrize("n", [MAX_LENGTH + 2, 4_000_000_000, 10**20])
@@ -129,11 +135,13 @@ def test_atomic_write_follows_the_umask(tmp_path, umask):
     assert len(list(tmp_path.iterdir())) == 3  # no temp droppings
 
 
+SMALL_LA = [LinearCode(2, [[1, 0]]), LinearCode(2, [[1, 1]])]
+SMALL_LB = [LinearCode(3, [[1, 0]]), LinearCode(3, [[1, 1]]), LinearCode(3, [[1, 2]])]
+
+
 def _small_catalog():
-    la = [LinearCode(2, [[1, 0]]), LinearCode(2, [[1, 1]])]
-    lb = [LinearCode(3, [[1, 0]]), LinearCode(3, [[1, 1]]), LinearCode(3, [[1, 2]])]
-    records = classify(H23, la, lb, "SO")
-    return catalog_dict(H23, 2, "SO", records, la, lb), records
+    records = classify(H23, SMALL_LA, SMALL_LB, "SO")
+    return catalog_dict(H23, 2, "SO", records, SMALL_LA, SMALL_LB), records
 
 
 def test_catalog_shape():
@@ -199,14 +207,14 @@ def test_catalog_text_is_json_dumps_on_the_criterion_8_catalogs(n):
 
 
 def test_catalog_text_is_json_dumps_without_records_and_with_empty_generators():
-    cat, records = _small_catalog()
+    cat, _ = _small_catalog()
     assert catalog_text(cat) == _oracle(cat)
     empty = catalog_dict(H23, 2, "SO", [], [LinearCode.zero(2, 2)], [LinearCode.zero(3, 2)])
     assert empty["records"] == [] and '"records": []' in catalog_text(empty)
     assert catalog_text(empty) == _oracle(empty)
-    # the zero code has no generator rows, on either side
-    zero = classify(H23, [LinearCode.zero(2, 2)], [LinearCode.zero(3, 2)], "SO")
-    cat = catalog_dict(H23, 2, "SO", zero + records, [LinearCode.zero(2, 2)], [LinearCode.zero(3, 2)])
+    # the zero code has no generator rows, on either side; it leads both lists
+    la, lb = [LinearCode.zero(2, 2), *SMALL_LA], [LinearCode.zero(3, 2), *SMALL_LB]
+    cat = catalog_dict(H23, 2, "SO", classify(H23, la, lb, "SO"), la, lb)
     assert cat["records"][0]["ca_gen"] == cat["records"][0]["cb_gen"] == []
     assert catalog_text(cat) == _oracle(cat)
 
@@ -234,6 +242,8 @@ def test_catalog_rows_share_no_list_between_records():
     cat, _ = _small_catalog()
     first, second = cat["records"][:2]
     assert first["ca_gen"] == second["ca_gen"] and first["ca_gen"] is not second["ca_gen"]
+    # both realize pair (0, 0): equal flags, each record its own dict
+    assert first["flags"] == second["flags"] and first["flags"] is not second["flags"]
 
 
 def test_matrix_rows_match_the_per_entry_rendering():

@@ -613,6 +613,16 @@ def test_compose_rejects_a_length_mismatch():
         Permutation((0, 0))
 
 
+def test_code_actions_reject_a_length_mismatch():
+    two, four = LinearCode(2, [[1, 0]]), LinearCode(2, [[1, 0, 0, 0]])
+    with pytest.raises(DimensionMismatch, match="permutation on 2 points, code length 4"):
+        apply_perm(Permutation((1, 0)), four)
+    with pytest.raises(DimensionMismatch, match="different spaces"):
+        perm_equivalent(two, four)
+    with pytest.raises(DimensionMismatch, match="groups act on 2 and 4 points"):
+        double_cosets(automorphism_group(two), automorphism_group(four))
+
+
 def _is_checked_twin(pi: Permutation) -> bool:
     twin = Permutation(tuple(pi.images))
     return type(pi) is Permutation and pi == twin and hash(pi) == hash(twin)

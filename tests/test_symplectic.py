@@ -368,6 +368,10 @@ def test_space_checks():
         SymplecticSpace(2, 2).dual(LinearCode(2, [[1, 1]]))
     with pytest.raises(DimensionMismatch):
         SymplecticSpace(2, 1).inner([1, 0, 0], [0, 1, 0])
+    with pytest.raises(ValueError, match="p must be 2 or 3"):
+        SymplecticSpace(5, 1)
+    with pytest.raises(ValueError, match="m must be >= 0"):
+        SymplecticSpace(2, -1)
 
 
 def test_for_length_is_shared_and_read_only():
