@@ -31,6 +31,7 @@ from .perms import (  # noqa: F401
     apply_perm,
     automorphism_group,
     double_cosets,
+    double_cosets_batch,
     perm_equivalent,
 )
 from .classify import (  # noqa: F401

@@ -13,12 +13,13 @@ not preserved by arbitrary coordinate permutations, so moving the
 governing component could silently leave the target class; moving the
 free one cannot.  The double coset count is the same either way round.
 
-Within one classify call each Aut group is computed once per component,
-equal groups are interned by their member ranks, the double cosets are
-enumerated once per (governing group, free group) pair and each (free
-component, sigma) is realized once, however many pairs share them; the
-groups cache their double coset maps themselves.  None of these caches
-outlives the call.
+Within one classify call each Aut group is computed once per component
+and equal groups are interned by their member ranks.  The admissible
+pairs are collected first, and one double_cosets_batch call enumerates
+the double cosets of every distinct (governing group, free group) pair
+together; each (free component, sigma) is realized once, however many
+pairs share them.  The groups cache their double coset maps themselves.
+None of these caches outlives the call.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from .perms import (
     Permutation,
     apply_perm,
     automorphism_group,
-    double_cosets,
+    double_cosets_batch,
     orbit_keys,
     perm_equivalent,
     perm_table,
@@ -125,21 +126,22 @@ def classify(
         group = automorphism_group(code)
         return groups.setdefault(group.ranks.tobytes(), group)
 
-    # interned groups are equal exactly when they are the same object
-    cosets = cache(double_cosets)
-    moved = cache(apply_perm)
-
-    records: list[ClassificationRecord] = []
+    admissible = []
     for i, ca in enumerate(la):
         for j, cb in enumerate(lb):
             pair = HzCode(ring, ca, cb)
-            if not pred(pair):
-                continue
-            governing, free = split(pair)
-            for sigma, _size in cosets(aut(governing), aut(free)):
-                code = join(ring, governing, moved(sigma, free))
-                records.append(ClassificationRecord(i, j, sigma, code))
-    return records
+            if pred(pair):
+                governing, free = split(pair)
+                admissible.append((i, j, governing, free, aut(governing), aut(free)))
+    # interned groups are equal exactly when they are the same object
+    group_pairs = list(dict.fromkeys((G, H) for *_, G, H in admissible))
+    cosets = dict(zip(group_pairs, double_cosets_batch(group_pairs)))
+    moved = cache(apply_perm)
+    return [
+        ClassificationRecord(i, j, sigma, join(ring, governing, moved(sigma, free)))
+        for i, j, governing, free, G, H in admissible
+        for sigma, _ in cosets[G, H]
+    ]
 
 
 def _owners(codes: list[LinearCode]) -> np.ndarray:
@@ -192,15 +194,17 @@ def _rows(keys: np.ndarray) -> np.ndarray:
     return keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel()
 
 
-def check_verify_budget(la: list[LinearCode], lb: list[LinearCode]) -> None:
+def check_verify_budget(la: list[LinearCode], lb: list[LinearCode], claims: int = 0) -> None:
     """Raise BudgetExceeded when verifying over these lists passes the work budget.
 
     The verifier keys the whole S_n orbit of every list entry it meets: n!
     int32 word keys, 4 bytes a codeword, in its orbit cache, held again as
     bytes dict keys (the word bytes and about 160 more) by the owner maps.
+    Its claims, once counted, are gathered column-major, n bytes a claim,
+    and ranked (ranks' 10 bytes a claim, 4 of them held).
     """
     n, words = _check_lists(la, lb), sum(c.size for c in (*la, *lb))
-    nbytes = 2**14 + factorial(n) * (8 * words + 160 * (len(la) + len(lb)))
+    nbytes = 2**14 + factorial(n) * (8 * words + 160 * (len(la) + len(lb))) + claims * (n + 10)
     check_budget("verify_classification", nbytes, factorial(n) * words)
 
 
@@ -272,40 +276,56 @@ def verify_classification(
         keys = np.vstack([k for _, k in orbit_keys((c,))])
         return keys, (keys == keys[0]).all(axis=1)
 
+    # (i, j, records, governing, free, Stab(governing)) per admissible pair or
+    # pair with records, in order; an inadmissible pair has no components
+    checked = []
     for i, ca in enumerate(la):
         for j, cb in enumerate(lb):
             pair = HzCode(ring, ca, cb)
             mine = by_pair.get((i, j), [])
-            if not pred(pair):
-                if mine:
-                    raise VerificationFailed(f"sound: {mine[0]!r} cites an inadmissible pair")
-                continue
-            governing, free = split(pair)
-            stab = table[orbit(governing)[1]]
-            fkeys, fstab = orbit(free)
-            # claims[r, s] is the rank of stab[s] * sigma_r, so its key is that
-            # of stab[s] . (sigma_r . f); stab[0] is the identity
-            sigmas = np.array([rec.sigma.images for rec in mine], dtype=np.int8).reshape(-1, n)
-            claims = ranks(stab[:, sigmas].transpose(1, 0, 2).reshape(-1, n))
-            owner: dict[bytes, int] = {}
-            for r, (rec, claim) in enumerate(zip(mine, claims.reshape(len(mine), len(stab)))):
-                own = fkeys[claim[0]].tobytes()
-                g, f = split(rec.code)
-                # under another ring g has the other field and cannot equal governing
-                if g != governing or free_key(f) != own:
-                    raise VerificationFailed(f"sound: {rec!r} does not match its stated pair")
-                if (o := owner.setdefault(own, r)) != r:
-                    sigma = equivalent(mine[o].code, rec.code).cycle_string()
-                    raise VerificationFailed(
-                        f"irredundant: records {mine[o]!r} and {rec!r} are equivalent under {sigma}"
-                    )
-                owner.update(dict.fromkeys(map(bytes, fkeys[claim]), r))
-            if len(owner) != len(table) // np.count_nonzero(fstab):  # |S_n . f|
-                missing = next(row for row, key in zip(table, fkeys) if key.tobytes() not in owner)
-                sigma = Permutation(tuple(missing.tolist())).cycle_string()
+            if pred(pair):
+                governing, free = split(pair)
+                checked.append((i, j, mine, governing, free, table[orbit(governing)[1]]))
+            elif mine:
+                checked.append((i, j, mine, None, None, None))
+    # claims[r, s] is the rank of stab[s] * sigma_r, so its key is that of
+    # stab[s] . (sigma_r . f); stab[0] is the identity.  Every pair's claims
+    # are gathered column-major into one array, stab[s] * sigma_r in column
+    # r |stab| + s of the pair's block, and ranked in one call.
+    admitted = [(mine, stab) for _, _, mine, governing, _, stab in checked if governing is not None]
+    rows = [len(mine) * len(stab) for mine, stab in admitted]
+    check_verify_budget(la, lb, sum(rows))
+    cols, at = np.empty((n, sum(rows)), dtype=np.int8), 0
+    for (mine, stab), m in zip(admitted, rows):
+        sigmas = np.array([rec.sigma.images for rec in mine], dtype=np.intp).reshape(-1, n)
+        cols[:, at : at + m] = stab.T[sigmas.T].reshape(n, m)
+        at += m
+    claims, at = ranks(cols.T), 0
+    for i, j, mine, governing, free, stab in checked:
+        if governing is None:
+            raise VerificationFailed(f"sound: {mine[0]!r} cites an inadmissible pair")
+        fkeys, fstab = orbit(free)
+        mine_claims = claims[at : at + len(mine) * len(stab)].reshape(len(mine), len(stab))
+        at += mine_claims.size
+        owner: dict[bytes, int] = {}
+        for r, (rec, claim) in enumerate(zip(mine, mine_claims)):
+            own = fkeys[claim[0]].tobytes()
+            g, f = split(rec.code)
+            # under another ring g has the other field and cannot equal governing
+            if g != governing or free_key(f) != own:
+                raise VerificationFailed(f"sound: {rec!r} does not match its stated pair")
+            if (o := owner.setdefault(own, r)) != r:
+                sigma = equivalent(mine[o].code, rec.code).cycle_string()
                 raise VerificationFailed(
-                    f"complete: pair ({i}, {j}) under {sigma} has no equivalent record"
+                    f"irredundant: records {mine[o]!r} and {rec!r} are equivalent under {sigma}"
                 )
+            owner.update(dict.fromkeys(map(bytes, fkeys[claim]), r))
+        if len(owner) != len(table) // np.count_nonzero(fstab):  # |S_n . f|
+            missing = next(row for row, key in zip(table, fkeys) if key.tobytes() not in owner)
+            sigma = Permutation(tuple(missing.tolist())).cycle_string()
+            raise VerificationFailed(
+                f"complete: pair ({i}, {j}) under {sigma} has no equivalent record"
+            )
 
 
 def inequivalent_reps(codes: list[LinearCode]) -> list[LinearCode]:

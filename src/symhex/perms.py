@@ -32,22 +32,27 @@ passes per generator instead of a Python object per element.
 
 Double cosets G \\ S_n / H are the connected components of the maps
 sigma -> g sigma and sigma -> sigma h on ranks, one map per generator of
-G and of H.  Each group builds its left and right maps once, on first
-use, and caches them, so a group that meets many partners pays for its
-maps once.  A left map is read off a right map: with inv the rank of each
-row's inverse (inverse_ranks, cached per n), rank(g sigma) =
-inv[rank(sigma^-1 g^-1)].  Every rank starts labelled with itself and
-repeatedly takes the smallest label among its images, with pointer
-jumping (label of the label) to shorten chains; the fixed point labels
-each component with its smallest rank, which is its lexicographically
-least member (Butler, Fundamental Algorithms for Permutation Groups,
-LNCS 559, 1991).
+G and of H.  Each group builds its left and right maps once and caches
+them, so a group that meets many partners pays for its maps once.  A left
+map is read off a right map: with inv the rank of each row's inverse
+(inverse_ranks, cached per n), rank(g sigma) = inv[rank(sigma^-1 g^-1)].
+double_cosets_batch solves many pairs of one n together: the maps their
+groups lack are ranked together, and the pairs' labels are the rows of
+one array, each row's maps offset into its own row.  Every rank starts
+labelled with itself and repeatedly takes the smallest label among its
+images, with pointer jumping (label of the label) to shorten chains
+(Shiloach and Vishkin, J. Algorithms 3, 1982); a row whose labels stop
+changing leaves the loop.  The fixed point labels each component with
+its smallest rank, which is its lexicographically least member (Butler,
+Fundamental Algorithms for Permutation Groups, LNCS 559, 1991).
+double_cosets is the batch of one pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property
+from itertools import islice
 from math import factorial
 
 import numpy as np
@@ -283,9 +288,9 @@ class PermGroup:
     boolean array over the members, round by round under every map until
     it stops growing, so each generator costs passes over |G|, not n!.
     The loop ends only when the generators reach every member, so they
-    generate exactly the member set.  left_maps and
-    right_maps, the generators' rank maps over all of S_n that
-    double_cosets reads, are cached on the group like elements.  A rank set
+    generate exactly the member set.  left_maps and right_maps, the
+    generators' int32 rank maps over all of S_n that double_cosets_batch
+    reads, are cached on the group like elements.  A rank set
     that is empty, out of range, without the identity or not closed under
     its generators raises ValueError.
     """
@@ -305,6 +310,7 @@ class PermGroup:
         self.ranks = members.astype(np.int32)
         self.ranks.flags.writeable = False
         self.generators = self._greedy_generators()
+        self._maps: dict[str, tuple[np.ndarray, ...]] = {}  # "left" and "right", once ranked
 
     def _greedy_generators(self) -> tuple[Permutation, ...]:
         if self.order == 1:
@@ -343,22 +349,19 @@ class PermGroup:
     def elements(self) -> tuple[Permutation, ...]:
         return _perms(perm_table(self.n)[self.ranks])
 
-    @cached_property
+    @property
     def left_maps(self) -> tuple[np.ndarray, ...]:
-        """Per generator g, the rank of g sigma for every rank sigma of S_n.
+        """Per generator g, the rank of g sigma for every rank sigma of S_n."""
+        if "left" not in self._maps:
+            _rank_maps([(self, "left")])
+        return self._maps["left"]
 
-        g sigma = (sigma^-1 g^-1)^-1, so the map is inv[R[inv]] with R the
-        right map of g^-1 and inv = inverse_ranks(n).
-        """
-        table, inv = perm_table(self.n), inverse_ranks(self.n)
-        right = (ranks(table[:, list(g.inverse().images)]) for g in self.generators)
-        return tuple(_frozen(inv[r[inv]]) for r in right)
-
-    @cached_property
+    @property
     def right_maps(self) -> tuple[np.ndarray, ...]:
         """Per generator h, the rank of sigma h for every rank sigma of S_n."""
-        table = perm_table(self.n)
-        return tuple(_frozen(ranks(table[:, list(h.images)])) for h in self.generators)
+        if "right" not in self._maps:
+            _rank_maps([(self, "right")])
+        return self._maps["right"]
 
     @property
     def order(self) -> int:
@@ -399,8 +402,10 @@ def automorphism_group(code: LinearCode) -> PermGroup:
     A code with more than 8 checks has at most n - 9 generators, and
     Aut C = Aut C^perp under the dot product that permutations keep, so it
     is scanned as its dual.  A syndrome is at most n (p-1)^2 < 256, so no
-    byte carries into the next.  The group is built from the accepted ranks
-    alone.
+    byte carries into the next.  Over F_2 a syndrome is odd exactly when
+    bit 0 of its byte is set, so one mask over those bits tests them all;
+    over F_3 each byte is reduced mod 3.  The group is built from the
+    accepted ranks alone.
     """
     table = perm_table(code.n)
     H, gen = nullspace(code.gen, code.p)[0], code.gen
@@ -411,14 +416,19 @@ def automorphism_group(code: LinearCode) -> PermGroup:
     nbytes = BLOCK * 8 * (code.n + 2 * len(gen)) + 16 * len(table)
     check_budget("automorphism_group", nbytes, len(table) * (code.n + len(gen)))
     H = H.astype(np.int64)
-    packed = H.T @ (1 << 8 * np.arange(len(H), dtype=np.int64))  # column i of H, byte c = H[c, i]
+    place = 1 << 8 * np.arange(len(H), dtype=np.int64)
+    packed = H.T @ place  # column i of H, byte c = H[c, i]
+    low = place.sum()  # bit 0 of every byte in use
     G = gen.T.astype(np.int64)
     kept = []
     for start in range(0, len(table), BLOCK):
         block = table[start : start + BLOCK]
         # (sigma . g)[sigma(i)] = g[i], so check c reads sum_i H[c, sigma(i)] g[i]
         syndromes = packed[block] @ G
-        fails = (syndromes.view(np.uint8) % code.p).any(axis=1)
+        if code.p == 2:
+            fails = (syndromes & low).any(axis=1)
+        else:
+            fails = (syndromes.view(np.uint8) % code.p).any(axis=1)
         kept.append(start + np.flatnonzero(~fails))
     return PermGroup(code.n, np.concatenate(kept))
 
@@ -426,29 +436,170 @@ def automorphism_group(code: LinearCode) -> PermGroup:
 def double_cosets(G: PermGroup, H: PermGroup) -> list[tuple[Permutation, int]]:
     """The double cosets G sigma H, as (lex-min representative, size) pairs.
 
-    Connected components of the generators' rank maps on perm_table(n),
-    which G and H cache, by min-label propagation; never touches the
-    |G| x |H| product.  Orbits are reported in order of their representative
-    and their sizes partition n!.
+    Orbits are reported in order of their representative and their sizes
+    partition n!; never touches the |G| x |H| product.
     """
-    if H.n != G.n:
-        raise DimensionMismatch(f"groups act on {G.n} and {H.n} points")
-    table = perm_table(G.n)
-    count = len(G.generators) + len(H.generators)
-    # the int32 maps, ranks' temporaries on a gathered copy of the table,
-    # and the labels: label, new, a gather and a jump
-    nbytes = len(table) * (4 * count + 2 * G.n + 10 + 16)
-    check_budget("double_cosets", nbytes, len(table) * count)
-    maps = G.left_maps + H.right_maps
-    label = np.arange(len(table), dtype=np.int32)
-    while True:
-        new = label.copy()
-        for image in maps:
-            np.minimum(new, label[image], out=new)
+    return double_cosets_batch([(G, H)])[0]
+
+
+# bytes per double coset reported: its Permutation and images tuple, its
+# (rep, size) tuple and the image list it is read from
+_REP_BYTES = 400
+
+
+def double_cosets_batch(
+    pairs: list[tuple[PermGroup, PermGroup]],
+) -> list[list[tuple[Permutation, int]]]:
+    """double_cosets(G, H) for each pair (G, H) of groups on one n, in order.
+
+    Pairs are taken most generators first, in chunks of at most BLOCK * 64
+    labels (one pair at least).  Per chunk the rank maps its groups lack
+    are ranked together and cached on the groups, and one propagation
+    labels every pair's components.  |G sigma H| >= max(|G|, |H|), so a
+    pair has at most n! / max(|G|, |H|) double cosets; the estimate counts
+    that many.
+    """
+    if not pairs:
+        return []
+    n = pairs[0][0].n
+    if (bad := next((m for G, H in pairs for m in (G.n, H.n) if m != n), n)) != n:
+        raise DimensionMismatch(f"groups act on {n} and {bad} points")
+    table = perm_table(n)
+    size = len(table)
+    step = max(1, BLOCK * 64 // size)
+    # the batch's int32 maps and its reports, held across chunks
+    held = 4 * size * sum(len(G.generators) for G, _ in _sides(pairs))
+    held += _REP_BYTES * sum(size // max(G.order, H.order) for G, H in pairs)
+    # most maps first, so the rows reading a map slot are a prefix of the chunk
+    order = sorted(range(len(pairs)), key=lambda i: -_count(pairs[i]))
+    out: list = [None] * len(pairs)
+    for start in range(0, len(pairs), step):
+        index = order[start : start + step]
+        chunk = [pairs[i] for i in index]
+        missing = [(G, side) for G, side in _sides(chunk) if side not in G._maps]
+        widest, labels = _count(chunk[0]), len(chunk) * size
+        # ranking: per call at most BLOCK * 8 rows (one map at least), each
+        # gathered (n bytes), ranked (10) and composed (8); propagation: a
+        # chunk of many pairs holds its intp offset maps and, while dropping
+        # rows, their copy, where one pair gathers through its int32 maps'
+        # intp casts; then the label, new, gather, jump and final arrays, a
+        # mask and the bincount
+        ranked = sum(len(G.generators) for G, _ in missing) * size
+        ranking = min(ranked, max(size, BLOCK * 8)) * (n + 18)
+        propagation = labels * ((16 * widest if len(chunk) > 1 else 8) + 49)
+        check_budget("double_cosets", held + max(ranking, propagation), labels * widest)
+        if missing:
+            _rank_maps(missing)
+        maps = [G.left_maps + H.right_maps for G, H in chunk]
+        for i, cosets in zip(index, _components(maps, table)):
+            out[i] = cosets
+    return out
+
+
+def _count(pair: tuple[PermGroup, PermGroup]) -> int:
+    """The pair's maps: the generators of both groups."""
+    return len(pair[0].generators) + len(pair[1].generators)
+
+
+def _sides(pairs: list[tuple[PermGroup, PermGroup]]) -> list[tuple[PermGroup, str]]:
+    """Each (group, side) the pairs read maps of, once, in order of first use."""
+    return list(dict.fromkeys(s for G, H in pairs for s in ((G, "left"), (H, "right"))))
+
+
+def _rank_maps(jobs: list[tuple[PermGroup, str]]) -> None:
+    """Rank and cache the maps of each (group, side), side "left" or "right", all of one n.
+
+    The right map of h is the ranks of table[:, h]; the left map of g is
+    inv[R[inv]] with R the right map of g^-1, since g sigma =
+    (sigma^-1 g^-1)^-1.  The jobs' gathered tables are ranked together,
+    at most BLOCK * 8 rows (one map at least) per ranks call: 56 maps a
+    call at n = 6 and 1,680 at n = 4, where a call's fixed cost dominates,
+    but one a call from n = 8, where its temporaries would.
+    """
+    n = jobs[0][0].n
+    table = perm_table(n)
+    size = len(table)
+    acts = [(side == "left", g) for G, side in jobs for g in G.generators]
+    inv = inverse_ranks(n) if any(left for left, _ in acts) else None
+    step = max(1, BLOCK * 8 // size)
+    maps = []
+    for start in range(0, len(acts), step):
+        part = acts[start : start + step]
+        images = np.array([(g.inverse() if left else g).images for left, g in part], dtype=np.intp)
+        # cols[i, m, r] = table[r, images[m, i]]: one column-major row per (map, rank)
+        cols = table.T[images.T].reshape(n, -1)
+        for (left, _), r in zip(part, ranks(cols.T).reshape(-1, size)):
+            maps.append(_frozen(inv[r[inv]] if left else r))
+    maps = iter(maps)
+    for G, side in jobs:
+        G._maps[side] = tuple(islice(maps, len(G.generators)))
+
+
+def _components(
+    maps: list[tuple[np.ndarray, ...]], table: np.ndarray
+) -> list[list[tuple[Permutation, int]]]:
+    """Double cosets of each row of maps, one row per pair, rows with the most maps first.
+
+    A row without maps is its own n! cosets.  The final labels are
+    gathered once the propagation's arrays are gone, and one bincount reads
+    every row's representatives and sizes.
+    """
+    size = len(table)
+    pieces = _settle(maps, size)
+    final = np.arange(len(maps) * size).reshape(-1, size)  # intp, as bincount reads it
+    while pieces:
+        rows, labels = pieces.pop()
+        final[rows] = labels
+    counts = np.bincount(final.ravel(), minlength=final.size)
+    at = np.flatnonzero(counts)
+    reps, sizes = _perms(table[at % size]), counts[at].tolist()
+    bounds = np.searchsorted(at, np.arange(len(maps) + 1) * size).tolist()
+    return [list(zip(reps[a:b], sizes[a:b])) for a, b in zip(bounds, bounds[1:])]
+
+
+def _settle(maps: list[tuple[np.ndarray, ...]], size: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(rows, their final labels) for the rows of maps that have maps, by min-label propagation.
+
+    Row a's labels are a * n! + rank, int32 (a chunk holds at most
+    max(BLOCK * 64, n!) labels), so one flat array holds every row and a
+    label of the label never leaves its row.  Slot k holds map k of the
+    rows that have one, a prefix of the rows.  A row whose labels stopped
+    changing is set aside and dropped, and the rest move down.
+    """
+    pieces = []
+    rows = np.arange(sum(1 for row in maps if row))  # the rows still moving, by index in maps
+    images = [_slot([row[k] for row in maps if len(row) > k], size) for k in range(len(maps[0]))]
+    label = np.arange(rows.size * size, dtype=np.int32)
+    while rows.size:
+        new = label[images[0]]
+        np.minimum(new, label, out=new)
+        for image in images[1:]:
+            part = new[: image.size]
+            np.minimum(part, label[image], out=part)
         while not np.array_equal(jumped := new[new], new):
             new = jumped
-        if np.array_equal(new, label):
-            break
+        moving = (new != label).reshape(rows.size, size).any(axis=1)
+        if not moving.all():  # set the settled rows aside, at their own offsets
+            done, keep = np.flatnonzero(~moving), np.flatnonzero(moving)
+            settled = new.reshape(-1, size)[done]
+            settled += ((rows[done] - done) * size).astype(np.int32)[:, None]
+            pieces.append((rows[done], settled))
+            shift = ((keep - np.arange(keep.size)) * size).astype(np.int32)[:, None]
+            new = (new.reshape(-1, size)[keep] - shift).ravel()
+            images = [
+                (image.reshape(-1, size)[keep[:m]] - shift[:m]).ravel()
+                for image in images
+                if (m := np.searchsorted(keep, image.size // size))
+            ]
+            rows = rows[keep]
         label = new
-    reps, sizes = np.unique(label, return_counts=True)
-    return list(zip(_perms(table[reps]), sizes.tolist()))
+    return pieces
+
+
+def _slot(images: list[np.ndarray], size: int) -> np.ndarray:
+    """Map k of the first len(images) rows, each offset into its row; one row's map is its own."""
+    if len(images) == 1:
+        return images[0]
+    flat = np.concatenate(images, dtype=np.intp)
+    flat.reshape(-1, size)[...] += (np.arange(len(images)) * size)[:, None]
+    return flat

@@ -49,6 +49,7 @@ from symhex.perms import (
     apply_perm,
     automorphism_group,
     double_cosets,
+    double_cosets_batch,
     orbit_keys,
     perm_table,
     word_keys,
@@ -211,9 +212,13 @@ def test_verification_is_independent_of_aut_groups_and_double_cosets(monkeypatch
         raise AssertionError("verification reached a classify kernel")
 
     # symhex.classify the attribute is the function; the module is in sys.modules
-    for module in (import_module("symhex.perms"), import_module("symhex.classify")):
-        monkeypatch.setattr(module, "automorphism_group", boom)
-        monkeypatch.setattr(module, "double_cosets", boom)
+    perms, classify_module = import_module("symhex.perms"), import_module("symhex.classify")
+    kernels = ("automorphism_group", "double_cosets", "double_cosets_batch")
+    for module, name in [(perms, name) for name in kernels] + [
+        (classify_module, "automorphism_group"),
+        (classify_module, "double_cosets_batch"),
+    ]:
+        monkeypatch.setattr(module, name, boom)
     verify_classification(records, H23, la, lb, "SO")
     with _fails(_missing(records[-1])):
         verify_classification(records[:-1], H23, la, lb, "SO")
@@ -587,11 +592,11 @@ def test_classify_computes_double_cosets_once_per_distinct_group_pair(monkeypatc
     module = import_module("symhex.classify")
     calls = []
 
-    def counted(G, H):
-        calls.append((G.ranks.tobytes(), H.ranks.tobytes()))
-        return double_cosets(G, H)
+    def counted(pairs):
+        calls.append([(G.ranks.tobytes(), H.ranks.tobytes()) for G, H in pairs])
+        return double_cosets_batch(pairs)
 
-    monkeypatch.setattr(module, "double_cosets", counted)
+    monkeypatch.setattr(module, "double_cosets_batch", counted)
     la, lb = _lists(4, "SO")
     pairs = [HzCode(ring, ca, cb) for ca in la for cb in lb]
     admissible = [pair for pair in pairs if is_self_orthogonal(pair)]
@@ -601,12 +606,14 @@ def test_classify_computes_double_cosets_once_per_distinct_group_pair(monkeypatc
     assert (len(admissible), len(distinct)) == (189, 105)
 
     records = classify(ring, la, lb, "SO")
-    assert len(calls) == len(set(calls)) == len(distinct)
-    assert set(calls) == distinct
+    # one kernel call carrying each distinct pair once
+    assert len(calls) == 1
+    assert len(calls[0]) == len(set(calls[0])) == len(distinct)
+    assert set(calls[0]) == distinct
     # nothing outlives a call: a second call computes every pair again
     calls.clear()
     assert classify(ring, la, lb, "SO") == records
-    assert len(calls) == len(distinct)
+    assert len(calls) == 1 and len(calls[0]) == len(distinct)
 
     # the same records, field by field, as a loop without any cache
     want = []

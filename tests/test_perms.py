@@ -22,6 +22,7 @@ from symhex.perms import (
     apply_perm,
     automorphism_group,
     double_cosets,
+    double_cosets_batch,
     inverse_ranks,
     orbit_keys,
     perm_equivalent,
@@ -703,3 +704,94 @@ def test_rank_maps_of_the_length_8_groups_are_the_composed_ranks():
                 sigma = Permutation(tuple(table[r].tolist()))
                 assert left[r] == rank_images(g.compose(sigma).images)
                 assert right[r] == rank_images(sigma.compose(g).images)
+
+
+def ref_residue_scan(code: LinearCode) -> np.ndarray:
+    """The packed parity scan's accepted ranks with every syndrome byte reduced mod p.
+
+    The checks come from ref_nullspace; a code with more than 8 checks is
+    scanned as its dual, as automorphism_group does.
+    """
+    H = ref_nullspace(code.gen, code.p)[0] if code.k < code.n else np.zeros((0, code.n), int)
+    gen = code.gen
+    if len(H) > 8:
+        H, gen = gen, H
+    packed = H.T.astype(np.int64) @ (1 << 8 * np.arange(len(H), dtype=np.int64))
+    table, G = perm_table(code.n), gen.T.astype(np.int64)
+    kept = []
+    for start in range(0, len(table), BLOCK):
+        syndromes = packed[table[start : start + BLOCK]] @ G
+        kept.append(start + np.flatnonzero(~(syndromes.view(np.uint8) % code.p).any(axis=1)))
+    return np.concatenate(kept)
+
+
+def test_binary_parity_mask_matches_the_residue_reference(monkeypatch):
+    rng = np.random.default_rng(2402)
+    codes = [random_code(2, n, rng, k=k) for n in range(1, 9) for k in range(n + 1)]
+    codes.append(LinearCode(2, [rng.integers(0, 2, size=10) | np.eye(1, 10, 9, dtype=int)[0]]))
+    assert codes[-1].n - codes[-1].k > 8  # nine checks: scanned as its dual
+    # the accepted ranks, read before the group closure
+    monkeypatch.setattr(import_module("symhex.perms"), "PermGroup", lambda n, ranks: ranks)
+    for code in codes:
+        assert automorphism_group(code).tolist() == ref_residue_scan(code).tolist(), code
+
+
+# ---------------------------------------------------------------------------
+# double_cosets_batch: many pairs of one n in one propagation
+
+
+def _aut_pairs(n: int, count: int, rng) -> list[tuple[PermGroup, PermGroup]]:
+    """Seeded Aut-group pairs with the trivial group, S_n and a repeated pair among them."""
+    groups = [PermGroup(n, [0]), PermGroup(n, np.arange(factorial(n)))]
+    for _ in range(count):
+        p, k = int(rng.integers(2, 4)), int(rng.integers(0, min(n, 3) + 1))
+        groups.append(automorphism_group(random_code(p, n, rng, k=k)))
+    picks = rng.integers(0, len(groups), size=(2 * count, 2)).tolist()
+    pairs = [(groups[a], groups[b]) for a, b in picks]
+    trivial, full = groups[:2]
+    return pairs + [(trivial, full), (full, trivial), (trivial, trivial), pairs[0]]
+
+
+def test_double_cosets_batch_matches_the_bfs_and_the_single_pair_calls():
+    rng = np.random.default_rng(2401)
+    for n in range(1, 7):
+        pairs = _aut_pairs(n, 4, rng)
+        counts = {len(G.generators) + len(H.generators) for G, H in pairs}
+        assert len(counts) > 1 or n == 1  # pairs with different generator counts
+        got = double_cosets_batch(pairs)
+        assert got == [ref_double_cosets(G, H) for G, H in pairs]
+        assert got == [double_cosets(G, H) for G, H in pairs]
+
+
+def test_double_cosets_batch_spans_several_chunks(monkeypatch):
+    rng = np.random.default_rng(2403)
+    pairs = _aut_pairs(7, 70, rng)
+    step = BLOCK * 64 // factorial(7)
+    assert len(pairs) > 2 * step
+    want = [double_cosets(G, H) for G, H in pairs]
+    perms_module = import_module("symhex.perms")
+    checks = []
+    real = perms_module.check_budget
+    monkeypatch.setattr(
+        perms_module, "check_budget", lambda site, *a: checks.append(site) or real(site, *a)
+    )
+    fresh = {id(G): PermGroup(7, G.ranks) for pair in pairs for G in pair}
+    got = double_cosets_batch([(fresh[id(G)], fresh[id(H)]) for G, H in pairs])
+    assert checks.count("double_cosets") == -(-len(pairs) // step)
+    assert got == want
+    for (G, H), cosets in zip(pairs[:3], got):
+        assert cosets == ref_double_cosets(G, H)
+        assert sum(size for _, size in cosets) == factorial(7)
+
+
+def test_double_cosets_batch_of_no_pairs_is_empty():
+    assert double_cosets_batch([]) == []
+
+
+def test_double_cosets_batch_rejects_pairs_on_different_lengths():
+    two = automorphism_group(LinearCode(2, [[1, 0]]))
+    four = automorphism_group(LinearCode(2, [[1, 0, 0, 0]]))
+    with pytest.raises(DimensionMismatch, match="groups act on 2 and 4 points"):
+        double_cosets_batch([(two, two), (four, four)])
+    with pytest.raises(DimensionMismatch, match="groups act on 4 and 2 points"):
+        double_cosets_batch([(four, four), (four, two)])
