@@ -795,3 +795,11 @@ def test_double_cosets_batch_rejects_pairs_on_different_lengths():
         double_cosets_batch([(two, two), (four, four)])
     with pytest.raises(DimensionMismatch, match="groups act on 4 and 2 points"):
         double_cosets_batch([(four, four), (four, two)])
+
+
+def test_double_cosets_batch_refuses_past_the_budget():
+    # sixteen pairs of trivial groups at n = 9 would report 9! cosets each,
+    # about 1.3 GB of Permutation objects; the first chunk refuses them
+    trivial = PermGroup(9, [0])
+    with pytest.raises(BudgetExceeded, match="^double_cosets needs"):
+        double_cosets_batch([(trivial, trivial)] * 16)
