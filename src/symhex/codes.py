@@ -92,6 +92,7 @@ class HzCode:
     cb: LinearCode
 
     def __post_init__(self):
+        _check_ring(self.ring)
         if self.ca.p != 2 or self.cb.p != 3:
             raise DimensionMismatch("components must be (F2 code, F3 code)")
         if self.ca.n != self.cb.n:
@@ -279,8 +280,14 @@ def join(ring: RingId, governing: LinearCode, free: LinearCode) -> HzCode:
     return HzCode(ring, free, governing)
 
 
+def _check_ring(ring: RingId) -> None:
+    if not isinstance(ring, RingId):
+        raise RingMismatch(f"ring must be a RingId, got {ring!r}")
+
+
 def _check_same_space(a: HzWord | HzCode, b: HzWord | HzCode) -> None:
     """The ring and length guard of the inner products and of equivalent."""
+    _check_ring(a.ring)
     if a.ring is not b.ring:
         raise RingMismatch(f"{a.ring} vs {b.ring}")
     if a.n != b.n:

@@ -32,20 +32,15 @@ passes per generator instead of a Python object per element.
 
 Double cosets G \\ S_n / H are the connected components of the maps
 sigma -> g sigma and sigma -> sigma h on ranks, one map per generator of
-G and of H.  Each group builds its left and right maps once and caches
-them, so a group that meets many partners pays for its maps once.  A left
-map is read off a right map: with inv the rank of each row's inverse
-(inverse_ranks, cached per n), rank(g sigma) = inv[rank(sigma^-1 g^-1)].
-double_cosets_batch solves many pairs of one n together: the maps their
-groups lack are ranked together, and the pairs' labels are the rows of
-one array, each row's maps offset into its own row.  Every rank starts
-labelled with itself and repeatedly takes the smallest label among its
-images, with pointer jumping (label of the label) to shorten chains
-(Shiloach and Vishkin, J. Algorithms 3, 1982); a row whose labels stop
-changing leaves the loop.  The fixed point labels each component with
-its smallest rank, which is its lexicographically least member (Butler,
-Fundamental Algorithms for Permutation Groups, LNCS 559, 1991).
-double_cosets is the batch of one pair.
+G and of H, cached on each group.  A left map is read off a right map:
+with inv the rank of each row's inverse (inverse_ranks, cached per n),
+rank(g sigma) = inv[rank(sigma^-1 g^-1)].  double_cosets_batch labels
+many pairs of one n at once, one row of labels per pair.  Every rank
+starts labelled with itself and repeatedly takes the smallest label among
+its images, with pointer jumping (label of the label) to shorten chains
+(Shiloach and Vishkin, J. Algorithms 3, 1982); the fixed point labels
+each component with its smallest rank, its lexicographically least member
+(Butler, Fundamental Algorithms for Permutation Groups, LNCS 559, 1991).
 """
 
 from __future__ import annotations
@@ -452,12 +447,11 @@ def double_cosets_batch(
 ) -> list[list[tuple[Permutation, int]]]:
     """double_cosets(G, H) for each pair (G, H) of groups on one n, in order.
 
-    Pairs are taken most generators first, in chunks of at most BLOCK * 64
-    labels (one pair at least).  Per chunk the rank maps its groups lack
-    are ranked together and cached on the groups, and one propagation
-    labels every pair's components.  |G sigma H| >= max(|G|, |H|), so a
-    pair has at most n! / max(|G|, |H|) double cosets; the estimate counts
-    that many.
+    Pairs are taken most generators first, so a chunk pads few identity
+    maps, in chunks of at most BLOCK * 64 labels (one pair at least); each
+    chunk ranks the maps its groups lack and runs one propagation.  A pair
+    has at most n! / max(|G|, |H|) double cosets, as |G sigma H| >=
+    max(|G|, |H|); the estimate counts that many.
     """
     if not pairs:
         return []
@@ -470,35 +464,33 @@ def double_cosets_batch(
     # the batch's int32 maps and its reports, held across chunks
     held = 4 * size * sum(len(G.generators) for G, _ in _sides(pairs))
     held += _REP_BYTES * sum(size // max(G.order, H.order) for G, H in pairs)
-    # most maps first, so the rows reading a map slot are a prefix of the chunk
-    order = sorted(range(len(pairs)), key=lambda i: -_count(pairs[i]))
+    widths = [len(G.generators) + len(H.generators) for G, H in pairs]
+    order = sorted(range(len(pairs)), key=lambda i: -widths[i])
     out: list = [None] * len(pairs)
     for start in range(0, len(pairs), step):
         index = order[start : start + step]
         chunk = [pairs[i] for i in index]
         missing = [(G, side) for G, side in _sides(chunk) if side not in G._maps]
-        widest, labels = _count(chunk[0]), len(chunk) * size
+        widest, labels = widths[index[0]], len(chunk) * size
         # ranking: per call at most BLOCK * 8 rows (one map at least), each
-        # gathered (n bytes), ranked (10) and composed (8); propagation: a
-        # chunk of many pairs holds its intp offset maps and, while dropping
-        # rows, their copy, where one pair gathers through its int32 maps'
-        # intp casts; then the label, new, gather, jump and final arrays, a
-        # mask and the bincount
+        # gathered (n bytes), ranked (10) and composed (8); propagation: the
+        # chunk's int32 images (one pair reads its cached maps), then final,
+        # the labels, the gathers with their intp index casts, the row moves
+        # and the bincount
         ranked = sum(len(G.generators) for G, _ in missing) * size
         ranking = min(ranked, max(size, BLOCK * 8)) * (n + 18)
-        propagation = labels * ((16 * widest if len(chunk) > 1 else 8) + 49)
+        propagation = labels * ((4 * widest if len(chunk) > 1 else 0) + 49)
         check_budget("double_cosets", held + max(ranking, propagation), labels * widest)
         if missing:
             _rank_maps(missing)
-        maps = [G.left_maps + H.right_maps for G, H in chunk]
-        for i, cosets in zip(index, _components(maps, table)):
-            out[i] = cosets
+        final = _components([G.left_maps + H.right_maps for G, H in chunk], size).ravel()
+        counts = np.bincount(final, minlength=final.size)
+        at = np.flatnonzero(counts)
+        reps, sizes = _perms(table[at % size]), counts[at].tolist()
+        bounds = np.searchsorted(at, np.arange(len(chunk) + 1) * size).tolist()
+        for i, a, b in zip(index, bounds, bounds[1:]):
+            out[i] = list(zip(reps[a:b], sizes[a:b]))
     return out
-
-
-def _count(pair: tuple[PermGroup, PermGroup]) -> int:
-    """The pair's maps: the generators of both groups."""
-    return len(pair[0].generators) + len(pair[1].generators)
 
 
 def _sides(pairs: list[tuple[PermGroup, PermGroup]]) -> list[tuple[PermGroup, str]]:
@@ -535,71 +527,51 @@ def _rank_maps(jobs: list[tuple[PermGroup, str]]) -> None:
         G._maps[side] = tuple(islice(maps, len(G.generators)))
 
 
-def _components(
-    maps: list[tuple[np.ndarray, ...]], table: np.ndarray
-) -> list[list[tuple[Permutation, int]]]:
-    """Double cosets of each row of maps, one row per pair, rows with the most maps first.
+def _components(maps: list[tuple[np.ndarray, ...]], size: int) -> np.ndarray:
+    """Each pair's row of n! labels: rank r gets the least rank of its component.
 
-    A row without maps is its own n! cosets.  The final labels are
-    gathered once the propagation's arrays are gone, and one bincount reads
-    every row's representatives and sizes.
+    The rows with maps are labelled in one flat int32 array, the c-th of
+    them c * n! + rank (a chunk holds at most max(BLOCK * 64, n!) labels),
+    so a label of the label never leaves its row.  images[k] is map k of
+    every such row, offset into it, and the identity past the row's own
+    maps; one row reads its cached maps.  Each image is its own array, as
+    freeing one block of them all would raise glibc's mmap and trim
+    thresholds past the heap that later chunks leave free.  A row whose
+    labels stop changing writes them into final; the rows left are one
+    index and one shift of the images.
     """
-    size = len(table)
-    pieces = _settle(maps, size)
-    final = np.arange(len(maps) * size).reshape(-1, size)  # intp, as bincount reads it
-    while pieces:
-        rows, labels = pieces.pop()
-        final[rows] = labels
-    counts = np.bincount(final.ravel(), minlength=final.size)
-    at = np.flatnonzero(counts)
-    reps, sizes = _perms(table[at % size]), counts[at].tolist()
-    bounds = np.searchsorted(at, np.arange(len(maps) + 1) * size).tolist()
-    return [list(zip(reps[a:b], sizes[a:b])) for a, b in zip(bounds, bounds[1:])]
-
-
-def _settle(maps: list[tuple[np.ndarray, ...]], size: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(rows, their final labels) for the rows of maps that have maps, by min-label propagation.
-
-    Row a's labels are a * n! + rank, int32 (a chunk holds at most
-    max(BLOCK * 64, n!) labels), so one flat array holds every row and a
-    label of the label never leaves its row.  Slot k holds map k of the
-    rows that have one, a prefix of the rows.  A row whose labels stopped
-    changing is set aside and dropped, and the rest move down.
-    """
-    pieces = []
-    rows = np.arange(sum(1 for row in maps if row))  # the rows still moving, by index in maps
-    images = [_slot([row[k] for row in maps if len(row) > k], size) for k in range(len(maps[0]))]
+    final = np.arange(len(maps) * size, dtype=np.int32).reshape(-1, size)
+    rows = np.flatnonzero([len(row) for row in maps])  # the rows still moving
+    images = maps[rows[0]] if rows.size == 1 else []
+    identity = np.arange(size, dtype=np.int32)
+    offsets = (np.arange(rows.size, dtype=np.int32) * size)[:, None]
+    for k in range(max(map(len, maps)) if rows.size > 1 else 0):
+        image = np.concatenate([maps[a][k] if k < len(maps[a]) else identity for a in rows])
+        image.reshape(-1, size)[...] += offsets
+        images.append(image)
     label = np.arange(rows.size * size, dtype=np.int32)
     while rows.size:
         new = label[images[0]]
         np.minimum(new, label, out=new)
         for image in images[1:]:
-            part = new[: image.size]
-            np.minimum(part, label[image], out=part)
+            np.minimum(new, label[image], out=new)
         while not np.array_equal(jumped := new[new], new):
             new = jumped
+        new = jumped  # equal to new: hold one of the two
         moving = (new != label).reshape(rows.size, size).any(axis=1)
-        if not moving.all():  # set the settled rows aside, at their own offsets
+        if not moving.all():
             done, keep = np.flatnonzero(~moving), np.flatnonzero(moving)
-            settled = new.reshape(-1, size)[done]
+            new = new.reshape(-1, size)
+            settled = new[done]  # shifted in place, to hold one copy
             settled += ((rows[done] - done) * size).astype(np.int32)[:, None]
-            pieces.append((rows[done], settled))
-            shift = ((keep - np.arange(keep.size)) * size).astype(np.int32)[:, None]
-            new = (new.reshape(-1, size)[keep] - shift).ravel()
-            images = [
-                (image.reshape(-1, size)[keep[:m]] - shift[:m]).ravel()
-                for image in images
-                if (m := np.searchsorted(keep, image.size // size))
-            ]
+            final[rows[done]] = settled
             rows = rows[keep]
+            shift = ((keep - np.arange(keep.size)) * size).astype(np.int32)[:, None]
+            new = (new[keep] - shift).ravel()
+            # the maps of the widest row left; none once every row settled
+            images = images[: max((len(maps[a]) for a in rows), default=0)]
+            for image in images:  # the kept rows move down, in place
+                image[: new.size] = (image.reshape(-1, size)[keep] - shift).ravel()
+            images = [image[: new.size] for image in images]
         label = new
-    return pieces
-
-
-def _slot(images: list[np.ndarray], size: int) -> np.ndarray:
-    """Map k of the first len(images) rows, each offset into its row; one row's map is its own."""
-    if len(images) == 1:
-        return images[0]
-    flat = np.concatenate(images, dtype=np.intp)
-    flat.reshape(-1, size)[...] += (np.arange(len(images)) * size)[:, None]
-    return flat
+    return final

@@ -67,6 +67,36 @@ def test_every_budget_raise_is_the_helper_or_a_kept_bound():
     assert raisers == KEPT_BOUNDS | {"errors.check_budget"}
 
 
+def _budget_sites() -> tuple[set[str], set[str]]:
+    """The site names src passes to check_budget or to codes._component_words,
+    and the functions that pass on a site name they were given."""
+    sites, relays = set(), set()
+    for path in sorted(Path(symhex.__file__).parent.glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            for call in ast.walk(func):
+                name = getattr(getattr(call, "func", None), "id", None)
+                if name not in ("check_budget", "_component_words"):
+                    continue
+                site = call.args[0 if name == "check_budget" else 1]
+                if isinstance(site, ast.Constant):
+                    sites.add(site.value)
+                else:
+                    relays.add(f"{path.stem}.{func.name}")
+    return sites, relays
+
+
+def test_every_budget_site_has_a_traced_case_and_a_readme_row():
+    sites, relays = _budget_sites()
+    assert relays == {"codes._component_words"}
+    assert sites == {key.partition(":")[0] for key in CASES}
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("\n## Budgets\n")[1].split("\n## ")[0]
+    rows = [line.split("|")[1] for line in table.splitlines() if line.startswith("| ")]
+    assert [site for site in sorted(sites) if not any(site in row for row in rows[1:])] == []
+
+
 # ---------------------------------------------------------------------------
 # estimates against tracemalloc: one case per site, n <= 9, caches cleared
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import os
 import re
 import subprocess
@@ -547,6 +548,19 @@ def test_self_dual_classification_verified_at_length_six(ring, count):
     verify_classification(records, ring, la, lb, "SD")
     with _fails(_missing(records[0])):
         verify_classification(records[1:], ring, la, lb, "SD")
+
+
+def test_self_orthogonal_records_at_length_six_are_pinned():
+    # the scale where the double-coset kernel runs several chunks and its
+    # rows settle in different rounds; the digest of the records' (ca, cb,
+    # sigma) was taken from an earlier kernel, which a rewrite must match
+    la, lb = _lists(6, "SO")
+    records = classify(H32, la, lb, "SO")
+    assert len(records) == 83_741
+    key = repr([(r.ca_index, r.cb_index, r.sigma.images) for r in records])
+    assert hashlib.sha256(key.encode()).hexdigest() == (
+        "066cd0091203dcbad2d7b42381601f00a46d51a46605a8d19a6ef4b743f24e97"
+    )
 
 
 @pytest.mark.parametrize("target", TARGETS)

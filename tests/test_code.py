@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import symhex
+from symhex.classify import classify
 from symhex.codes import (
     MAX_WORD_CODE_N,
     HzCode,
@@ -173,6 +174,20 @@ def test_inner_mismatch_errors():
         euclidean_inner(w1, w2)
     with pytest.raises(LengthMismatch):
         symplectic_inner(w1, HzWord.from_symbols(H23, "aaaa"))
+
+
+def test_a_ring_given_as_a_string_is_refused():
+    # "H23" once fell through every `ring is RingId.H23` test and was read as H32
+    full, line = LinearCode.full(2, 2), LinearCode(3, [[1, 0]])
+    assert not is_self_orthogonal(HzCode(H23, full, line))
+    assert classify(H23, [full], [line], "SO") == []
+    with pytest.raises(RingMismatch, match="^ring must be a RingId, got 'H23'$"):
+        HzCode("H23", full, line)
+    with pytest.raises(RingMismatch, match="^ring must be a RingId, got 'H23'$"):
+        classify("H23", [full], [line], "SO")
+    word = HzWord("H23", b"\x01\x00", b"\x00\x00")
+    with pytest.raises(RingMismatch, match="^ring must be a RingId, got 'H23'$"):
+        symplectic_inner(word, word)
 
 
 @pytest.mark.parametrize("ring, fields", [(H23, (2, 3)), (H32, (3, 2))])
