@@ -84,7 +84,7 @@ def cmd_classify(args) -> None:
         verify_classification(records, ring, la, lb, args.target)
         print("verification: ok")
     if args.out:
-        io.write_catalog(args.out, io.catalog_dict(ring, args.n, args.target, records, la, lb))
+        io.write_catalog(args.out, ring, args.n, args.target, records, la, lb)
         print(f"wrote {args.out}")
 
 

@@ -63,6 +63,13 @@ class HzWord:
         els = [rg.from_symbol(s) for s in symbols]
         return cls(ring, bytes(e.x for e in els), bytes(e.y for e in els))
 
+    def __post_init__(self):
+        rg.check_ring(self.ring)
+        if len(self.xs) != len(self.ys):
+            raise LengthMismatch(f"component rows differ: {len(self.xs)} vs {len(self.ys)}")
+        if max(self.xs, default=0) > 1 or max(self.ys, default=0) > 2:
+            raise ValueError(f"entries must lie in F2 and F3: xs={self.xs!r}, ys={self.ys!r}")
+
     @property
     def n(self) -> int:
         return len(self.xs)
@@ -92,7 +99,7 @@ class HzCode:
     cb: LinearCode
 
     def __post_init__(self):
-        _check_ring(self.ring)
+        rg.check_ring(self.ring)
         if self.ca.p != 2 or self.cb.p != 3:
             raise DimensionMismatch("components must be (F2 code, F3 code)")
         if self.ca.n != self.cb.n:
@@ -192,6 +199,7 @@ class WordSet(Set):
     __slots__ = ("ring", "n", "codes")
 
     def __init__(self, ring: RingId, n: int, codes):
+        rg.check_ring(ring)
         _check_word_code_length(n)
         arr = np.sort(np.asarray(codes, dtype=np.int64))
         if arr.ndim != 1 or (arr[1:] == arr[:-1]).any():
@@ -280,14 +288,11 @@ def join(ring: RingId, governing: LinearCode, free: LinearCode) -> HzCode:
     return HzCode(ring, free, governing)
 
 
-def _check_ring(ring: RingId) -> None:
-    if not isinstance(ring, RingId):
-        raise RingMismatch(f"ring must be a RingId, got {ring!r}")
-
-
 def _check_same_space(a: HzWord | HzCode, b: HzWord | HzCode) -> None:
-    """The ring and length guard of the inner products and of equivalent."""
-    _check_ring(a.ring)
+    """The ring and length guard of the inner products and of equivalent.
+
+    Words and codes refuse a ring that is not a RingId when they are built.
+    """
     if a.ring is not b.ring:
         raise RingMismatch(f"{a.ring} vs {b.ring}")
     if a.n != b.n:

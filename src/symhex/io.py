@@ -8,10 +8,10 @@ gf.MAX_LENGTH, the longest LinearCode, is a ParseError, so a file cannot
 ask for a matrix (or an n x n Gram matrix) too large to allocate.
 
 Catalogs are JSON with sorted keys and no volatile fields, so the same
-inputs always produce byte-identical output; catalog_text writes the
-fixed catalog schema directly, byte for byte what json.dumps(indent=2,
-sort_keys=True) writes.  Files are written to a temporary name and
-renamed into place.
+inputs always produce byte-identical output.  catalog_text renders one
+straight from the classification records, byte for byte what
+json.dumps(indent=2, sort_keys=True) writes; catalog_dict is that text
+parsed.  Files are written to a temporary name and renamed into place.
 """
 
 from __future__ import annotations
@@ -179,69 +179,12 @@ def _digest(text: str) -> str:
     return hashlib.sha256(text.encode("ascii")).hexdigest()
 
 
-def catalog_dict(
-    ring: RingId,
-    n: int,
-    target: str,
-    records: list[ClassificationRecord],
-    la: list[LinearCode],
-    lb: list[LinearCode],
-) -> dict:
-    """The catalog as a plain dict; digests are over canonical list texts.
-
-    Each distinct component code's rows are rendered once per call (codes
-    hash by their RREF), and each pair's flags are computed once: sigma
-    moves only the free component and keeps its dimension, so every
-    realization of a pair has the pair's flags.  Every record gets its own
-    copy of each list and of the flags.
-    """
-    rows = cache(_matrix_rows)
-    pair_flags = cache(lambda i, j: flags(HzCode(ring, la[i], lb[j])))
-    recs = []
-    for rec in records:
-        recs.append(
-            {
-                "ring": str(ring),
-                "n": n,
-                "ca": rec.ca_index,
-                "cb": rec.cb_index,
-                "sigma": [i + 1 for i in rec.sigma.images],
-                "ca_gen": list(rows(rec.code.ca)),
-                "cb_gen": list(rows(rec.code.cb)),
-                "flags": dict(pair_flags(rec.ca_index, rec.cb_index)),
-                "size": rec.code.size,
-            }
-        )
-    summary = {"total": len(records)}
-    for key in ("so", "sd", "qsd", "nice", "lcd"):
-        summary[key] = sum(1 for rec in recs if rec["flags"][key])
-    return {
-        "meta": {
-            "tool": "symhex",
-            "version": __version__,
-            "ring": str(ring),
-            "n": n,
-            "target": target,
-            "ca_list_sha256": _digest(format_matrix_list(la)),
-            "cb_list_sha256": _digest(format_matrix_list(lb)),
-            "ca_count": len(la),
-            "cb_count": len(lb),
-        },
-        "records": recs,
-        "summary": summary,
-    }
-
-
-_CATALOG_KEYS = {"meta", "records", "summary"}
-_RECORD_KEYS = {"ca", "ca_gen", "cb", "cb_gen", "flags", "n", "ring", "sigma", "size"}
-_FLAG_KEYS = {"lcd", "nice", "qsd", "sd", "so"}
-
 # one record as json.dumps(indent=2, sort_keys=True) lays it out inside "records"
 _RECORD = """\
     {
-      "ca": %s,
+      "ca": %d,
       "ca_gen": %s,
-      "cb": %s,
+      "cb": %d,
       "cb_gen": %s,
       "flags": {
         "lcd": %s,
@@ -250,14 +193,11 @@ _RECORD = """\
         "sd": %s,
         "so": %s
       },
-      "n": %s,
+      "n": %d,
       "ring": %s,
       "sigma": %s,
-      "size": %s
+      "size": %d
     }"""
-
-_BOOL = {True: "true", False: "false"}
-
 
 def _list_text(items) -> str:
     """Encoded list items as a field of a record; [] when there are none."""
@@ -265,51 +205,78 @@ def _list_text(items) -> str:
     return "[\n        " + body + "\n      ]" if body else "[]"
 
 
-def _check_keys(what: str, d: dict, keys: set) -> None:
-    if d.keys() != keys:
-        raise ValueError(f"{what} has keys {sorted(d)}, the catalog schema has {sorted(keys)}")
+def catalog_text(
+    ring: RingId,
+    n: int,
+    target: str,
+    records: list[ClassificationRecord],
+    la: list[LinearCode],
+    lb: list[LinearCode],
+) -> str:
+    """The catalog's bytes, as json.dumps(indent=2, sort_keys=True) lays it out, plus a newline.
 
-
-def _record_text(rec: dict) -> str:
-    _check_keys("record", rec, _RECORD_KEYS)
-    fl = rec["flags"]
-    _check_keys("record flags", fl, _FLAG_KEYS)
-    return _RECORD % (
-        int.__repr__(rec["ca"]),
-        _list_text(map(encode_basestring_ascii, rec["ca_gen"])),
-        int.__repr__(rec["cb"]),
-        _list_text(map(encode_basestring_ascii, rec["cb_gen"])),
-        _BOOL[fl["lcd"]],
-        _BOOL[fl["nice"]],
-        _BOOL[fl["qsd"]],
-        _BOOL[fl["sd"]],
-        _BOOL[fl["so"]],
-        int.__repr__(rec["n"]),
-        encode_basestring_ascii(rec["ring"]),
-        _list_text(map(int.__repr__, rec["sigma"])),
-        int.__repr__(rec["size"]),
-    )
-
-
-def catalog_text(catalog: dict) -> str:
-    """The catalog's bytes: json.dumps(catalog, indent=2, sort_keys=True) plus a newline.
-
-    Records are written from the fixed schema catalog_dict builds, since
-    json's indenting encoder runs in pure Python; meta and summary still go
-    through json.dumps.  A dict whose keys are not the schema's raises
-    ValueError instead of losing or inventing a field; values must have the
-    types catalog_dict gives them (ints, strs, bool flags).
+    Records are filled into their template straight from each record's
+    indices, sigma and code, since json's indenting encoder runs in pure
+    Python; meta and summary still go through json.dumps, and list digests
+    are over canonical list texts.  Each distinct component code's rows are
+    rendered once per call (codes hash by their RREF), and each pair's flags
+    are computed once: sigma moves only the free component and keeps its
+    dimension, so every realization of a pair has the pair's flags.
     """
-    _check_keys("catalog", catalog, _CATALOG_KEYS)
-    meta, summary = (
-        json.dumps(catalog[key], indent=2, sort_keys=True).replace("\n", "\n  ")
-        for key in ("meta", "summary")
+    rows = cache(lambda code: _list_text(map(encode_basestring_ascii, _matrix_rows(code))))
+    sigma_text = cache(lambda images: _list_text([str(i + 1) for i in images]))
+
+    @cache
+    def pair_flags(i: int, j: int) -> tuple[dict[str, bool], list[str]]:
+        fl = flags(HzCode(ring, la[i], lb[j]))
+        return fl, [json.dumps(fl[key]) for key in sorted(fl)]
+
+    ring_text = encode_basestring_ascii(str(ring))
+    summary = {"total": len(records), "so": 0, "sd": 0, "qsd": 0, "nice": 0, "lcd": 0}
+    body = []
+    for rec in records:
+        fl, fl_text = pair_flags(rec.ca_index, rec.cb_index)
+        for key, value in fl.items():
+            summary[key] += value
+        code = rec.code
+        body.append(
+            _RECORD
+            % (
+                rec.ca_index,
+                rows(code.ca),
+                rec.cb_index,
+                rows(code.cb),
+                *fl_text,
+                n,
+                ring_text,
+                sigma_text(rec.sigma.images),
+                code.size,
+            )
+        )
+    meta = {
+        "tool": "symhex",
+        "version": __version__,
+        "ring": str(ring),
+        "n": n,
+        "target": target,
+        "ca_list_sha256": _digest(format_matrix_list(la)),
+        "cb_list_sha256": _digest(format_matrix_list(lb)),
+        "ca_count": len(la),
+        "cb_count": len(lb),
+    }
+    meta_text, summary_text = (
+        json.dumps(part, indent=2, sort_keys=True).replace("\n", "\n  ")
+        for part in (meta, summary)
     )
-    records = catalog["records"]
-    body = ",\n".join(map(_record_text, records))
-    records_text = "[\n" + body + "\n  ]" if records else "[]"
-    return f'{{\n  "meta": {meta},\n  "records": {records_text},\n  "summary": {summary}\n}}\n'
+    records_text = "[\n" + ",\n".join(body) + "\n  ]" if body else "[]"
+    return f'{{\n  "meta": {meta_text},\n  "records": {records_text},\n  "summary": {summary_text}\n}}\n'
 
 
-def write_catalog(path: str, catalog: dict) -> None:
-    write_text_atomic(path, catalog_text(catalog))
+def catalog_dict(ring, n, target, records, la, lb) -> dict:
+    """catalog_text's catalog parsed: a plain dict, each record with its own lists and flags."""
+    return json.loads(catalog_text(ring, n, target, records, la, lb))
+
+
+def write_catalog(path: str, ring, n, target, records, la, lb) -> None:
+    """Write catalog_text's catalog to path, atomically."""
+    write_text_atomic(path, catalog_text(ring, n, target, records, la, lb))

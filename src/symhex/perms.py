@@ -45,6 +45,7 @@ each component with its smallest rank, its lexicographically least member
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import islice
@@ -66,8 +67,14 @@ class Permutation:
     images: tuple[int, ...]
 
     def __post_init__(self):
-        if sorted(self.images) != list(range(len(self.images))):
-            raise ValueError(f"not a permutation of 0..{len(self.images)-1}: {self.images}")
+        # a list or an array of images is stored as a tuple of ints, so it hashes and compares
+        try:
+            images = tuple(map(operator.index, self.images))
+        except TypeError as exc:
+            raise ValueError(f"images must be integers, got {self.images!r}") from exc
+        if sorted(images) != list(range(len(images))):
+            raise ValueError(f"not a permutation of 0..{len(images)-1}: {images}")
+        object.__setattr__(self, "images", images)
 
     @classmethod
     def _known(cls, images: tuple[int, ...]) -> "Permutation":

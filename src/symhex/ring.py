@@ -18,7 +18,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .errors import IdealMismatch
+from .errors import IdealMismatch, RingMismatch
 
 
 class RingId(enum.Enum):
@@ -27,6 +27,12 @@ class RingId(enum.Enum):
 
     def __str__(self) -> str:
         return self.value
+
+
+def check_ring(ring: RingId) -> None:
+    """The guard of every ring argument: a ring named by a string is refused, not read as H32."""
+    if not isinstance(ring, RingId):
+        raise RingMismatch(f"ring must be a RingId, got {ring!r}")
 
 
 @dataclass(frozen=True)
@@ -81,6 +87,7 @@ def neg(u: RingElement) -> RingElement:
 
 def mul(ring: RingId, u: RingElement, v: RingElement) -> RingElement:
     """Ring multiplication; the idempotent generator's side survives."""
+    check_ring(ring)
     if ring is RingId.H23:
         return _BY_PAIR[((u.x * v.x) % 2, 0)]
     return _BY_PAIR[(0, (u.y * v.y) % 3)]

@@ -390,7 +390,7 @@ def test_criterion_8_classification_verified():
                     failures.append(
                         f"n={n} {ring} {target}: {len(records)} records, frozen {want}"
                     )
-                text = io.catalog_text(io.catalog_dict(ring, n, target, records, xla, xlb))
+                text = io.catalog_text(ring, n, target, records, xla, xlb)
                 if sha256(text.encode("ascii")).hexdigest() != CATALOG_SHA256[(n, ring, target)]:
                     failures.append(f"n={n} {ring} {target}: catalog bytes changed")
                 verify_classification(records, ring, xla, xlb, target)

@@ -45,6 +45,7 @@ from symhex.errors import (
     VerificationFailed,
 )
 from symhex.gf import LinearCode, random_code
+from symhex.io import catalog_text
 from symhex.perms import (
     Permutation,
     apply_perm,
@@ -560,6 +561,11 @@ def test_self_orthogonal_records_at_length_six_are_pinned():
     key = repr([(r.ca_index, r.cb_index, r.sigma.images) for r in records])
     assert hashlib.sha256(key.encode()).hexdigest() == (
         "066cd0091203dcbad2d7b42381601f00a46d51a46605a8d19a6ef4b743f24e97"
+    )
+    # and the bytes of its catalog, so the writer is pinned past n = 4
+    text = catalog_text(H32, 6, "SO", records, la, lb)
+    assert hashlib.sha256(text.encode("ascii")).hexdigest() == (
+        "acc16c8e9206c8066984e913eb70256204883fa165c79db6d90c0546312f883e"
     )
 
 

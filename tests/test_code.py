@@ -185,9 +185,22 @@ def test_a_ring_given_as_a_string_is_refused():
         HzCode("H23", full, line)
     with pytest.raises(RingMismatch, match="^ring must be a RingId, got 'H23'$"):
         classify("H23", [full], [line], "SO")
-    word = HzWord("H23", b"\x01\x00", b"\x00\x00")
     with pytest.raises(RingMismatch, match="^ring must be a RingId, got 'H23'$"):
-        symplectic_inner(word, word)
+        HzWord("H23", b"\x01\x00", b"\x00\x00")
+    # a RingId.H23 word is never a member of a set it cannot be told apart from
+    with pytest.raises(RingMismatch, match="^ring must be a RingId, got 'H23'$"):
+        WordSet("H23", 2, [0])
+    assert HzWord.from_symbols(H23, "00") in WordSet(H23, 2, [0])
+
+
+def test_malformed_word_rows_are_refused():
+    with pytest.raises(LengthMismatch, match="^component rows differ: 2 vs 1$"):
+        HzWord(H23, b"\x01\x01", b"\x00")
+    with pytest.raises(ValueError, match="entries must lie in F2 and F3"):
+        HzWord(H23, b"\x05\x01", b"\x00\x00")
+    with pytest.raises(ValueError, match="entries must lie in F2 and F3"):
+        HzWord(H32, b"\x00\x01", b"\x03\x00")
+    assert str(HzWord(H23, b"\x01\x00\x01", b"\x02\x00\x01")) == "e0c"
 
 
 @pytest.mark.parametrize("ring, fields", [(H23, (2, 3)), (H32, (3, 2))])

@@ -139,9 +139,14 @@ SMALL_LA = [LinearCode(2, [[1, 0]]), LinearCode(2, [[1, 1]])]
 SMALL_LB = [LinearCode(3, [[1, 0]]), LinearCode(3, [[1, 1]]), LinearCode(3, [[1, 2]])]
 
 
+def _small_args():
+    """catalog_text's arguments for the seven H23 SO classes at length 2."""
+    return H23, 2, "SO", classify(H23, SMALL_LA, SMALL_LB, "SO"), SMALL_LA, SMALL_LB
+
+
 def _small_catalog():
-    records = classify(H23, SMALL_LA, SMALL_LB, "SO")
-    return catalog_dict(H23, 2, "SO", records, SMALL_LA, SMALL_LB), records
+    args = _small_args()
+    return catalog_dict(*args), args[3]
 
 
 def test_catalog_shape():
@@ -165,25 +170,23 @@ def test_catalog_summary_matches_flag_tallies():
 
 
 def test_catalog_bytes_deterministic(tmp_path):
-    cat1, _ = _small_catalog()
-    cat2, _ = _small_catalog()
-    assert catalog_text(cat1) == catalog_text(cat2)
+    args1, args2 = _small_args(), _small_args()
+    assert catalog_text(*args1) == catalog_text(*args2)
     p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
-    write_catalog(str(p1), cat1)
-    write_catalog(str(p2), cat2)
+    write_catalog(str(p1), *args1)
+    write_catalog(str(p2), *args2)
     assert p1.read_bytes() == p2.read_bytes()
-    assert json.loads(p1.read_text()) == cat1
+    assert json.loads(p1.read_text()) == catalog_dict(*args1)
 
 
 def test_catalog_is_valid_json_with_sorted_keys():
-    cat, _ = _small_catalog()
-    text = catalog_text(cat)
+    text = catalog_text(*_small_args())
     parsed = json.loads(text)
     assert list(parsed) == sorted(parsed)
 
 
-def _oracle(cat: dict) -> str:
-    return json.dumps(cat, indent=2, sort_keys=True) + "\n"
+def _oracle(text: str) -> str:
+    return json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
 
 
 @cache
@@ -202,40 +205,23 @@ def test_catalog_text_is_json_dumps_on_the_criterion_8_catalogs(n):
     }
     for ring in (H23, H32):
         for target, (xla, xlb) in lists.items():
-            cat = catalog_dict(ring, n, target, classify(ring, xla, xlb, target), xla, xlb)
-            assert catalog_text(cat) == _oracle(cat), (n, ring, target)
+            text = catalog_text(ring, n, target, classify(ring, xla, xlb, target), xla, xlb)
+            assert text == _oracle(text), (n, ring, target)
 
 
 def test_catalog_text_is_json_dumps_without_records_and_with_empty_generators():
-    cat, _ = _small_catalog()
-    assert catalog_text(cat) == _oracle(cat)
-    empty = catalog_dict(H23, 2, "SO", [], [LinearCode.zero(2, 2)], [LinearCode.zero(3, 2)])
-    assert empty["records"] == [] and '"records": []' in catalog_text(empty)
-    assert catalog_text(empty) == _oracle(empty)
+    text = catalog_text(*_small_args())
+    assert text == _oracle(text)
+    empty = catalog_text(H23, 2, "SO", [], [LinearCode.zero(2, 2)], [LinearCode.zero(3, 2)])
+    assert json.loads(empty)["records"] == [] and '"records": []' in empty
+    assert empty == _oracle(empty)
     # the zero code has no generator rows, on either side; it leads both lists
     la, lb = [LinearCode.zero(2, 2), *SMALL_LA], [LinearCode.zero(3, 2), *SMALL_LB]
-    cat = catalog_dict(H23, 2, "SO", classify(H23, la, lb, "SO"), la, lb)
+    args = H23, 2, "SO", classify(H23, la, lb, "SO"), la, lb
+    cat = catalog_dict(*args)
     assert cat["records"][0]["ca_gen"] == cat["records"][0]["cb_gen"] == []
-    assert catalog_text(cat) == _oracle(cat)
-
-
-def test_catalog_text_rejects_keys_outside_the_schema():
-    def mutated(edit):
-        cat = json.loads(catalog_text(_small_catalog()[0]))
-        edit(cat)
-        return cat
-
-    edits = [
-        lambda c: c.update(extra=1),
-        lambda c: c.pop("summary"),
-        lambda c: c["records"][0].update(extra=1),
-        lambda c: c["records"][1].pop("sigma"),
-        lambda c: c["records"][0]["flags"].update(extra=True),
-        lambda c: c["records"][2]["flags"].pop("lcd"),
-    ]
-    for edit in edits:
-        with pytest.raises(ValueError, match="catalog schema"):
-            catalog_text(mutated(edit))
+    text = catalog_text(*args)
+    assert text == _oracle(text)
 
 
 def test_catalog_rows_share_no_list_between_records():

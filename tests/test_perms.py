@@ -50,6 +50,19 @@ def test_permutation_basics():
         Permutation((0, 0, 1))
 
 
+def test_permutation_images_are_stored_as_a_tuple_of_ints():
+    # a list or an array once kept its type: unequal to the tuple, unhashable or ambiguous
+    want = Permutation((1, 0, 2))
+    for images in ([1, 0, 2], np.array([1, 0, 2]), np.array([1, 0, 2], dtype=np.int8)):
+        perm = Permutation(images)
+        assert perm == want and hash(perm) == hash(want)
+        assert type(perm.images) is tuple and all(type(i) is int for i in perm.images)
+    assert {Permutation([1, 0]), Permutation((1, 0))} == {Permutation(np.array([1, 0]))}
+    for bad in ((1.0, 0.0), ["1", "0"], np.array([1.0, 0.0])):
+        with pytest.raises(ValueError, match="^images must be integers"):
+            Permutation(bad)
+
+
 def test_rank_unrank_is_lex_order():
     for n in (1, 2, 3, 4):
         perms = list(all_permutations(n))

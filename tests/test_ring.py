@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from symhex.errors import IdealMismatch
+from symhex.errors import IdealMismatch, RingMismatch
 from symhex.ring import (
     A,
     B,
@@ -155,3 +155,11 @@ def test_scalar_action():
         scalar_act(3, 1, A)
     with pytest.raises(ValueError):
         scalar_act(5, 1, A)
+
+
+def test_a_ring_given_as_a_string_is_refused():
+    # "H23" once fell through `ring is RingId.H23` and multiplied as H32
+    assert mul(RingId.H23, A, A) == A
+    for call in (lambda: mul("H23", A, A), lambda: multiplication_table("H23")):
+        with pytest.raises(RingMismatch, match="^ring must be a RingId, got 'H23'$"):
+            call()
