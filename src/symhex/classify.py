@@ -148,10 +148,11 @@ def _owners(codes: list[LinearCode]) -> np.ndarray:
     """owners[j]: the first index whose code is equivalent to codes[j], codes of one (p, n).
 
     Permutations keep k, so each k is one batch: word_keys keys every input
-    at once and the keys are sorted as whole rows, equal inputs forming one
-    run.  Each code not yet owned, in input order, owns its run and, while
-    other runs are left, scans its S_n orbit once and owns the runs its
-    keys hit, found by binary search.  Only the inputs' keys are held,
+    at once, and np.unique over the keys as whole rows gives the distinct
+    keys, sorted, and each input's index into them.  Each code not yet
+    owned, in input order, owns its key and, while other keys are left,
+    scans its S_n orbit once and owns the keys it hits, found by binary
+    search.  Only the inputs' keys and np.unique's copies of them are held,
     beside one word_keys chunk of c codes and one orbit block; the estimate
     counts all three.
     """
@@ -164,27 +165,21 @@ def _owners(codes: list[LinearCode]) -> np.ndarray:
         batch = [codes[i] for i in index]
         n, words = batch[0].n, batch[0].size
         c = min(len(batch), max(1, BLOCK * 64 // words))
-        nbytes = len(batch) * (k * n + 8 * words + 80) + c * words * (24 * n + 16)
+        nbytes = len(batch) * (k * n + 16 * words + 48) + c * words * (24 * n + 16)
         check_budget("orbit claims", nbytes + BLOCK * (4 * words + 40), len(batch) * words * n)
-        keys = _rows(word_keys(batch))
-        order = np.argsort(keys)
-        ordered = keys[order]
-        # run[s]: the run of equal keys that sorted position s lies in
-        run = np.cumsum(np.concatenate(([0], ordered[1:] != ordered[:-1])))
-        run_of = np.empty_like(run)
-        run_of[order] = run
-        run_owner = np.full(run[-1] + 1, -1)
-        for i, r in zip(index, run_of):
-            if run_owner[r] >= 0:
+        keys, key_of = np.unique(_rows(word_keys(batch)), return_inverse=True)
+        key_owner = np.full(len(keys), -1)
+        for i, q in zip(index, key_of):
+            if key_owner[q] >= 0:
                 continue
-            run_owner[r] = i
-            if run_owner.min() >= 0:  # no other input is left to claim
+            key_owner[q] = i
+            if key_owner.min() >= 0:  # no other input is left to claim
                 break
             for _, orbit in orbit_keys((codes[i],)):
                 orbit = _rows(orbit)
-                at = np.minimum(np.searchsorted(ordered, orbit), len(ordered) - 1)
-                run_owner[run[at[ordered[at] == orbit]]] = i
-        owners[index] = run_owner[run_of]
+                at = np.minimum(np.searchsorted(keys, orbit), len(keys) - 1)
+                key_owner[at[keys[at] == orbit]] = i
+        owners[index] = key_owner[key_of]
     return owners
 
 
@@ -197,15 +192,18 @@ def _rows(keys: np.ndarray) -> np.ndarray:
 def check_verify_budget(la: list[LinearCode], lb: list[LinearCode], claims: int = 0) -> None:
     """Raise BudgetExceeded when verifying over these lists passes the work budget.
 
-    The verifier keys the whole S_n orbit of every list entry it meets: n!
-    int32 word keys, 4 bytes a codeword, in its orbit cache, held again as
-    bytes dict keys (the word bytes and about 160 more) by the owner maps.
-    Its claims, once counted, are gathered column-major, n bytes a claim,
-    and ranked (ranks' 10 bytes a claim, 4 of them held).
+    The verifier keys the whole S_n orbit of every list entry it meets and
+    keeps its distinct int32 word keys, 4 bytes a codeword, and each table
+    row's index into them, 8 bytes a row.  Finding them holds the orbit's
+    keys about four times over, with np.unique's 33 bytes a row, for the
+    largest entry.  Its claims, once counted, are gathered column-major, n
+    bytes a claim, and ranked (ranks' 10 bytes a claim, 4 of them held);
+    each pair's claims are then read as points, 8 bytes a claim.
     """
-    n, words = _check_lists(la, lb), sum(c.size for c in (*la, *lb))
-    nbytes = 2**14 + factorial(n) * (8 * words + 160 * (len(la) + len(lb))) + claims * (n + 10)
-    check_budget("verify_classification", nbytes, factorial(n) * words)
+    n, sizes = _check_lists(la, lb), [c.size for c in (*la, *lb)]
+    orbits = 4 * sum(sizes) + 8 * len(sizes) + 16 * max(sizes) + 33
+    check_budget("verify_classification", 2**14 + factorial(n) * orbits + claims * (n + 12),
+                 factorial(n) * sum(sizes))
 
 
 def verify_lists(la: list[LinearCode], lb: list[LinearCode]) -> None:
@@ -242,14 +240,15 @@ def verify_classification(
     The realizations (g, sigma . f) of an admissible pair are equivalent
     exactly when some pi in Stab(g) carries one free component onto the
     other, so a pair's records must match the Stab(g)-orbits on S_n . f one
-    to one.  Stab(g) is read from g's orbit keys: the table rows whose key
-    is g's own.  Soundness: each record cites an admissible pair, has a
-    sigma on n points, governing component g and the free key of row sigma
-    of f's orbit keys.  Irredundancy: no list entry lies in the orbit of an
-    earlier one, and no record's free key is among the Stab(g) . sigma . f
-    keys an earlier record claimed.
-    Completeness, by orbit-stabilizer: the records claim as many keys as
-    S_n . f has, n! / |Stab(f)|.  Keys are codeword sets, so this never calls
+    to one.  A code's orbit is its distinct keys and, for each table row,
+    the point (the key's index) the row gives it; Stab(g) is the rows whose
+    point is that of row 0, the identity.  Each record claims the points of
+    its Stab(g) . sigma . f, the first record to claim a point owns it.
+    Soundness: each record cites an admissible pair, has a sigma on n
+    points, governing component g and the free key of row sigma of f's
+    orbit.  Irredundancy: no list entry lies in the orbit of an earlier
+    one, and every record owns its own point.  Completeness: every point of
+    S_n . f is claimed.  Keys are codeword sets, so this never calls
     automorphism_group, double_cosets or their parity-check product, which
     classify is built on.
     """
@@ -272,57 +271,50 @@ def verify_classification(
 
     @cache
     def orbit(c: LinearCode) -> tuple[np.ndarray, np.ndarray]:
-        """c's orbit keys in table order, and Stab(c): the rows keyed like row 0 (the identity)."""
-        keys = np.vstack([k for _, k in orbit_keys((c,))])
-        return keys, (keys == keys[0]).all(axis=1)
+        """c's distinct orbit keys, sorted, and point: table row r gives c keys[point[r]]."""
+        return np.unique(_rows(np.vstack([k for _, k in orbit_keys((c,))])), return_inverse=True)
 
-    # (i, j, records, governing, free, Stab(governing)) per admissible pair or
-    # pair with records, in order; an inadmissible pair has no components
-    checked = []
+    # (i, j, records, governing, free, Stab(governing)) per admissible pair, in order
+    pairs = []
     for i, ca in enumerate(la):
         for j, cb in enumerate(lb):
             pair = HzCode(ring, ca, cb)
             mine = by_pair.get((i, j), [])
-            if pred(pair):
-                governing, free = split(pair)
-                checked.append((i, j, mine, governing, free, table[orbit(governing)[1]]))
-            elif mine:
-                checked.append((i, j, mine, None, None, None))
-    # claims[r, s] is the rank of stab[s] * sigma_r, so its key is that of
+            if not pred(pair):
+                if mine:
+                    raise VerificationFailed(f"sound: {mine[0]!r} cites an inadmissible pair")
+                continue
+            governing, free = split(pair)
+            point = orbit(governing)[1]
+            pairs.append((i, j, mine, governing, free, table[point == point[0]]))
+    # claims[r, s] is the rank of stab[s] * sigma_r, so its point is that of
     # stab[s] . (sigma_r . f); stab[0] is the identity.  Every pair's claims
     # are gathered column-major into one array, stab[s] * sigma_r in column
     # r |stab| + s of the pair's block, and ranked in one call.
-    admitted = [(mine, stab) for _, _, mine, governing, _, stab in checked if governing is not None]
-    rows = [len(mine) * len(stab) for mine, stab in admitted]
-    check_verify_budget(la, lb, sum(rows))
-    cols, at = np.empty((n, sum(rows)), dtype=np.int8), 0
-    for (mine, stab), m in zip(admitted, rows):
+    sizes = [len(mine) * len(stab) for _, _, mine, _, _, stab in pairs]
+    check_verify_budget(la, lb, sum(sizes))
+    cols, bounds = np.empty((n, sum(sizes)), dtype=np.int8), np.cumsum(sizes)[:-1]
+    for (_, _, mine, _, _, stab), block in zip(pairs, np.split(cols, bounds, axis=1)):
         sigmas = np.array([rec.sigma.images for rec in mine], dtype=np.intp).reshape(-1, n)
-        cols[:, at : at + m] = stab.T[sigmas.T].reshape(n, m)
-        at += m
-    claims, at = ranks(cols.T), 0
-    for i, j, mine, governing, free, stab in checked:
-        if governing is None:
-            raise VerificationFailed(f"sound: {mine[0]!r} cites an inadmissible pair")
-        fkeys, fstab = orbit(free)
-        mine_claims = claims[at : at + len(mine) * len(stab)].reshape(len(mine), len(stab))
-        at += mine_claims.size
-        owner: dict[bytes, int] = {}
-        for r, (rec, claim) in enumerate(zip(mine, mine_claims)):
-            own = fkeys[claim[0]].tobytes()
+        block[:] = stab.T[sigmas.T].reshape(n, -1)
+    for (i, j, mine, governing, free, stab), claims in zip(pairs, np.split(ranks(cols.T), bounds)):
+        keys, point = orbit(free)
+        claimed = point[claims].reshape(len(mine), len(stab))
+        # first[q]: the first record that claims point q, len(mine) when none does
+        first = np.full(len(keys), len(mine))
+        np.minimum.at(first, claimed, np.arange(len(mine))[:, None])
+        for r, (rec, own) in enumerate(zip(mine, claimed[:, 0])):
             g, f = split(rec.code)
             # under another ring g has the other field and cannot equal governing
-            if g != governing or free_key(f) != own:
+            if g != governing or free_key(f) != keys[own].tobytes():
                 raise VerificationFailed(f"sound: {rec!r} does not match its stated pair")
-            if (o := owner.setdefault(own, r)) != r:
+            if (o := first[own]) != r:
                 sigma = equivalent(mine[o].code, rec.code).cycle_string()
                 raise VerificationFailed(
                     f"irredundant: records {mine[o]!r} and {rec!r} are equivalent under {sigma}"
                 )
-            owner.update(dict.fromkeys(map(bytes, fkeys[claim]), r))
-        if len(owner) != len(table) // np.count_nonzero(fstab):  # |S_n . f|
-            missing = next(row for row, key in zip(table, fkeys) if key.tobytes() not in owner)
-            sigma = Permutation(tuple(missing.tolist())).cycle_string()
+        if (unclaimed := first[point] == len(mine)).any():
+            sigma = Permutation(tuple(table[unclaimed.argmax()].tolist())).cycle_string()
             raise VerificationFailed(
                 f"complete: pair ({i}, {j}) under {sigma} has no equivalent record"
             )

@@ -90,6 +90,14 @@ def _rref_box(p: int, n: int, pivots: tuple[int, ...]) -> tuple[np.ndarray, np.n
     return lo, hi
 
 
+def integers(values) -> np.ndarray:
+    """values as an int64 array; ValueError when there are any and they are not bool or integer."""
+    a = np.asarray(values)
+    if a.dtype.kind not in "biu" and a.size:
+        raise ValueError(f"entries must be integers, got {a.dtype} entries")
+    return a.astype(np.int64, copy=False)
+
+
 def _check_length(n: int) -> None:
     if n < 0:
         raise DimensionMismatch(f"length must be nonnegative, got {n}")
@@ -113,7 +121,7 @@ class LinearCode:
     def __init__(self, p: int, rows, n: Optional[int] = None):
         if p not in (2, 3):
             raise ValueError(f"p must be 2 or 3, got {p}")
-        M = np.array(rows, dtype=np.int64)
+        M = integers(rows)
         if n is None:
             if M.ndim != 2:
                 raise DimensionMismatch(f"generator rows need an explicit n, got shape {M.shape}")
@@ -185,7 +193,7 @@ class LinearCode:
 
     def contains(self, v) -> bool:
         """Membership by reduction against the pivot structure."""
-        w = np.array(v, dtype=np.int64) % self.p
+        w = integers(v) % self.p
         if w.shape != (self.n,):
             raise DimensionMismatch(f"vector length {w.shape}, expected {self.n}")
         for r, c in enumerate(self.pivots):

@@ -161,18 +161,24 @@ def read_text(path: str) -> str:
 
 
 def write_text_atomic(path: str, text: str) -> None:
-    """Write via a sibling temp file and rename, so readers never see halves."""
+    """Write via a sibling temp file and rename, so readers never see halves.
+
+    An OSError names path, the file asked for, not the temp file beside it.
+    """
     tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".tmp-{os.urandom(8).hex()}")
-    # 0o666 less the umask, the mode open(path, "w") gives; os.replace keeps the temp file's mode
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w", encoding="ascii") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        # 0o666 less the umask, the mode open(path, "w") gives; os.replace keeps that mode
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with os.fdopen(fd, "w", encoding="ascii") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from exc
 
 
 def _digest(text: str) -> str:

@@ -54,7 +54,7 @@ from math import factorial
 import numpy as np
 
 from .errors import DimensionMismatch, check_budget
-from .gf import LinearCode, all_vectors, nullspace, places
+from .gf import LinearCode, all_vectors, integers, nullspace, places
 
 # rows of perm_table per scan step: 7!, so S_8 is scanned in eight blocks
 BLOCK = 5040
@@ -298,7 +298,7 @@ class PermGroup:
     """
 
     def __init__(self, n: int, ranks):
-        members = np.asarray(ranks, dtype=np.int64).ravel()
+        members = integers(ranks).ravel()
         if (members[1:] <= members[:-1]).any():
             members = np.unique(members)  # sorted, without repeats
         if not members.size:

@@ -18,7 +18,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import BudgetExceeded, DimensionMismatch, KOutOfRange, OddLength, check_budget
-from .gf import MAX_LENGTH, LinearCode, all_vectors, rref
+from .gf import MAX_LENGTH, LinearCode, all_vectors, integers, rref
 
 
 class SymplecticSpace:
@@ -52,8 +52,7 @@ class SymplecticSpace:
         return cls(p, n // 2)
 
     def inner(self, x, y) -> int:
-        u = np.asarray(x, dtype=np.int64)
-        v = np.asarray(y, dtype=np.int64)
+        u, v = integers(x), integers(y)
         if u.shape != (self.n,) or v.shape != (self.n,):
             raise DimensionMismatch(f"vectors must have length {self.n}")
         return int(u @ self.gram @ v % self.p)

@@ -313,6 +313,17 @@ def test_verification_catches_a_lone_record_of_an_inadmissible_pair():
         verify_classification(records + [lone], H23, la, LB, "QSD")
 
 
+def test_verification_reports_an_inadmissible_pair_before_matching_any_pair():
+    # pair (0, 0) lacks a record, but the lone record of the inadmissible
+    # pair (1, 0) is found first, by the pass that collects the pairs
+    zero = LinearCode.zero(2, 2)
+    la = [A1, zero]
+    records = classify(H23, la, LB, "QSD")
+    lone = ClassificationRecord(1, 0, Permutation(tuple(range(2))), HzCode(H23, zero, B1))
+    with _fails(f"sound: {lone!r} cites an inadmissible pair"):
+        verify_classification(records[1:] + [lone], H23, la, LB, "QSD")
+
+
 def test_verification_catches_a_duplicate_under_the_governing_stabilizer():
     # pi in Stab(g) carries (g, sigma . f) to (g, pi sigma . f): the same class
     la, lb = _lists(4, "SO")
@@ -549,6 +560,30 @@ def test_self_dual_classification_verified_at_length_six(ring, count):
     verify_classification(records, ring, la, lb, "SD")
     with _fails(_missing(records[0])):
         verify_classification(records[1:], ring, la, lb, "SD")
+
+
+def test_quasi_self_dual_classification_verified_at_length_six():
+    # many records a pair, where the SD lists above give 10 and 86 in all:
+    # each pair's claims are ranked and matched together
+    la, lb = _lists(6, "QSD")
+    records = classify(H23, la, lb, "QSD")
+    assert len(records) == 23_326
+    verify_classification(records, H23, la, lb, "QSD")
+    # both faults sit in the first admissible pair, where the verifier stops
+    first = [rec for rec in records if (rec.ca_index, rec.cb_index) == (21, 100)]
+    assert first == records[: len(first)]
+    with _fails(_missing(records[0])):
+        verify_classification(records[1:], H23, la, lb, "QSD")
+    pair = HzCode(H23, la[21], lb[100])
+    rec, tau = next(
+        (rec, pi * rec.sigma)
+        for rec in first
+        for pi in automorphism_group(split(pair)[0])
+        if _realize(pair, pi * rec.sigma) != rec.code
+    )
+    dup = dataclasses.replace(rec, sigma=tau, code=_realize(pair, tau))
+    with _fails(_duplicate(rec, dup)):
+        verify_classification(records + [dup], H23, la, lb, "QSD")
 
 
 def test_self_orthogonal_records_at_length_six_are_pinned():

@@ -143,6 +143,15 @@ def test_dual_writes_file(r2_path, tmp_path, capsys):
     assert d.ca.gen.tolist() == [[1, 1]]
 
 
+def test_an_out_path_in_a_missing_directory_is_named_in_the_error(r2_path, tmp_path, capsys):
+    out = tmp_path / "missing" / "x"
+    assert cli.main(["dual", r2_path, "-o", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"error: [Errno 2] No such file or directory: {str(out)!r}\n")
+    assert cli.main(_classify_argv(tmp_path) + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: {str(out)!r}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ca.list", "cb.list", "r2.code"]
+
+
 def test_classify_end_to_end(tmp_path, capsys):
     ca = tmp_path / "ca.list"
     cb = tmp_path / "cb.list"

@@ -257,6 +257,21 @@ def test_dimension_checks():
         LinearCode(5, [[1, 1]])
 
 
+def test_non_integer_entries_are_refused():
+    # truncated, [[1.5, 0]] would build <10> and [0.5, 0] would lie in it
+    for bad in ([[1.5, 0]], [[1.0, 0.0]], np.array([[1, 0]], dtype=float), [["1", "0"]]):
+        with pytest.raises(ValueError, match="^entries must be integers"):
+            LinearCode(2, bad)
+    code = LinearCode(2, [[1, 0]])
+    for bad in ([0.5, 0], [1.0, 0.0], ["1", "0"]):
+        with pytest.raises(ValueError, match="^entries must be integers"):
+            code.contains(bad)
+    # bool and every integer dtype pass; an empty list is still the zero code
+    assert LinearCode(2, [[True, False]]) == LinearCode(2, np.array([[1, 0]], dtype=np.uint8)) == code
+    assert code.contains(np.array([1, 0], dtype=np.int8)) and not code.contains([False, True])
+    assert LinearCode(2, [], n=3) == LinearCode.zero(2, 3)
+
+
 def test_span_and_intersection():
     a = LinearCode(2, [[1, 0, 0, 0], [0, 1, 0, 0]])
     b = LinearCode(2, [[0, 1, 0, 0], [0, 0, 1, 0]])

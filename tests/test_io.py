@@ -10,7 +10,7 @@ from functools import cache
 import pytest
 
 from symhex.classify import classify, inequivalent_reps
-from symhex.codes import HzCode
+from symhex.codes import HzCode, flags
 from symhex.errors import ParseError
 from symhex.gf import LinearCode
 from symhex.io import (
@@ -114,6 +114,21 @@ def test_atomic_write(tmp_path):
     assert list(tmp_path.iterdir()) == [path]  # no temp droppings
 
 
+def test_a_failed_atomic_write_names_the_target_and_leaves_no_temp_file(tmp_path):
+    # the error names the file asked for, not the .tmp-... file beside it
+    missing = tmp_path / "missing" / "out.txt"
+    with pytest.raises(FileNotFoundError) as info:
+        write_text_atomic(str(missing), "x\n")
+    assert (info.value.filename, info.value.filename2) == (str(missing), None)
+    assert str(info.value) == f"[Errno 2] No such file or directory: {str(missing)!r}"
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    with pytest.raises(IsADirectoryError) as info:
+        write_text_atomic(str(folder), "x\n")
+    assert (info.value.filename, info.value.filename2) == (str(folder), None)
+    assert list(tmp_path.iterdir()) == [folder] and list(folder.iterdir()) == []
+
+
 @pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
 def test_atomic_write_follows_the_umask(tmp_path, umask):
     # a new and a replaced file both get the mode open(path, "w") gives a new file
@@ -195,8 +210,8 @@ def _isotropic(p: int, n: int) -> list[LinearCode]:
     return [c for k in range(space.m + 1) for c in isotropic_subspaces(space, k)]
 
 
-@pytest.mark.parametrize("n", [2, 4])
-def test_catalog_text_is_json_dumps_on_the_criterion_8_catalogs(n):
+def _criterion_8_catalogs(n: int):
+    """(ring, target, records, la, lb) of each criterion-8 catalog at length n."""
     la, lb = inequivalent_reps(_isotropic(2, n)), inequivalent_reps(_isotropic(3, n))
     lists = {
         "SO": (la, lb),
@@ -205,8 +220,43 @@ def test_catalog_text_is_json_dumps_on_the_criterion_8_catalogs(n):
     }
     for ring in (H23, H32):
         for target, (xla, xlb) in lists.items():
-            text = catalog_text(ring, n, target, classify(ring, xla, xlb, target), xla, xlb)
-            assert text == _oracle(text), (n, ring, target)
+            yield ring, target, classify(ring, xla, xlb, target), xla, xlb
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_catalog_text_is_json_dumps_on_the_criterion_8_catalogs(n):
+    for ring, target, records, la, lb in _criterion_8_catalogs(n):
+        text = catalog_text(ring, n, target, records, la, lb)
+        assert text == _oracle(text), (n, ring, target)
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_catalog_records_hold_the_values_of_their_records(n):
+    # the oracle above checks layout only: a writer that put each record's
+    # flags under the wrong keys would pass it
+    def rows(code: LinearCode) -> list[str]:
+        return ["".join(str(int(x)) for x in row) for row in code.gen]
+
+    for ring, target, records, la, lb in _criterion_8_catalogs(n):
+        cat = json.loads(catalog_text(ring, n, target, records, la, lb))
+        assert len(cat["records"]) == len(records)
+        tally = dict.fromkeys(("so", "sd", "qsd", "nice", "lcd"), 0)
+        for got, rec in zip(cat["records"], records):
+            fl = flags(rec.code)
+            assert got == {
+                "ca": rec.ca_index,
+                "cb": rec.cb_index,
+                "ca_gen": rows(rec.code.ca),
+                "cb_gen": rows(rec.code.cb),
+                "sigma": [i + 1 for i in rec.sigma.images],
+                "size": rec.code.size,
+                "ring": str(ring),
+                "n": n,
+                "flags": fl,
+            }, (ring, target, rec)
+            for key, value in fl.items():
+                tally[key] += value
+        assert cat["summary"] == {"total": len(records), **tally}, (ring, target)
 
 
 def test_catalog_text_is_json_dumps_without_records_and_with_empty_generators():

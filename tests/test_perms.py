@@ -489,6 +489,10 @@ def test_group_elements_are_built_in_rank_order():
 def test_rank_sets_that_are_not_groups_raise_value_error():
     with pytest.raises(ValueError, match="no ranks"):
         PermGroup(3, [])
+    # truncated, [0, 0.7] would be the trivial group
+    for bad in ([0, 0.7], np.array([0.0, 1.0]), ["0", "1"]):
+        with pytest.raises(ValueError, match="^entries must be integers"):
+            PermGroup(2, bad)
     with pytest.raises(ValueError, match="identity"):
         PermGroup(3, [1, 2])
     for bad in ([0, 6], [0, -1]):

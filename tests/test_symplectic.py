@@ -43,6 +43,15 @@ def test_inner_examples():
     assert sp3.inner([0, 1], [1, 0]) == 2  # antisymmetric: -1 mod 3
 
 
+def test_inner_refuses_non_integer_entries():
+    # truncated, [0.5, 1] would read as [0, 1]
+    sp = SymplecticSpace(2, 1)
+    for x, y in (([0.5, 1], [1, 1]), ([1, 1], [1.0, 0.0]), (["1", "0"], [0, 1])):
+        with pytest.raises(ValueError, match="^entries must be integers"):
+            sp.inner(x, y)
+    assert sp.inner(np.array([True, False]), np.array([0, 1], dtype=np.int8)) == 1
+
+
 @pytest.mark.parametrize("p,m", [(2, 1), (2, 2), (3, 1)])
 def test_alternating_exhaustive(p, m):
     sp = SymplecticSpace(p, m)
