@@ -17,9 +17,9 @@ Within one classify call each Aut group is computed once per component
 and equal groups are interned by their member ranks.  The admissible
 pairs are collected first, and one double_cosets_batch call enumerates
 the double cosets of every distinct (governing group, free group) pair
-together; each (free component, sigma) is realized once, however many
-pairs share them.  The groups cache their double coset maps themselves.
-None of these caches outlives the call.
+together, ranking each distinct group's maps once; each (free component,
+sigma) is realized once, however many pairs share them.  None of these
+caches outlives the call.
 """
 
 from __future__ import annotations

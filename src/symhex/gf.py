@@ -113,7 +113,8 @@ class LinearCode:
     when they have the same row space, by the key (p, n, RREF bytes) that
     _fill computes once.  __init__ reduces its rows with rref; from_rref
     takes a batch already in RREF and only checks it.  A length above
-    MAX_LENGTH raises BudgetExceeded.
+    MAX_LENGTH raises BudgetExceeded, and entries that are not integers
+    ValueError.
     """
 
     __slots__ = ("p", "n", "k", "gen", "pivots", "_key")
@@ -148,12 +149,12 @@ class LinearCode:
         """
         if p not in (2, 3):
             raise ValueError(f"p must be 2 or 3, got {p}")
-        mats = np.asarray(mats)
+        mats = integers(mats)  # no copy of an int64 batch
         if mats.ndim != 3:
             raise DimensionMismatch(f"expected a batch (B, k, n), got shape {mats.shape}")
         _, k, n = mats.shape
         _check_length(n)
-        pivots = tuple(int(c) for c in pivots)
+        pivots = tuple(integers(pivots).tolist())
         if len(pivots) != k or not all(a < b for a, b in zip((-1, *pivots), (*pivots, n))):
             raise ValueError(f"pivots {pivots} do not fit {k} rows of length {n}")
         lo, hi = _rref_box(p, n, pivots)

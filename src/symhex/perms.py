@@ -32,8 +32,9 @@ passes per generator instead of a Python object per element.
 
 Double cosets G \\ S_n / H are the connected components of the maps
 sigma -> g sigma and sigma -> sigma h on ranks, one map per generator of
-G and of H, cached on each group.  A left map is read off a right map:
-with inv the rank of each row's inverse (inverse_ranks, cached per n),
+G and of H, which one double_cosets_batch call ranks and drops; a group
+holds only its members.  A left map is read off a right map: with inv
+the rank of each row's inverse (inverse_ranks, cached per n),
 rank(g sigma) = inv[rank(sigma^-1 g^-1)].  double_cosets_batch labels
 many pairs of one n at once, one row of labels per pair.  Every rank
 starts labelled with itself and repeatedly takes the smallest label among
@@ -290,11 +291,10 @@ class PermGroup:
     boolean array over the members, round by round under every map until
     it stops growing, so each generator costs passes over |G|, not n!.
     The loop ends only when the generators reach every member, so they
-    generate exactly the member set.  left_maps and right_maps, the
-    generators' int32 rank maps over all of S_n that double_cosets_batch
-    reads, are cached on the group like elements.  A rank set
-    that is empty, out of range, without the identity or not closed under
-    its generators raises ValueError.
+    generate exactly the member set.  The group keeps no rank maps over
+    S_n: double_cosets_batch ranks them for the length of one call.  A
+    rank set that is empty, out of range, without the identity or not
+    closed under its generators raises ValueError.
     """
 
     def __init__(self, n: int, ranks):
@@ -312,7 +312,6 @@ class PermGroup:
         self.ranks = members.astype(np.int32)
         self.ranks.flags.writeable = False
         self.generators = self._greedy_generators()
-        self._maps: dict[str, tuple[np.ndarray, ...]] = {}  # "left" and "right", once ranked
 
     def _greedy_generators(self) -> tuple[Permutation, ...]:
         if self.order == 1:
@@ -350,20 +349,6 @@ class PermGroup:
     @cached_property
     def elements(self) -> tuple[Permutation, ...]:
         return _perms(perm_table(self.n)[self.ranks])
-
-    @property
-    def left_maps(self) -> tuple[np.ndarray, ...]:
-        """Per generator g, the rank of g sigma for every rank sigma of S_n."""
-        if "left" not in self._maps:
-            _rank_maps([(self, "left")])
-        return self._maps["left"]
-
-    @property
-    def right_maps(self) -> tuple[np.ndarray, ...]:
-        """Per generator h, the rank of sigma h for every rank sigma of S_n."""
-        if "right" not in self._maps:
-            _rank_maps([(self, "right")])
-        return self._maps["right"]
 
     @property
     def order(self) -> int:
@@ -439,7 +424,8 @@ def double_cosets(G: PermGroup, H: PermGroup) -> list[tuple[Permutation, int]]:
     """The double cosets G sigma H, as (lex-min representative, size) pairs.
 
     Orbits are reported in order of their representative and their sizes
-    partition n!; never touches the |G| x |H| product.
+    partition n!; never touches the |G| x |H| product.  Each call ranks
+    the maps afresh: double_cosets_batch is the way to share them.
     """
     return double_cosets_batch([(G, H)])[0]
 
@@ -456,9 +442,11 @@ def double_cosets_batch(
 
     Pairs are taken most generators first, so a chunk pads few identity
     maps, in chunks of at most BLOCK * 64 labels (one pair at least); each
-    chunk ranks the maps its groups lack and runs one propagation.  A pair
-    has at most n! / max(|G|, |H|) double cosets, as |G sigma H| >=
-    max(|G|, |H|); the estimate counts that many.
+    chunk ranks the maps of the (group, left) sides the call has not met
+    and runs one propagation.  The maps are held by the call, so a group
+    repeated across pairs is ranked once and keeps nothing.  A pair has at
+    most n! / max(|G|, |H|) double cosets, as |G sigma H| >= max(|G|, |H|);
+    the estimate counts that many.
     """
     if not pairs:
         return []
@@ -468,20 +456,22 @@ def double_cosets_batch(
     table = perm_table(n)
     size = len(table)
     step = max(1, BLOCK * 64 // size)
+    reads = [((G, True), (H, False)) for G, H in pairs]  # the (group, left) sides a pair reads
     # the batch's int32 maps and its reports, held across chunks
-    held = 4 * size * sum(len(G.generators) for G, _ in _sides(pairs))
+    held = 4 * size * sum(len(G.generators) for G, _ in set().union(*reads))
     held += _REP_BYTES * sum(size // max(G.order, H.order) for G, H in pairs)
     widths = [len(G.generators) + len(H.generators) for G, H in pairs]
     order = sorted(range(len(pairs)), key=lambda i: -widths[i])
+    maps: dict[tuple[PermGroup, bool], tuple[np.ndarray, ...]] = {}
     out: list = [None] * len(pairs)
     for start in range(0, len(pairs), step):
         index = order[start : start + step]
         chunk = [pairs[i] for i in index]
-        missing = [(G, side) for G, side in _sides(chunk) if side not in G._maps]
+        missing = list(dict.fromkeys(s for i in index for s in reads[i] if s not in maps))
         widest, labels = widths[index[0]], len(chunk) * size
         # ranking: per call at most BLOCK * 8 rows (one map at least), each
         # gathered (n bytes), ranked (10) and composed (8); propagation: the
-        # chunk's int32 images (one pair reads its cached maps), then final,
+        # chunk's int32 images (one pair reads its own maps), then final,
         # the labels, the gathers with their intp index casts, the row moves
         # and the bincount
         ranked = sum(len(G.generators) for G, _ in missing) * size
@@ -489,8 +479,8 @@ def double_cosets_batch(
         propagation = labels * ((4 * widest if len(chunk) > 1 else 0) + 49)
         check_budget("double_cosets", held + max(ranking, propagation), labels * widest)
         if missing:
-            _rank_maps(missing)
-        final = _components([G.left_maps + H.right_maps for G, H in chunk], size).ravel()
+            maps.update(zip(missing, _rank_maps(missing)))
+        final = _components([maps[G, True] + maps[H, False] for G, H in chunk], size).ravel()
         counts = np.bincount(final, minlength=final.size)
         at = np.flatnonzero(counts)
         reps, sizes = _perms(table[at % size]), counts[at].tolist()
@@ -500,25 +490,20 @@ def double_cosets_batch(
     return out
 
 
-def _sides(pairs: list[tuple[PermGroup, PermGroup]]) -> list[tuple[PermGroup, str]]:
-    """Each (group, side) the pairs read maps of, once, in order of first use."""
-    return list(dict.fromkeys(s for G, H in pairs for s in ((G, "left"), (H, "right"))))
+def _rank_maps(sides: list[tuple[PermGroup, bool]]) -> list[tuple[np.ndarray, ...]]:
+    """Each (group, left)'s read-only int32 maps over S_n, one a generator, all of one n.
 
-
-def _rank_maps(jobs: list[tuple[PermGroup, str]]) -> None:
-    """Rank and cache the maps of each (group, side), side "left" or "right", all of one n.
-
-    The right map of h is the ranks of table[:, h]; the left map of g is
-    inv[R[inv]] with R the right map of g^-1, since g sigma =
-    (sigma^-1 g^-1)^-1.  The jobs' gathered tables are ranked together,
-    at most BLOCK * 8 rows (one map at least) per ranks call: 56 maps a
-    call at n = 6 and 1,680 at n = 4, where a call's fixed cost dominates,
-    but one a call from n = 8, where its temporaries would.
+    The right map of h, sigma -> sigma h, is the ranks of table[:, h]; the
+    left map of g, sigma -> g sigma, is inv[R[inv]] with R the right map of
+    g^-1, since g sigma = (sigma^-1 g^-1)^-1.  The sides' tables are ranked
+    together, at most BLOCK * 8 rows (one map at least) per ranks call: 56
+    maps a call at n = 6 and 1,680 at n = 4, where a call's fixed cost
+    dominates, but one a call from n = 8, where its temporaries would.
     """
-    n = jobs[0][0].n
+    n = sides[0][0].n
     table = perm_table(n)
     size = len(table)
-    acts = [(side == "left", g) for G, side in jobs for g in G.generators]
+    acts = [(left, g) for G, left in sides for g in G.generators]
     inv = inverse_ranks(n) if any(left for left, _ in acts) else None
     step = max(1, BLOCK * 8 // size)
     maps = []
@@ -530,8 +515,7 @@ def _rank_maps(jobs: list[tuple[PermGroup, str]]) -> None:
         for (left, _), r in zip(part, ranks(cols.T).reshape(-1, size)):
             maps.append(_frozen(inv[r[inv]] if left else r))
     maps = iter(maps)
-    for G, side in jobs:
-        G._maps[side] = tuple(islice(maps, len(G.generators)))
+    return [tuple(islice(maps, len(G.generators))) for G, _ in sides]
 
 
 def _components(maps: list[tuple[np.ndarray, ...]], size: int) -> np.ndarray:
@@ -541,7 +525,7 @@ def _components(maps: list[tuple[np.ndarray, ...]], size: int) -> np.ndarray:
     them c * n! + rank (a chunk holds at most max(BLOCK * 64, n!) labels),
     so a label of the label never leaves its row.  images[k] is map k of
     every such row, offset into it, and the identity past the row's own
-    maps; one row reads its cached maps.  Each image is its own array, as
+    maps; one row reads its maps in place.  Each image is its own array, as
     freeing one block of them all would raise glibc's mmap and trim
     thresholds past the heap that later chunks leave free.  A row whose
     labels stop changing writes them into final; the rows left are one

@@ -398,7 +398,7 @@ def test_verification_catches_wrong_flag_target():
 
 
 def test_verification_budget():
-    # the verifier would key 12! rows per entry, about 150 times the budget;
+    # the verifier would key 12! rows per entry, about 33 times the budget;
     # it refuses before any other site is reached
     la = [LinearCode.zero(2, 12)]
     lb = [LinearCode.zero(3, 12)]
@@ -418,8 +418,9 @@ def test_list_validation():
         classify(H23, LA, [B1, B2, LinearCode.zero(3, 4)], "SO")
     with pytest.raises(LengthMismatch, match="^La entry 0 has length 0; lengths must be positive$"):
         classify(H23, [LinearCode.zero(2, 0)], [LinearCode.zero(3, 0)], "SO")
-    with pytest.raises(Exception):
-        classify(H23, [], [B1], "SO")
+    for la, lb in (([], [B1]), ([A1], [])):
+        with pytest.raises(DimensionMismatch, match="^component lists must be nonempty$"):
+            classify(H23, la, lb, "SO")
 
 
 def test_inequivalent_reps_on_isotropic_lines():

@@ -14,6 +14,7 @@ from symhex.gf import (
     MAX_LENGTH,
     LinearCode,
     all_vectors,
+    integers,
     nullspace,
     places,
     random_code,
@@ -234,6 +235,20 @@ def test_from_rref_rejects_pivot_tuples_that_do_not_fit():
             LinearCode.from_rref(2, mats, pivots)
     with pytest.raises(DimensionMismatch):
         LinearCode.from_rref(2, mats[0], (0, 2))
+
+
+def test_from_rref_refuses_non_integer_entries_and_pivots():
+    # truncated, the entries would build <101> and the pivot 0.9 would read as 0
+    for mats, pivots in (([[[1.0, 0, 1]]], (0,)), ([[[1, 0, 1]]], (0.9,)), ([[["1", "0"]]], (0,))):
+        with pytest.raises(ValueError, match="^entries must be integers"):
+            LinearCode.from_rref(2, np.array(mats), pivots)
+    # bool and every integer dtype pass, and so do numpy integer pivots
+    want = [LinearCode(2, [[1, 0, 1]])]
+    for dtype in (bool, np.uint8, np.int8, np.int64):
+        mats = np.array([[[1, 0, 1]]], dtype=dtype)
+        assert LinearCode.from_rref(2, mats, (0,)) == want
+        assert LinearCode.from_rref(2, mats, np.array([0])) == want
+    assert integers(mats) is mats  # an int64 batch is checked without a copy
 
 
 def test_immutable():

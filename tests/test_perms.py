@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import time
+import tracemalloc
 from collections import deque
 from importlib import import_module
 from itertools import permutations
@@ -19,6 +20,7 @@ from symhex.perms import (
     BLOCK,
     PermGroup,
     Permutation,
+    _rank_maps,
     apply_perm,
     automorphism_group,
     double_cosets,
@@ -585,7 +587,7 @@ def _dihedral(n: int) -> PermGroup:
     return PermGroup(n, [rank_images(images) for images in rotations + reflections])
 
 
-def test_cached_rank_maps_are_the_composed_ranks():
+def test_rank_maps_are_the_composed_ranks():
     codes = [
         LinearCode(2, [[1, 1, 0, 0]]),
         LinearCode(3, [[1, 1, 1, 0]]),
@@ -593,27 +595,54 @@ def test_cached_rank_maps_are_the_composed_ranks():
     ]
     groups = [automorphism_group(c) for c in codes]
     groups += [PermGroup(4, np.arange(factorial(4))), PermGroup(4, [0]), _dihedral(5)]
-    assert groups[-1].order == 10 and len(groups[-2].left_maps) == 0
-    for G in groups:
-        sigmas = list(all_permutations(G.n))
-        assert len(G.left_maps) == len(G.right_maps) == len(G.generators)
-        for g, left, right in zip(G.generators, G.left_maps, G.right_maps):
-            assert left.tolist() == [rank_images(g.compose(s).images) for s in sigmas]
-            assert right.tolist() == [rank_images(s.compose(g).images) for s in sigmas]
-            assert not left.flags.writeable and not right.flags.writeable
-        assert G.left_maps is G.left_maps and G.right_maps is G.right_maps
+    assert groups[-1].order == 10
+    for n in (4, 5):  # one call per n, every group on both sides
+        sides = [(G, left) for G in groups if G.n == n for left in (True, False)]
+        maps = dict(zip(sides, _rank_maps(sides)))
+        sigmas = list(all_permutations(n))
+        for G in {G for G, _ in sides}:
+            assert len(maps[G, True]) == len(maps[G, False]) == len(G.generators)
+            for g, left, right in zip(G.generators, maps[G, True], maps[G, False]):
+                assert left.tolist() == [rank_images(g.compose(s).images) for s in sigmas]
+                assert right.tolist() == [rank_images(s.compose(g).images) for s in sigmas]
+                assert not left.flags.writeable and not right.flags.writeable
+        if n == 4:
+            assert maps[groups[-2], True] == maps[groups[-2], False] == ()  # the trivial group
 
 
-def test_a_second_double_coset_scan_reuses_the_cached_maps(monkeypatch):
-    G = automorphism_group(LinearCode(2, [[1, 1, 0, 0]]))
-    H = automorphism_group(LinearCode(3, [[1, 1, 1, 0]]))
-    first = double_cosets(G, H)
+def test_a_batch_ranks_each_group_side_once(monkeypatch):
+    rng = np.random.default_rng(2404)
+    pairs = _aut_pairs(7, 40, rng)
+    # two chunks, and a side met in the first is not ranked again in the second
+    assert len(pairs) > BLOCK * 64 // factorial(7)
+    sides = {s for G, H in pairs for s in ((G, True), (H, False))}
+    assert len(sides) < 2 * len(pairs)  # groups repeat, on either side
+    want = [ref_double_cosets(G, H) for G, H in pairs[:3]]
+    inverse_ranks(7)  # cached per n, so its ranks are not counted
+    perms_module = import_module("symhex.perms")
+    rows, real = [], perms_module.ranks
+    monkeypatch.setattr(perms_module, "ranks", lambda a: rows.append(len(a)) or real(a))
+    got = double_cosets_batch(pairs)
+    assert sum(rows) == factorial(7) * sum(len(G.generators) for G, _ in sides)
+    assert got[:3] == want
 
-    def boom(*args, **kwargs):
-        raise AssertionError("double_cosets recomputed a rank map")
 
-    monkeypatch.setattr(import_module("symhex.perms"), "ranks", boom)
-    assert double_cosets(G, H) == first
+def test_groups_hold_no_rank_maps_after_double_cosets():
+    codes = _criterion_9_codes()
+    perm_table(8)
+    inverse_ranks(8)  # cached per n, not per group
+    G, H = (PermGroup(8, automorphism_group(c).ranks) for c in codes)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert sum(size for _, size in double_cosets(G, H)) == factorial(8)
+        assert len(double_cosets_batch([(G, H), (H, G), (G, G)])) == 3
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < 4 * factorial(8)  # one rank map
+    for group in (G, H):
+        assert set(vars(group)) == {"n", "ranks", "generators"}
 
 
 # ---------------------------------------------------------------------------
@@ -715,8 +744,12 @@ def test_inverse_ranks_is_an_involution():
 def test_rank_maps_of_the_length_8_groups_are_the_composed_ranks():
     table = perm_table(8)
     sample = np.random.default_rng(88).integers(0, factorial(8), size=500).tolist()
-    for G in map(automorphism_group, _criterion_9_codes()):
-        for g, left, right in zip(G.generators, G.left_maps, G.right_maps):
+    groups = [automorphism_group(c) for c in _criterion_9_codes()]
+    sides = [(G, left) for G in groups for left in (True, False)]
+    maps = dict(zip(sides, _rank_maps(sides)))  # one call at n = 8
+    for G in groups:
+        for g, left, right in zip(G.generators, maps[G, True], maps[G, False]):
+            assert not left.flags.writeable and not right.flags.writeable
             for r in sample:
                 sigma = Permutation(tuple(table[r].tolist()))
                 assert left[r] == rank_images(g.compose(sigma).images)
