@@ -41,7 +41,7 @@ from .errors import (
     RingMismatch,
     check_budget,
 )
-from .gf import LinearCode, all_vectors, places
+from .gf import LinearCode, all_vectors, integers, places
 from .perms import Permutation, first_carrying
 from .ring import RingElement, RingId
 from .symplectic import SymplecticSpace
@@ -193,7 +193,8 @@ class WordSet(Set):
     ascending order, so n is at most MAX_WORD_CODE_N.  Iteration decodes
     HzWords in that order.  Two WordSets compare by their arrays; against
     any other set of HzWords the generic Set methods apply, and hash agrees
-    with frozenset.
+    with frozenset.  Codes that are not integers (gf.integers), repeat or
+    lie outside 0..6^n - 1 raise ValueError.
     """
 
     __slots__ = ("ring", "n", "codes")
@@ -201,7 +202,7 @@ class WordSet(Set):
     def __init__(self, ring: RingId, n: int, codes):
         rg.check_ring(ring)
         _check_word_code_length(n)
-        arr = np.sort(np.asarray(codes, dtype=np.int64))
+        arr = np.sort(integers(codes))
         if arr.ndim != 1 or (arr[1:] == arr[:-1]).any():
             raise ValueError("word codes must be a flat array without duplicates")
         if len(arr) and (arr[0] < 0 or int(arr[-1]) >= 6**n):

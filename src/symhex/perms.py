@@ -37,11 +37,12 @@ holds only its members.  A left map is read off a right map: with inv
 the rank of each row's inverse (inverse_ranks, cached per n),
 rank(g sigma) = inv[rank(sigma^-1 g^-1)].  double_cosets_batch labels
 many pairs of one n at once, one row of labels per pair.  Every rank
-starts labelled with itself and repeatedly takes the smallest label among
-its images, with pointer jumping (label of the label) to shorten chains
-(Shiloach and Vishkin, J. Algorithms 3, 1982); the fixed point labels
-each component with its smallest rank, its lexicographically least member
-(Butler, Fundamental Algorithms for Permutation Groups, LNCS 559, 1991).
+starts labelled with itself; a round lowers the labels to their images'
+under each map in turn, in place, then pointer jumping (label of the
+label) shortens chains (Shiloach and Vishkin, J. Algorithms 3, 1982).
+The fixed point labels each component with its smallest rank, its
+lexicographically least member (Butler, Fundamental Algorithms for
+Permutation Groups, LNCS 559, 1991).
 """
 
 from __future__ import annotations
@@ -440,13 +441,13 @@ def double_cosets_batch(
 ) -> list[list[tuple[Permutation, int]]]:
     """double_cosets(G, H) for each pair (G, H) of groups on one n, in order.
 
-    Pairs are taken most generators first, so a chunk pads few identity
-    maps, in chunks of at most BLOCK * 64 labels (one pair at least); each
-    chunk ranks the maps of the (group, left) sides the call has not met
-    and runs one propagation.  The maps are held by the call, so a group
-    repeated across pairs is ranked once and keeps nothing.  A pair has at
-    most n! / max(|G|, |H|) double cosets, as |G sigma H| >= max(|G|, |H|);
-    the estimate counts that many.
+    Pairs are taken most generators first, so each map of a chunk reads a
+    prefix of its labels and no pair is padded, in chunks of at most
+    BLOCK * 64 labels (one pair at least); each chunk ranks the maps of the
+    (group, left) sides the call has not met and runs one label sweep.  The
+    maps are held by the call, so a group repeated across pairs is ranked
+    once and keeps nothing.  A pair has at most n! / max(|G|, |H|) double
+    cosets, as |G sigma H| >= max(|G|, |H|); the estimate counts that many.
     """
     if not pairs:
         return []
@@ -468,16 +469,16 @@ def double_cosets_batch(
         index = order[start : start + step]
         chunk = [pairs[i] for i in index]
         missing = list(dict.fromkeys(s for i in index for s in reads[i] if s not in maps))
-        widest, labels = widths[index[0]], len(chunk) * size
+        mapped, labels = sum(widths[i] for i in index) * size, len(chunk) * size
         # ranking: per call at most BLOCK * 8 rows (one map at least), each
         # gathered (n bytes), ranked (10) and composed (8); propagation: the
-        # chunk's int32 images (one pair reads its own maps), then final,
-        # the labels, the gathers with their intp index casts, the row moves
-        # and the bincount
+        # chunk's int32 images (one pair reads its own maps), then the labels
+        # with a round's copy and one gather and its intp index cast, or
+        # with the bincount and its intp cast: 20 bytes a label, 24 counted
         ranked = sum(len(G.generators) for G, _ in missing) * size
         ranking = min(ranked, max(size, BLOCK * 8)) * (n + 18)
-        propagation = labels * ((4 * widest if len(chunk) > 1 else 0) + 49)
-        check_budget("double_cosets", held + max(ranking, propagation), labels * widest)
+        propagation = (4 * mapped if len(chunk) > 1 else 0) + 24 * labels
+        check_budget("double_cosets", held + max(ranking, propagation), mapped)
         if missing:
             maps.update(zip(missing, _rank_maps(missing)))
         final = _components([maps[G, True] + maps[H, False] for G, H in chunk], size).ravel()
@@ -521,48 +522,31 @@ def _rank_maps(sides: list[tuple[PermGroup, bool]]) -> list[tuple[np.ndarray, ..
 def _components(maps: list[tuple[np.ndarray, ...]], size: int) -> np.ndarray:
     """Each pair's row of n! labels: rank r gets the least rank of its component.
 
-    The rows with maps are labelled in one flat int32 array, the c-th of
-    them c * n! + rank (a chunk holds at most max(BLOCK * 64, n!) labels),
-    so a label of the label never leaves its row.  images[k] is map k of
-    every such row, offset into it, and the identity past the row's own
-    maps; one row reads its maps in place.  Each image is its own array, as
-    freeing one block of them all would raise glibc's mmap and trim
-    thresholds past the heap that later chunks leave free.  A row whose
-    labels stop changing writes them into final; the rows left are one
-    index and one shift of the images.
+    Row c of the flat int32 labels holds c * n! + rank (a chunk holds at
+    most max(BLOCK * 64, n!) labels), so a label of the label stays in its
+    row.  Rows come most maps first, so images[k], map k of every row that
+    has one, offset into its row, covers a prefix of the labels; one row
+    reads its maps in place.  Each image is its own array, as freeing one
+    block of them all would raise glibc's mmap and trim thresholds past
+    the heap that later chunks leave free.  A round lowers that prefix to
+    the labels of each image in turn, in place, so an image reads what the
+    ones before it lowered (Gauss-Seidel), then jumps pointers; a round
+    that changes nothing ends the sweep.
     """
-    final = np.arange(len(maps) * size, dtype=np.int32).reshape(-1, size)
-    rows = np.flatnonzero([len(row) for row in maps])  # the rows still moving
-    images = maps[rows[0]] if rows.size == 1 else []
-    identity = np.arange(size, dtype=np.int32)
-    offsets = (np.arange(rows.size, dtype=np.int32) * size)[:, None]
-    for k in range(max(map(len, maps)) if rows.size > 1 else 0):
-        image = np.concatenate([maps[a][k] if k < len(maps[a]) else identity for a in rows])
-        image.reshape(-1, size)[...] += offsets
+    label = np.arange(len(maps) * size, dtype=np.int32)
+    images = maps[0] if len(maps) == 1 else []
+    offsets = (np.arange(len(maps), dtype=np.int32) * size)[:, None]
+    for k in range(len(maps[0]) if len(maps) > 1 else 0):
+        image = np.concatenate([row[k] for row in maps if len(row) > k])
+        image.reshape(-1, size)[...] += offsets[: image.size // size]
         images.append(image)
-    label = np.arange(rows.size * size, dtype=np.int32)
-    while rows.size:
-        new = label[images[0]]
-        np.minimum(new, label, out=new)
-        for image in images[1:]:
-            np.minimum(new, label[image], out=new)
+    while True:
+        new = label.copy()
+        for image in images:
+            head = new[: image.size]
+            np.minimum(head, new[image], out=head)
         while not np.array_equal(jumped := new[new], new):
             new = jumped
-        new = jumped  # equal to new: hold one of the two
-        moving = (new != label).reshape(rows.size, size).any(axis=1)
-        if not moving.all():
-            done, keep = np.flatnonzero(~moving), np.flatnonzero(moving)
-            new = new.reshape(-1, size)
-            settled = new[done]  # shifted in place, to hold one copy
-            settled += ((rows[done] - done) * size).astype(np.int32)[:, None]
-            final[rows[done]] = settled
-            rows = rows[keep]
-            shift = ((keep - np.arange(keep.size)) * size).astype(np.int32)[:, None]
-            new = (new[keep] - shift).ravel()
-            # the maps of the widest row left; none once every row settled
-            images = images[: max((len(maps[a]) for a in rows), default=0)]
-            for image in images:  # the kept rows move down, in place
-                image[: new.size] = (image.reshape(-1, size)[keep] - shift).ravel()
-            images = [image[: new.size] for image in images]
+        if np.array_equal(new, label):
+            return label.reshape(-1, size)
         label = new
-    return final

@@ -12,6 +12,7 @@ isotropic.
 
 from __future__ import annotations
 
+import operator
 from functools import cache
 from itertools import combinations
 
@@ -25,10 +26,12 @@ class SymplecticSpace:
     """F_p^(2m) carrying the alternating block form; its gram is read-only.
 
     A length 2m above gf.MAX_LENGTH, where no LinearCode can live, raises
-    BudgetExceeded before the gram is built.
+    BudgetExceeded before the gram is built; a p or m that is not an
+    integer raises ValueError.
     """
 
     def __init__(self, p: int, m: int):
+        p, m = _whole(p, m)
         if p not in (2, 3):
             raise ValueError(f"p must be 2 or 3, got {p}")
         if m < 0:
@@ -103,7 +106,9 @@ def count_isotropic(p: int, m: int, k: int) -> int:
     in exact integer arithmetic with the divisibility checked.  The count
     is about p^E with E = 2mk - k(3k-1)/2, so one that would take more than
     COUNT_DIGITS decimal digits raises BudgetExceeded before any product.
+    A p, m or k that is not an integer raises ValueError.
     """
+    p, m, k = _whole(p, m, k)
     if not 0 <= k <= m:
         raise KOutOfRange(f"need 0 <= k <= m, got k={k}, m={m}")
     digits = (2 * m * k - k * (3 * k - 1) // 2) * np.log10(p)
@@ -118,6 +123,14 @@ def count_isotropic(p: int, m: int, k: int) -> int:
     if num % den:
         raise ArithmeticError(f"count for (p, m, k) = {(p, m, k)} is not an integer")
     return num // den
+
+
+def _whole(*values) -> tuple[int, ...]:
+    """values as Python ints by operator.index; ValueError for one that is not an integer."""
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError as exc:
+        raise ValueError(f"arguments must be integers, got {values!r}") from exc
 
 
 def isotropic_subspaces(space: SymplecticSpace, k: int) -> list[LinearCode]:

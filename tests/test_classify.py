@@ -588,9 +588,9 @@ def test_quasi_self_dual_classification_verified_at_length_six():
 
 
 def test_self_orthogonal_records_at_length_six_are_pinned():
-    # the scale where the double-coset kernel runs several chunks and its
-    # rows settle in different rounds; the digest of the records' (ca, cb,
-    # sigma) was taken from an earlier kernel, which a rewrite must match
+    # the scale where the double-coset kernel runs several chunks whose
+    # pairs read different numbers of maps; the digest of the records' (ca,
+    # cb, sigma) was taken from an earlier kernel, which a rewrite must match
     la, lb = _lists(6, "SO")
     records = classify(H32, la, lb, "SO")
     assert len(records) == 83_741

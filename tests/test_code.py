@@ -619,6 +619,11 @@ def test_word_set_rejects_bad_codes_and_is_immutable():
         WordSet(H23, 2, [36])
     with pytest.raises(ValueError):
         WordSet(H23, 2, [-1])
+    # codes that are not integers are refused, not truncated or parsed
+    with pytest.raises(ValueError, match="entries must be integers"):
+        WordSet(H23, 2, [0.5, 3.9])
+    with pytest.raises(ValueError, match="entries must be integers"):
+        WordSet(H23, 2, ["1"])
     ws = WordSet(H32, 2, [7, 0, 3])
     assert ws.codes.tolist() == [0, 3, 7] and not ws.codes.flags.writeable
     with pytest.raises(AttributeError):

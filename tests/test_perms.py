@@ -834,6 +834,25 @@ def test_double_cosets_batch_spans_several_chunks(monkeypatch):
         assert sum(size for _, size in cosets) == factorial(7)
 
 
+def test_double_cosets_batch_of_map_less_pairs_gives_singletons():
+    # a chunk where no row has a map: every rank is its own double coset
+    trivial = PermGroup(4, [0])
+    got = double_cosets_batch([(trivial, trivial)] * 3)
+    assert len(got) == 3
+    for cosets in got:
+        assert [(r.rank(), size) for r, size in cosets] == [(r, 1) for r in range(24)]
+
+
+def test_double_cosets_batch_orders_the_pairs_itself():
+    # given fewest maps first, the batch still reads each map over a prefix
+    # of the labels, since it sorts the pairs most maps first
+    rng = np.random.default_rng(2405)
+    pairs = sorted(_aut_pairs(5, 6, rng), key=lambda p: len(p[0].generators) + len(p[1].generators))
+    widths = [len(G.generators) + len(H.generators) for G, H in pairs]
+    assert widths[0] < widths[-1]
+    assert double_cosets_batch(pairs) == [ref_double_cosets(G, H) for G, H in pairs]
+
+
 def test_double_cosets_batch_of_no_pairs_is_empty():
     assert double_cosets_batch([]) == []
 

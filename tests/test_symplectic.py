@@ -197,6 +197,21 @@ def test_count_out_of_range():
         count_isotropic(3, 1, -1)
 
 
+def test_counts_and_spaces_refuse_non_integers():
+    # as Permutation does, through operator.index: a float is not truncated
+    with pytest.raises(ValueError, match="must be integers"):
+        count_isotropic(2, 2.5, 1)
+    with pytest.raises(ValueError, match="must be integers"):
+        count_isotropic("2", 1, 1)
+    with pytest.raises(ValueError, match="must be integers"):
+        SymplecticSpace(2, 1.5)
+    with pytest.raises(ValueError, match="must be integers"):
+        SymplecticSpace(2.0, 1)
+    # numpy integers are integers
+    assert count_isotropic(np.int64(2), np.int32(2), 1) == count_isotropic(2, 2, 1) == 15
+    assert SymplecticSpace(np.int64(3), np.int8(2)).n == 4
+
+
 @pytest.mark.parametrize("p,mmax", [(2, 3), (3, 2)])
 def test_enumeration_matches_formula(p, mmax):
     for m in range(mmax + 1):
