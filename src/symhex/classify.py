@@ -197,7 +197,7 @@ def check_verify_budget(la: list[LinearCode], lb: list[LinearCode], claims: int 
     row's index into them, 8 bytes a row.  Finding them holds the orbit's
     keys about four times over, with np.unique's 33 bytes a row, for the
     largest entry.  Its claims, once counted, are gathered column-major, n
-    bytes a claim, and ranked (ranks' 10 bytes a claim, 4 of them held);
+    bytes a claim, and ranked (ranks' 6 bytes a claim, 4 of them held);
     each pair's claims are then read as points, 8 bytes a claim.
     """
     n, sizes = _check_lists(la, lb), [c.size for c in (*la, *lb)]

@@ -6,17 +6,22 @@ columns.  Composition is (sigma * tau)(i) = sigma(tau(i)), matching
 sigma . (tau . v) = (sigma * tau) . v.
 
 Every scan over S_n runs on one cached table, perm_table(n): all n!
-permutations as int8 rows in lexicographic (Lehmer rank) order.  Scans
-take it in blocks of at most BLOCK rows, so their temporaries stay small
-and an equivalence search can stop at the first block with a hit.  Each
-kernel states what it will hold and compute to errors.check_budget before
-it starts, so n itself is never guarded.
+permutations as int8 rows in lexicographic (Lehmer rank) order, stored
+column-major, so the image of one point under every permutation is one
+contiguous run.  Scans take it in blocks of at most BLOCK rows, so their
+temporaries stay small and an equivalence search can stop at the first
+block with a hit.  Each kernel states what it will hold and compute to
+errors.check_budget before it starts, so n itself is never guarded.
+Ranks are one in-place Lehmer loop (ranks) shared by the rank maps, the
+inverse ranks and the verifier.
 Equivalence compares word keys over the table (orbit_keys), never the
-parity-check product of automorphism_group.  That product packs each
-column of the parity-check matrix into one int64, one check per byte, so
-a block's syndromes are one integer matmul; a syndrome is at most
-n (p-1)^2, under 256 for every n whose table fits the budget, so no byte
-carries into the next.
+parity-check sums of automorphism_group.  Those pack one side of the
+code (its checks or its generators) column by column into one int64, a
+row per byte, so each row of the other side tests every packed row at
+once; a sum is at most n (p-1)^2, under 256 for every n whose table fits
+the budget, so no byte carries into the next.  From n = 6 the rows of the
+other side are tested one at a time, each over only the permutations
+that passed the rows before it.
 
 Permutations read off the table, or composed and inverted from valid
 ones, are built by Permutation._known, which skips the sorted(images)
@@ -25,10 +30,10 @@ check; every public Permutation(...) call keeps it.
 A PermGroup is the sorted array of its members' Lehmer ranks, which are
 row indices into perm_table(n); its Permutation objects are built only
 when elements is first read.  Its greedy generators come from a closure
-over member-indexed rank maps: for each generator g, the position of
+over member-indexed int32 maps: for each generator g, the position of
 g m among the members for every member m, found by searching the
-members' sorted base-n row keys.  Building S_8 so costs a few array
-passes per generator instead of a Python object per element.
+members' sorted base-n keys of their int8 rows.  Building S_8 so costs a
+few array passes per generator instead of a Python object per element.
 
 Double cosets G \\ S_n / H are the connected components of the maps
 sigma -> g sigma and sigma -> sigma h on ranks, one map per generator of
@@ -42,14 +47,15 @@ under each map in turn, in place, then pointer jumping (label of the
 label) shortens chains (Shiloach and Vishkin, J. Algorithms 3, 1982).
 The fixed point labels each component with its smallest rank, its
 lexicographically least member (Butler, Fundamental Algorithms for
-Permutation Groups, LNCS 559, 1991).
+Permutation Groups, LNCS 559, 1991).  The sweep, the jumps and the left
+maps gather with ndarray.take on int32 indices.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache
 from itertools import islice
 from math import factorial
 
@@ -140,44 +146,74 @@ def rank_images(images: tuple[int, ...]) -> int:
     return r
 
 
-@cache
+@lru_cache(maxsize=None, typed=True)
 def perm_table(n: int) -> np.ndarray:
     """S_n as a read-only (n!, n) int8 array, rows in lexicographic order.
 
-    Rows starting with f are f followed by S_{n-1} with every entry >= f
-    shifted up by one; that shift keeps S_{n-1}'s order, so stacking the
-    blocks for f = 0..n-1 gives lexicographic order.  It holds the table
-    and one block's two temporaries, at most (n + 2) n! bytes.
+    The table is column-major, so a column (the image of one point under
+    every permutation) is one contiguous run.  Rows starting with f are f
+    followed by S_{n-1} with every entry >= f shifted up by one; that shift
+    keeps S_{n-1}'s order, so stacking the blocks for f = 0..n-1 gives
+    lexicographic order.  It holds the table and one block's two
+    temporaries, at most (n + 2) n! bytes.  An n that is negative or not an
+    integer raises ValueError; an integer of another type shares the int's
+    table.
     """
+    points = _points(n)
+    if type(n) is not int:
+        return perm_table(points)
     check_budget("perm_table", factorial(n) * (n + 2), factorial(n) * n)
-    if n <= 0:
+    if n == 0:
         table = np.zeros((1, 0), dtype=np.int8)
     else:
         prev = perm_table(n - 1)
-        table = np.empty((factorial(n), n), dtype=np.int8)
+        table = np.empty((factorial(n), n), dtype=np.int8, order="F")
         for f, block in enumerate(np.split(table, n)):
             block[:, 0] = f
             block[:, 1:] = prev + (prev >= f)
-    table.flags.writeable = False
-    return table
+    return _frozen(table)
+
+
+def _points(n) -> int:
+    """n as a number of points; ValueError naming n when it is negative or not an integer."""
+    try:
+        points = operator.index(n)
+    except TypeError:
+        points = -1
+    if points < 0:
+        raise ValueError(f"n must be a nonnegative integer, got {n!r}")
+    return points
 
 
 def ranks(images: np.ndarray) -> np.ndarray:
     """Lehmer ranks of the rows of an (m, n) array of permutation images.
 
-    A row's rank sums, over positions i, (n-1-i)! times the number of later
-    entries smaller than entry i; rank_images is the one-row version.  Ranks
-    are int32, exact for n <= 12.  Beside the column-major copy of images
-    (none when the transpose is already contiguous) it holds 10 bytes a row.
+    A row's rank sums, over positions i, (n-1-i)! times c_i, the number of
+    later entries smaller than entry i; rank_images is the one-row version.
+    The sum is taken by Horner's rule two digits a step: the ranks become
+    ranks (n-i)(n-1-i) + c_i (n-1-i) + c_(i+1), whose digit part is below
+    (n-i)(n-1-i) <= 132 and so fits a uint8.  Every step works in place on
+    three buffers made once: the int32 ranks, the uint8 digits and a
+    comparison viewed as uint8.  Ranks are exact for n <= 12.  Beside the
+    column-major copy of images (none when the transpose is already
+    contiguous, as for rows of perm_table) it holds 6 bytes a row.
     """
     cols = np.ascontiguousarray(np.asarray(images).T)
     n, m = cols.shape
     out = np.zeros(m, dtype=np.int32)
-    for i in range(n - 1):
-        smaller = np.zeros(m, dtype=np.int8)  # at most n - 1 <= 127
-        for j in range(i + 1, n):
-            smaller += cols[j] < cols[i]
-        out += np.multiply(smaller, factorial(n - 1 - i), dtype=np.int32)
+    digits = np.empty(m, dtype=np.uint8)
+    less = np.empty(m, dtype=bool)
+    step = less.view(np.uint8)
+    for i in range(0, n - 1, 2):
+        pair = range(i, min(i + 2, n - 1))
+        digits.fill(0)
+        for d in pair:
+            digits *= n - d
+            for j in range(d + 1, n):
+                np.less(cols[j], cols[d], out=less)
+                digits += step
+        out *= factorial(n - i) // factorial(n - i - len(pair))
+        out += digits
     return out
 
 
@@ -189,8 +225,8 @@ def inverse_ranks(n: int) -> np.ndarray:
     them without a copy: row r's inverse holds i at position table[r, i].
     """
     table = perm_table(n)
-    # the int8 rows, the intp row numbers and one column as intp, then ranks' 10
-    check_budget("inverse_ranks", len(table) * (n + 26), len(table) * (n + 1))
+    # the int8 rows, the intp row numbers and one column as intp, then ranks' 6
+    check_budget("inverse_ranks", len(table) * (n + 22), len(table) * (n + 1))
     rows = np.arange(len(table))
     cols = np.empty((n, len(table)), dtype=np.int8)
     for i in range(n):
@@ -288,17 +324,21 @@ class PermGroup:
     objects in rank (lexicographic) order, is built on first use.
     Generators are a greedy minimal-ish subset: sweeping members in rank
     order, keep each one not already generated.  Each new generator g gets
-    its map m -> g m on member indices, and the closure is marked on a
-    boolean array over the members, round by round under every map until
-    it stops growing, so each generator costs passes over |G|, not n!.
+    its int32 map m -> g m on member indices, found by searching the
+    base-n keys of the int8 rows g m among the members' sorted keys, and
+    the closure is marked on a boolean array over the members, round by
+    round under every map until it stops growing, so each generator costs
+    passes over |G|, not n!.
     The loop ends only when the generators reach every member, so they
     generate exactly the member set.  The group keeps no rank maps over
-    S_n: double_cosets_batch ranks them for the length of one call.  A
-    rank set that is empty, out of range, without the identity or not
-    closed under its generators raises ValueError.
+    S_n: double_cosets_batch ranks them for the length of one call.  An n
+    that is negative or not an integer, or a rank set that is empty, out of
+    range, without the identity or not closed under its generators, raises
+    ValueError.
     """
 
     def __init__(self, n: int, ranks):
+        n = _points(n)
         members = integers(ranks).ravel()
         if (members[1:] <= members[:-1]).any():
             members = np.unique(members)  # sorted, without repeats
@@ -310,38 +350,39 @@ class PermGroup:
         if members[0] != 0:
             raise ValueError("a group must contain the identity (rank 0)")
         self.n = n
-        self.ranks = members.astype(np.int32)
-        self.ranks.flags.writeable = False
+        self.ranks = _frozen(members.astype(np.int32))
         self.generators = self._greedy_generators()
 
     def _greedy_generators(self) -> tuple[Permutation, ...]:
         if self.order == 1:
             return ()
         bits = self.order.bit_length()
-        # intp rows and one generator's image of them, the maps, and the
-        # closure's gather of them, at 8 bytes an entry
-        check_budget("PermGroup", self.order * (2 * self.n + 2 * bits + 4) * 8)
-        rows = perm_table(self.n)[self.ranks].astype(np.intp)
+        # per member: its int8 row, one generator's int8 image of it and the
+        # intp (take) or int64 (product) copy of a row, b = log2 |G| int32
+        # maps (each generator at least doubles the closure, by Lagrange),
+        # the int64 member and image keys, the intp positions and their check
+        check_budget("PermGroup", self.order * (10 * self.n + 4 * bits + 56))
+        rows = perm_table(self.n)[self.ranks]
         place = places(self.n, self.n)  # base-n row keys ascend with Lehmer rank
         keys = rows @ place
         inside = np.zeros(self.order, dtype=bool)
         inside[0] = True
         closed = 1  # members generated so far
         gens: list[int] = []
-        # each generator at least doubles the closure (Lagrange), so at most log2 |G| of them
-        maps = np.empty((bits, self.order), dtype=np.intp)
+        maps = np.empty((bits, self.order), dtype=np.int32)
         while closed < self.order:
             i = int(inside.argmin())  # the first member not yet generated
-            image = rows[i][rows] @ place
-            at = maps[len(gens)] = np.searchsorted(keys, image)
-            gens.append(i)
+            image = rows[i].take(rows) @ place
+            at = np.searchsorted(keys, image)
             outside = keys.take(at, mode="clip") != image
             if outside.any():
                 g, m = _perms(rows[[i, outside.argmax()]])
                 raise ValueError(f"not a group: {g} * {m} is not a member")
+            maps[len(gens)] = at
+            gens.append(i)
             # close under every generator's map, round by round, until nothing is added
             while True:
-                inside[maps[: len(gens), inside]] = True
+                inside[maps[: len(gens)].compress(inside, axis=1)] = True
                 before, closed = closed, np.count_nonzero(inside)
                 if closed in (before, self.order):
                     break
@@ -379,45 +420,71 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+# automorphism_group tests a table of at most 5! rows by one product over
+# every scanned row: per call that costs fewer numpy calls than a survivor
+# scan, whose gathers and copies pay off from n = 6
+_PRODUCT_ROWS = 120
+
+
 def automorphism_group(code: LinearCode) -> PermGroup:
     """All coordinate permutations fixing the code setwise.
 
-    Scans the whole of S_n in blocks of perm_table(n); each candidate sigma
-    is accepted when the permuted generator rows still satisfy the code's
-    parity checks, H (sigma . g)^T = 0 mod p for every generator row g.
-    Column i of H is packed into one int64 with check c in byte c, so one
-    integer product gives every check's syndrome at once, byte by byte.
-    A code with more than 8 checks has at most n - 9 generators, and
-    Aut C = Aut C^perp under the dot product that permutations keep, so it
-    is scanned as its dual.  A syndrome is at most n (p-1)^2 < 256, so no
-    byte carries into the next.  Over F_2 a syndrome is odd exactly when
-    bit 0 of its byte is set, so one mask over those bits tests them all;
-    over F_3 each byte is reduced mod 3.  The group is built from the
-    accepted ranks alone.
+    A candidate sigma fixes the code when every parity check c and
+    generator row g satisfy sum_i H[c, sigma(i)] g[i] = 0 mod p.  Since
+    Aut C = Aut C^perp under the dot product that permutations keep,
+    sum_i g[sigma(i)] H[c, i] = 0 is the same test, so either side may be
+    read through sigma.  The side with more rows, if it has at most 8 (else
+    the other), is packed: column i into one int64 with row c in byte c, so
+    a row of the other side gives every packed row's sum at once, byte by
+    byte.  A sum is at most n (p-1)^2 < 256, so no byte carries into the
+    next.  Over F_2 a sum is odd exactly when bit 0 of its byte is set, so
+    one mask over those bits tests them all; over F_3 byte x is 0 mod 3
+    exactly when 171 x mod 256 <= 85, one wrapping uint8 product.
+    Up to n = 5 one product over the table tests every row of the other
+    side at once.  Larger tables are read in blocks, and the other side's
+    rows are scanned one at a time, each over only the permutations that
+    passed the rows before it: a row's sums are one take of its packed
+    lookup per nonzero entry, over the survivors' column of the table, and
+    the survivors' rows and ranks are then compressed.  The group is built
+    from the accepted ranks alone.
     """
     table = perm_table(code.n)
-    H, gen = nullspace(code.gen, code.p)[0], code.gen
-    if len(H) > 8:
-        H, gen = gen, H
-    # per block the gathered columns, the syndromes and their residues; the
-    # accepted ranks, listed and then joined
-    nbytes = BLOCK * 8 * (code.n + 2 * len(gen)) + 16 * len(table)
-    check_budget("automorphism_group", nbytes, len(table) * (code.n + len(gen)))
-    H = H.astype(np.int64)
-    place = 1 << 8 * np.arange(len(H), dtype=np.int64)
-    packed = H.T @ place  # column i of H, byte c = H[c, i]
+    packed, scanned = nullspace(code.gen, code.p)[0], code.gen
+    if len(packed) < len(scanned) <= 8 or len(packed) > 8:
+        packed, scanned = scanned, packed
+    if not len(packed):  # the zero code or the full space past n = 8: every sum is 0
+        scanned = scanned[:0]
+    # per block row: the survivor's int8 row and int64 rank, each with its
+    # old copy while they are compressed (2n + 17 bytes), or them with the
+    # running sum, the next term's gather and the intp copy of its index and
+    # the byte tests (n + 40); the accepted ranks, listed and then joined
+    check_budget("automorphism_group", BLOCK * (code.n + 48) + 16 * len(table),
+                 len(table) * (code.n + len(scanned)))
+    place = 1 << 8 * np.arange(len(packed), dtype=np.int64)
+    packed = packed.T.astype(np.int64) @ place  # column i, byte c = row c of the packed side
     low = place.sum()  # bit 0 of every byte in use
-    G = gen.T.astype(np.int64)
+
+    def odd(sums: np.ndarray) -> np.ndarray:
+        """Nonzero where a byte of a sum is not 0 mod p."""
+        if code.p == 2:
+            return sums & low
+        # byte x is divisible by 3 exactly when 171 x mod 256 <= 85
+        return ((sums.view(np.uint8) * np.uint8(171)) > 85).view(np.uint64)
+
+    if len(table) <= _PRODUCT_ROWS:
+        sums = packed[table] @ scanned.T.astype(np.int64)
+        return PermGroup(code.n, np.flatnonzero(~odd(sums).any(axis=1)))
+    # per scanned row, (i, row[i] packed) for each nonzero entry i
+    terms = [[(i, v * packed) for i, v in enumerate(row) if v] for row in scanned.tolist()]
     kept = []
     for start in range(0, len(table), BLOCK):
-        block = table[start : start + BLOCK]
-        # (sigma . g)[sigma(i)] = g[i], so check c reads sum_i H[c, sigma(i)] g[i]
-        syndromes = packed[block] @ G
-        if code.p == 2:
-            fails = (syndromes & low).any(axis=1)
-        else:
-            fails = (syndromes.view(np.uint8) % code.p).any(axis=1)
-        kept.append(start + np.flatnonzero(~fails))
+        rows = table[start : start + BLOCK]  # the survivors, and their ranks
+        at = np.arange(start, start + len(rows))
+        for row in terms:
+            # sums[s] = sum_i row[i] packed[sigma_s(i)]
+            passed = odd(sum(part.take(rows[:, i]) for i, part in row)) == 0
+            rows, at = rows[passed], at[passed]
+        kept.append(at)
     return PermGroup(code.n, np.concatenate(kept))
 
 
@@ -471,10 +538,12 @@ def double_cosets_batch(
         missing = list(dict.fromkeys(s for i in index for s in reads[i] if s not in maps))
         mapped, labels = sum(widths[i] for i in index) * size, len(chunk) * size
         # ranking: per call at most BLOCK * 8 rows (one map at least), each
-        # gathered (n bytes), ranked (10) and composed (8); propagation: the
-        # chunk's int32 images (one pair reads its own maps), then the labels
-        # with a round's copy and one gather and its intp index cast, or
-        # with the bincount and its intp cast: 20 bytes a label, 24 counted
+        # gathered (n bytes), ranked (4, with ranks' own 2) and, for a left
+        # map, composed by two takes (an int32 temporary and the intp copy of
+        # an index, 12): n + 16 bytes, n + 18 counted; propagation: the
+        # chunk's int32 images (one pair reads its own maps), then the
+        # labels, the round's labels and a gather buffer, or the bincount
+        # and its intp cast: 20 bytes a label, 24 counted
         ranked = sum(len(G.generators) for G, _ in missing) * size
         ranking = min(ranked, max(size, BLOCK * 8)) * (n + 18)
         propagation = (4 * mapped if len(chunk) > 1 else 0) + 24 * labels
@@ -496,10 +565,13 @@ def _rank_maps(sides: list[tuple[PermGroup, bool]]) -> list[tuple[np.ndarray, ..
 
     The right map of h, sigma -> sigma h, is the ranks of table[:, h]; the
     left map of g, sigma -> g sigma, is inv[R[inv]] with R the right map of
-    g^-1, since g sigma = (sigma^-1 g^-1)^-1.  The sides' tables are ranked
-    together, at most BLOCK * 8 rows (one map at least) per ranks call: 56
-    maps a call at n = 6 and 1,680 at n = 4, where a call's fixed cost
-    dominates, but one a call from n = 8, where its temporaries would.
+    g^-1, since g sigma = (sigma^-1 g^-1)^-1, composed by two takes.  The
+    table is column-major, so table[:, h] is n whole contiguous rows of
+    table.T, gathered straight into the column-major layout ranks reads.
+    The sides' tables are ranked together, at most BLOCK * 8 rows (one map
+    at least) per ranks call: 56 maps a call at n = 6 and 1,680 at n = 4,
+    where a call's fixed cost dominates, but one a call from n = 8, where
+    its temporaries would.
     """
     n = sides[0][0].n
     table = perm_table(n)
@@ -514,7 +586,7 @@ def _rank_maps(sides: list[tuple[PermGroup, bool]]) -> list[tuple[np.ndarray, ..
         # cols[i, m, r] = table[r, images[m, i]]: one column-major row per (map, rank)
         cols = table.T[images.T].reshape(n, -1)
         for (left, _), r in zip(part, ranks(cols.T).reshape(-1, size)):
-            maps.append(_frozen(inv[r[inv]] if left else r))
+            maps.append(_frozen(inv.take(r.take(inv)) if left else r))
     maps = iter(maps)
     return [tuple(islice(maps, len(G.generators))) for G, _ in sides]
 
@@ -531,7 +603,8 @@ def _components(maps: list[tuple[np.ndarray, ...]], size: int) -> np.ndarray:
     the heap that later chunks leave free.  A round lowers that prefix to
     the labels of each image in turn, in place, so an image reads what the
     ones before it lowered (Gauss-Seidel), then jumps pointers; a round
-    that changes nothing ends the sweep.
+    that changes nothing ends the sweep.  Gathers (_gather) write into one
+    reused buffer beside the labels and the round's labels.
     """
     label = np.arange(len(maps) * size, dtype=np.int32)
     images = maps[0] if len(maps) == 1 else []
@@ -540,13 +613,34 @@ def _components(maps: list[tuple[np.ndarray, ...]], size: int) -> np.ndarray:
         image = np.concatenate([row[k] for row in maps if len(row) > k])
         image.reshape(-1, size)[...] += offsets[: image.size // size]
         images.append(image)
+    new, buf = np.empty_like(label), np.empty_like(label)
     while True:
-        new = label.copy()
+        new[...] = label
         for image in images:
             head = new[: image.size]
-            np.minimum(head, new[image], out=head)
-        while not np.array_equal(jumped := new[new], new):
-            new = jumped
+            np.minimum(head, _gather(new, image, buf), out=head)
+        while not np.array_equal(_gather(new, new, buf), new):
+            new, buf = buf, new
         if np.array_equal(new, label):
             return label.reshape(-1, size)
-        label = new
+        label, new = new, label
+
+
+# indices per ndarray.take in _gather: an intp copy of 64 KiB, under glibc's
+# default 128 KiB mmap threshold
+_TAKE = 8192
+
+
+def _gather(values: np.ndarray, index: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """values[index] written into out[: index.size], which is returned.
+
+    ndarray.take gathers int32 indices faster than fancy indexing, but first
+    copies them to intp; taking _TAKE indices at a time keeps that copy on
+    the heap, where a whole-array copy would be mapped afresh and raise the
+    peak RSS.  Every index is in range, so mode="wrap" never wraps; unlike
+    the default mode it writes straight into out, without a buffer.
+    """
+    out = out[: index.size]
+    for start in range(0, index.size, _TAKE):
+        values.take(index[start : start + _TAKE], out=out[start : start + _TAKE], mode="wrap")
+    return out

@@ -227,7 +227,7 @@ def test_perm_table_is_lex_ordered_and_read_only():
         table = perm_table(n)
         assert table.dtype == np.int8 and table.shape == (factorial(n), n)
         assert [tuple(row) for row in table.tolist()] == list(permutations(range(n)))
-        assert not table.flags.writeable
+        assert not table.flags.writeable and table.flags.f_contiguous
         with pytest.raises(ValueError):
             table[0, 0] = 1
     assert perm_table(8) is perm_table(8)
@@ -326,6 +326,18 @@ def test_automorphism_group_matches_the_loop():
     codes += _random_codes(5, 4, seed=501) + _random_codes(6, 4, seed=601)
     for code in codes:
         assert list(automorphism_group(code).elements) == ref_automorphisms(code)
+
+
+def test_automorphism_group_matches_the_loop_for_every_dimension_at_length_6():
+    # k = 0 and k = 6 leave no row to scan, so all of S_6 survives; up to
+    # k = 3 the generators are scanned over the checks, from k = 4 the checks
+    rng = np.random.default_rng(606)
+    for p in (2, 3):
+        for k in range(7):
+            code = random_code(p, 6, rng, k=k)
+            while code.k < k:  # k random rows may be dependent; draw again
+                code = random_code(p, 6, rng, k=k)
+            assert list(automorphism_group(code).elements) == ref_automorphisms(code), code
 
 
 def test_automorphism_group_makes_one_rref_call(monkeypatch):
@@ -509,6 +521,16 @@ def test_rank_sets_that_are_not_groups_raise_value_error():
     with pytest.raises(ValueError, match=r"Permutation\(\(0, 2, 1, 3\)\) \* "
                        r"Permutation\(\(0, 1, 3, 2\)\) is not a member"):
         PermGroup(4, [rank_images(images) for images in members])
+
+
+def test_negative_or_fractional_lengths_raise_value_error():
+    for bad in (-1, 2.0, "3", None):
+        with pytest.raises(ValueError, match=f"^n must be a nonnegative integer, got {bad!r}$"):
+            perm_table(bad)
+        with pytest.raises(ValueError, match=f"^n must be a nonnegative integer, got {bad!r}$"):
+            PermGroup(bad, [0])
+    # another integer type shares the int's table
+    assert perm_table(np.int64(4)) is perm_table(4) and PermGroup(np.int8(3), [0]).n == 3
 
 
 def test_groups_beyond_the_table_guard_raise_budget_exceeded():
