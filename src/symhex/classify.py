@@ -17,9 +17,10 @@ Within one classify call each Aut group is computed once per component
 and equal groups are interned by their member ranks.  The admissible
 pairs are collected first, and one double_cosets_batch call enumerates
 the double cosets of every distinct (governing group, free group) pair
-together, ranking each distinct group's maps once; each (free component,
-sigma) is realized once, however many pairs share them.  None of these
-caches outlives the call.
+together: it labels the cosets of each distinct free group once, and
+the governing group acts only on their least members.  Each (free
+component, sigma) is realized once, however many pairs share them.  None
+of these caches outlives the call.
 """
 
 from __future__ import annotations

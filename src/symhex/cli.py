@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 
 from . import __version__, io
 from .classify import TARGETS, check_verify_budget, classify, verify_classification, verify_lists
@@ -158,8 +159,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# main's parser, built once per process: building one costs about a
+# millisecond, and parse_args returns a fresh namespace without changing it
+_parser = cache(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         args.func(args)
     except (SymhexError, OSError) as exc:

@@ -25,7 +25,7 @@ from typing import Iterable
 
 from . import __version__
 from .classify import ClassificationRecord
-from .codes import HzCode, flags
+from .codes import HzCode, flags, split
 from .errors import ParseError, SymhexError
 from .gf import MAX_LENGTH, LinearCode
 from .ring import RingId
@@ -225,23 +225,27 @@ def catalog_text(
     indices, sigma and code, since json's indenting encoder runs in pure
     Python; meta and summary still go through json.dumps, and list digests
     are over canonical list texts.  Each distinct component code's rows are
-    rendered once per call (codes hash by their RREF), and each pair's flags
-    are computed once: sigma moves only the free component and keeps its
-    dimension, so every realization of a pair has the pair's flags.
+    rendered once per call (codes hash by their RREF), and flags are
+    computed once per governing component and free dimension, on the first
+    record with them: the predicates read the free component only through
+    its dimension, which sigma keeps.
     """
     rows = cache(lambda code: _list_text(map(encode_basestring_ascii, _matrix_rows(code))))
     sigma_text = cache(lambda images: _list_text([str(i + 1) for i in images]))
+    flag_texts: dict[tuple[LinearCode, int], tuple[dict[str, bool], list[str]]] = {}
 
-    @cache
-    def pair_flags(i: int, j: int) -> tuple[dict[str, bool], list[str]]:
-        fl = flags(HzCode(ring, la[i], lb[j]))
-        return fl, [json.dumps(fl[key]) for key in sorted(fl)]
+    def record_flags(code: HzCode) -> tuple[dict[str, bool], list[str]]:
+        governing, free = split(code)
+        if (key := (governing, free.k)) not in flag_texts:
+            fl = flags(code)
+            flag_texts[key] = fl, [json.dumps(fl[name]) for name in sorted(fl)]
+        return flag_texts[key]
 
     ring_text = encode_basestring_ascii(str(ring))
     summary = {"total": len(records), "so": 0, "sd": 0, "qsd": 0, "nice": 0, "lcd": 0}
     body = []
     for rec in records:
-        fl, fl_text = pair_flags(rec.ca_index, rec.cb_index)
+        fl, fl_text = record_flags(rec.code)
         for key, value in fl.items():
             summary[key] += value
         code = rec.code

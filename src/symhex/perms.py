@@ -12,8 +12,8 @@ contiguous run.  Scans take it in blocks of at most BLOCK rows, so their
 temporaries stay small and an equivalence search can stop at the first
 block with a hit.  Each kernel states what it will hold and compute to
 errors.check_budget before it starts, so n itself is never guarded.
-Ranks are one in-place Lehmer loop (ranks) shared by the rank maps, the
-inverse ranks and the verifier.
+Ranks are one in-place Lehmer loop (ranks) shared by the double cosets
+and the verifier.
 Equivalence compares word keys over the table (orbit_keys), never the
 parity-check sums of automorphism_group.  Those pack one side of the
 code (its checks or its generators) column by column into one int64, a
@@ -35,28 +35,23 @@ g m among the members for every member m, found by searching the
 members' sorted base-n keys of their int8 rows.  Building S_8 so costs a
 few array passes per generator instead of a Python object per element.
 
-Double cosets G \\ S_n / H are the connected components of the maps
-sigma -> g sigma and sigma -> sigma h on ranks, one map per generator of
-G and of H, which one double_cosets_batch call ranks and drops; a group
-holds only its members.  A left map is read off a right map: with inv
-the rank of each row's inverse (inverse_ranks, cached per n),
-rank(g sigma) = inv[rank(sigma^-1 g^-1)].  double_cosets_batch labels
-many pairs of one n at once, one row of labels per pair.  Every rank
-starts labelled with itself; a round lowers the labels to their images'
-under each map in turn, in place, then pointer jumping (label of the
-label) shortens chains (Shiloach and Vishkin, J. Algorithms 3, 1982).
-The fixed point labels each component with its smallest rank, its
-lexicographically least member (Butler, Fundamental Algorithms for
-Permutation Groups, LNCS 559, 1991).  The sweep, the jumps and the left
-maps gather with ndarray.take on int32 indices.
+Double cosets G \\ S_n / H are the orbits of G on the right cosets of H
+(Butler, Fundamental Algorithms for Permutation Groups, LNCS 559, 1991;
+Kerber, Applied Finite Group Actions, 1999).  double_cosets_batch labels
+each sigma with its coset under the maps sigma -> sigma h, one per
+generator of H, ranked for the call and dropped (a group holds only its
+members), then joins the cosets under r -> g r for each generator g of G
+and least coset member r.  Both are one sweep: each label starts as
+itself, a round lowers the labels to their images' under each map in
+turn, in place, and pointer jumping (Shiloach and Vishkin, J. Algorithms
+3, 1982) shortens chains, until each component holds its least member.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import cache, cached_property, lru_cache
-from itertools import islice
+from functools import cached_property, lru_cache
 from math import factorial
 
 import numpy as np
@@ -215,23 +210,6 @@ def ranks(images: np.ndarray) -> np.ndarray:
         out *= factorial(n - i) // factorial(n - i - len(pair))
         out += digits
     return out
-
-
-@cache
-def inverse_ranks(n: int) -> np.ndarray:
-    """Read-only int32 array: entry r is the rank of the inverse of row r of perm_table(n).
-
-    The inverse rows are scattered column-major into int8, so ranks reads
-    them without a copy: row r's inverse holds i at position table[r, i].
-    """
-    table = perm_table(n)
-    # the int8 rows, the intp row numbers and one column as intp, then ranks' 6
-    check_budget("inverse_ranks", len(table) * (n + 22), len(table) * (n + 1))
-    rows = np.arange(len(table))
-    cols = np.empty((n, len(table)), dtype=np.int8)
-    for i in range(n):
-        cols[table[:, i], rows] = i
-    return _frozen(ranks(cols.T))
 
 
 def apply_perm(perm: Permutation, code: LinearCode) -> LinearCode:
@@ -508,12 +486,12 @@ def double_cosets_batch(
 ) -> list[list[tuple[Permutation, int]]]:
     """double_cosets(G, H) for each pair (G, H) of groups on one n, in order.
 
-    Pairs are taken most generators first, so each map of a chunk reads a
-    prefix of its labels and no pair is padded, in chunks of at most
-    BLOCK * 64 labels (one pair at least); each chunk ranks the maps of the
-    (group, left) sides the call has not met and runs one label sweep.  The
-    maps are held by the call, so a group repeated across pairs is ranked
-    once and keeps nothing.  A pair has at most n! / max(|G|, |H|) double
+    Stage 1 labels each sigma with the least rank of sigma H from H's right
+    maps (_rank_maps), once per distinct H, most generators first, in
+    chunks of at most max(BLOCK * 64, n!) labels, and numbers H's cosets
+    in rank order.  Stage 2 (_orbits) takes the chunk's pairs, most
+    generators of G first, as many a run as a chunk has H.  Maps and labels
+    live for the call.  A pair has at most n! / max(|G|, |H|) double
     cosets, as |G sigma H| >= max(|G|, |H|); the estimate counts that many.
     """
     if not pairs:
@@ -521,98 +499,120 @@ def double_cosets_batch(
     n = pairs[0][0].n
     if (bad := next((m for G, H in pairs for m in (G.n, H.n) if m != n), n)) != n:
         raise DimensionMismatch(f"groups act on {n} and {bad} points")
-    table = perm_table(n)
-    size = len(table)
-    step = max(1, BLOCK * 64 // size)
-    reads = [((G, True), (H, False)) for G, H in pairs]  # the (group, left) sides a pair reads
-    # the batch's int32 maps and its reports, held across chunks
-    held = 4 * size * sum(len(G.generators) for G, _ in set().union(*reads))
-    held += _REP_BYTES * sum(size // max(G.order, H.order) for G, H in pairs)
-    widths = [len(G.generators) + len(H.generators) for G, H in pairs]
-    order = sorted(range(len(pairs)), key=lambda i: -widths[i])
-    maps: dict[tuple[PermGroup, bool], tuple[np.ndarray, ...]] = {}
-    out: list = [None] * len(pairs)
-    for start in range(0, len(pairs), step):
-        index = order[start : start + step]
-        chunk = [pairs[i] for i in index]
-        missing = list(dict.fromkeys(s for i in index for s in reads[i] if s not in maps))
-        mapped, labels = sum(widths[i] for i in index) * size, len(chunk) * size
-        # ranking: per call at most BLOCK * 8 rows (one map at least), each
-        # gathered (n bytes), ranked (4, with ranks' own 2) and, for a left
-        # map, composed by two takes (an int32 temporary and the intp copy of
-        # an index, 12): n + 16 bytes, n + 18 counted; propagation: the
-        # chunk's int32 images (one pair reads its own maps), then the
-        # labels, the round's labels and a gather buffer, or the bincount
-        # and its intp cast: 20 bytes a label, 24 counted
-        ranked = sum(len(G.generators) for G, _ in missing) * size
-        ranking = min(ranked, max(size, BLOCK * 8)) * (n + 18)
-        propagation = (4 * mapped if len(chunk) > 1 else 0) + 24 * labels
-        check_budget("double_cosets", held + max(ranking, propagation), mapped)
-        if missing:
-            maps.update(zip(missing, _rank_maps(missing)))
-        final = _components([maps[G, True] + maps[H, False] for G, H in chunk], size).ravel()
-        counts = np.bincount(final, minlength=final.size)
-        at = np.flatnonzero(counts)
-        reps, sizes = _perms(table[at % size]), counts[at].tolist()
-        bounds = np.searchsorted(at, np.arange(len(chunk) + 1) * size).tolist()
-        for i, a, b in zip(index, bounds, bounds[1:]):
-            out[i] = list(zip(reps[a:b], sizes[a:b]))
-    return out
+    size = len(perm_table(n))
+    step = max(BLOCK * 64, size) // size
+    held = _REP_BYTES * sum(size // max(G.order, H.order) for G, H in pairs)
+    free = sorted(dict.fromkeys(H for _, H in pairs), key=lambda H: -len(H.generators))
+    out: dict[int, list[tuple[Permutation, int]]] = {}
+    for start in range(0, len(free), step):
+        chunk = free[start : start + step]
+        labels, mapped = len(chunk) * size, sum(len(H.generators) for H in chunk) * size
+        # the int32 images, then per ranks call at most BLOCK * 8 rows (one
+        # map at least), each gathered (n bytes) and ranked (4, with ranks'
+        # own 2, and the last call's 4), or the sweep's three int32 label
+        # arrays; after it, the labels, the least members' bools and intp
+        # places and an int32 count with its temporary
+        ranked = min(mapped, max(size, BLOCK * 8)) * (n + 10)
+        check_budget("double_cosets", held + 4 * mapped + max(ranked, 24 * labels), mapped)
+        label = _components(_rank_maps(chunk), labels)
+        least = label == np.arange(labels, dtype=np.int32)  # each coset's least member
+        roots = np.flatnonzero(least)
+        node = _gather(np.cumsum(least, dtype=np.int32) - 1, label, label)  # cosets in rank order
+        first = np.cumsum([0] + [size // H.order for H in chunk]).tolist()
+        cosets = {H: roots[a:b] for H, a, b in zip(chunk, first, first[1:])}  # least members
+        index = sorted((i for i, (_, H) in enumerate(pairs) if H in cosets),
+                       key=lambda i: -len(pairs[i][0].generators))
+        for at in range(0, len(index), step):
+            run = index[at : at + step]
+            out.update(zip(run, _orbits([pairs[i] for i in run], node, cosets, held + 13 * labels)))
+    return [out[i] for i in range(len(pairs))]
 
 
-def _rank_maps(sides: list[tuple[PermGroup, bool]]) -> list[tuple[np.ndarray, ...]]:
-    """Each (group, left)'s read-only int32 maps over S_n, one a generator, all of one n.
+def _orbits(pairs: list, node: np.ndarray, cosets: dict, held: int) -> list[list]:
+    """Stage 2: each pair's double cosets, the orbits of G on the cosets of H.
 
-    The right map of h, sigma -> sigma h, is the ranks of table[:, h]; the
-    left map of g, sigma -> g sigma, is inv[R[inv]] with R the right map of
-    g^-1, since g sigma = (sigma^-1 g^-1)^-1, composed by two takes.  The
-    table is column-major, so table[:, h] is n whole contiguous rows of
-    table.T, gathered straight into the column-major layout ranks reads.
-    The sides' tables are ranked together, at most BLOCK * 8 rows (one map
-    at least) per ranks call: 56 maps a call at n = 6 and 1,680 at n = 4,
-    where a call's fixed cost dominates, but one a call from n = 8, where
-    its temporaries would.
+    Pair p's nodes, H's cosets in rank order, are labels offsets[p] and up.
+    Image k, a prefix of the labels, sends the coset of r to that of g r,
+    for generator k of G and the least member r; one ranks call ranks them
+    all.  An orbit's least node holds its least member.
     """
-    n = sides[0][0].n
+    n = pairs[0][0].n
+    table = perm_table(n)
+    least = [cosets[H] for _, H in pairs]
+    nodes, gens = [len(x) for x in least], [len(G.generators) for G, _ in pairs]
+    offsets = np.cumsum([0] + nodes)
+    edges, count = sum(map(operator.mul, gens, nodes)), int(offsets[-1])
+    # per edge its int8 row of g r, taken and then joined, its int32 rank
+    # and ranks' own 2 bytes; per node its least member's int8 column, a
+    # generator's int8 copy and the intp copy of the take's index, or the
+    # sweep's three int32 labels, two int32 offsets, the int64 counts and
+    # the intp least members, their ranks and the orders
+    check_budget("double_cosets", held + edges * (2 * n + 6) + count * (10 * n + 56), edges)
+    least = np.concatenate(least)  # c n! + rank for H's row c of the stage-1 labels
+    rank = least % len(table)
+    images = []
+    if edges:
+        cols = table.T[:, rank]  # each node's least member, column-major
+        reach = np.searchsorted(-np.array(gens), -np.arange(gens[0])).tolist()
+        parts = []
+        for k, c in enumerate(reach):  # generator k of each of the first c pairs, at their nodes
+            g = np.array([G.generators[k].images for G, _ in pairs[:c]], dtype=np.int8).T
+            parts.append(np.take_along_axis(np.repeat(g, nodes[:c], 1), cols[:, : offsets[c]], 0))
+        r = ranks(np.concatenate(parts, axis=1).T)
+        del parts, cols
+        # per node, its H's row of stage-1 labels and its pair's first label less H's first node
+        row = (least - rank).astype(np.int32)
+        shift = np.repeat(offsets[:-1] - node[least[offsets[:-1]]], nodes).astype(np.int32)
+        for c in reach:
+            image, r = r[: offsets[c]], r[offsets[c] :]
+            image += row[: image.size]
+            images.append(_gather(node, image, image) + shift[: image.size])
+    counts = np.bincount(_components(images, count), minlength=count)
+    at = np.flatnonzero(counts)
+    reps = _perms(table[rank[at]])
+    sizes = (counts[at] * np.repeat([H.order for _, H in pairs], nodes)[at]).tolist()
+    bounds = np.searchsorted(at, offsets).tolist()
+    return [list(zip(reps[a:b], sizes[a:b])) for a, b in zip(bounds, bounds[1:])]
+
+
+def _rank_maps(groups: list[PermGroup]) -> list[np.ndarray]:
+    """The right maps of groups of one n, most generators first, as sweep images.
+
+    Group c's labels are c * n! + rank; image k holds generator k's map of
+    every group that has one, a prefix of the labels.  The map of h is the
+    ranks of table[:, h]: n whole contiguous rows of the column-major
+    table, in the layout ranks reads.  A ranks call takes at most BLOCK * 8
+    rows (one map at least): 1,680 maps at n = 4, where a call's fixed cost
+    dominates, one from n = 8, where its temporaries would.  Each image is
+    its own array, as freeing one block of them all would raise glibc's
+    mmap and trim thresholds past the heap that later chunks leave free.
+    """
+    n = groups[0].n
     table = perm_table(n)
     size = len(table)
-    acts = [(left, g) for G, left in sides for g in G.generators]
-    inv = inverse_ranks(n) if any(left for left, _ in acts) else None
+    acts = [(k, c * size, h) for c, G in enumerate(groups) for k, h in enumerate(G.generators)]
+    images = [np.empty(size * sum(len(G.generators) > k for G in groups), dtype=np.int32)
+              for k in range(len(groups[0].generators))]
     step = max(1, BLOCK * 8 // size)
-    maps = []
     for start in range(0, len(acts), step):
         part = acts[start : start + step]
-        images = np.array([(g.inverse() if left else g).images for left, g in part], dtype=np.intp)
-        # cols[i, m, r] = table[r, images[m, i]]: one column-major row per (map, rank)
-        cols = table.T[images.T].reshape(n, -1)
-        for (left, _), r in zip(part, ranks(cols.T).reshape(-1, size)):
-            maps.append(_frozen(inv.take(r.take(inv)) if left else r))
-    maps = iter(maps)
-    return [tuple(islice(maps, len(G.generators))) for G, _ in sides]
+        # table.T[index][i, m, r] = table[r, h_m[i]]: one column-major row per (map, rank)
+        index = np.array([h.images for *_, h in part], dtype=np.intp).T
+        for (k, at, _), r in zip(part, ranks(table.T[index].reshape(n, -1).T).reshape(-1, size)):
+            np.add(r, at, out=images[k][at : at + size])
+    return images
 
 
-def _components(maps: list[tuple[np.ndarray, ...]], size: int) -> np.ndarray:
-    """Each pair's row of n! labels: rank r gets the least rank of its component.
+def _components(images: list[np.ndarray], count: int) -> np.ndarray:
+    """count int32 labels, label i lowered to the least label of its component.
 
-    Row c of the flat int32 labels holds c * n! + rank (a chunk holds at
-    most max(BLOCK * 64, n!) labels), so a label of the label stays in its
-    row.  Rows come most maps first, so images[k], map k of every row that
-    has one, offset into its row, covers a prefix of the labels; one row
-    reads its maps in place.  Each image is its own array, as freeing one
-    block of them all would raise glibc's mmap and trim thresholds past
-    the heap that later chunks leave free.  A round lowers that prefix to
-    the labels of each image in turn, in place, so an image reads what the
-    ones before it lowered (Gauss-Seidel), then jumps pointers; a round
-    that changes nothing ends the sweep.  Gathers (_gather) write into one
-    reused buffer beside the labels and the round's labels.
+    images[k] maps a prefix of the labels into the same row of labels.  A
+    round lowers that prefix to the labels of each image in turn, in place,
+    so an image reads what the ones before it lowered (Gauss-Seidel), then
+    jumps pointers; a round that changes nothing ends the sweep.  Gathers
+    (_gather) write into one reused buffer beside the two label arrays.
     """
-    label = np.arange(len(maps) * size, dtype=np.int32)
-    images = maps[0] if len(maps) == 1 else []
-    offsets = (np.arange(len(maps), dtype=np.int32) * size)[:, None]
-    for k in range(len(maps[0]) if len(maps) > 1 else 0):
-        image = np.concatenate([row[k] for row in maps if len(row) > k])
-        image.reshape(-1, size)[...] += offsets[: image.size // size]
-        images.append(image)
+    label = np.arange(count, dtype=np.int32)
     new, buf = np.empty_like(label), np.empty_like(label)
     while True:
         new[...] = label
@@ -622,7 +622,7 @@ def _components(maps: list[tuple[np.ndarray, ...]], size: int) -> np.ndarray:
         while not np.array_equal(_gather(new, new, buf), new):
             new, buf = buf, new
         if np.array_equal(new, label):
-            return label.reshape(-1, size)
+            return label
         label, new = new, label
 
 

@@ -22,7 +22,6 @@ from symhex.perms import (
     automorphism_group,
     double_cosets,
     double_cosets_batch,
-    inverse_ranks,
     perm_equivalent,
     perm_table,
 )
@@ -115,17 +114,16 @@ def _groups_case():
     pairs = np.hstack([np.kron(np.eye(4, dtype=np.int64), [[1, 1]]), np.zeros((4, 1), np.int64)])
     G = automorphism_group(LinearCode(2, pairs))
     H = automorphism_group(LinearCode(3, [[1] * 6 + [0] * 3]))
-    inverse_ranks(9)
     # fresh groups, so their rank maps are built inside the traced call
     G, H = PermGroup(9, G.ranks), PermGroup(9, H.ranks)
     return lambda: double_cosets(G, H)
 
 
 def _batch_case():
-    # 900 pairs of 30 groups at n = 6, past one chunk of BLOCK * 64 labels
+    # 900 pairs of 30 groups at n = 6: one chunk of free groups, whose pairs
+    # take more than one run of BLOCK * 64 // 6! pairs
     rng = np.random.default_rng(6)
     perm_table(6)
-    inverse_ranks(6)
     groups = [automorphism_group(random_code(p, 6, rng, k=2)) for p in (2, 3) for _ in range(15)]
     groups = [PermGroup(6, G.ranks) for G in groups]  # their rank maps are built inside the call
     pairs = [(G, H) for G in groups for H in groups]
@@ -150,7 +148,6 @@ def _codes(seed: int, p: int, n: int, k: int, count: int) -> list[LinearCode]:
 # site[:case] -> setup run untraced, returning the call to trace
 CASES = {
     "perm_table": lambda: (perm_table(8), lambda: perm_table(9))[1],
-    "inverse_ranks": lambda: (perm_table(9), lambda: inverse_ranks(9))[1],
     "PermGroup": lambda: (perm_table(9), lambda: PermGroup(9, np.arange(factorial(9))))[1],
     "automorphism_group": lambda: (
         perm_table(9), lambda: automorphism_group(_codes(9, 3, 9, 4, 1)[0])
@@ -174,7 +171,7 @@ CASES = {
     "verify_classification": _verify_case,
 }
 
-CACHED = (perm_table, inverse_ranks, all_vectors)
+CACHED = (perm_table, all_vectors)
 
 
 @pytest.mark.parametrize("site", CASES)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import subprocess
@@ -303,21 +304,49 @@ def _flags_runs(call) -> int:
     return len(runs)
 
 
-def test_classify_verify_out_computes_flags_once_per_admissible_pair(tmp_path, capsys):
+def test_classify_verify_out_computes_flags_once_per_governing_component_and_free_dimension(
+    tmp_path, capsys
+):
     la, lb = (
         inequivalent_reps([c for k in range(3) for c in isotropic_subspaces(SymplecticSpace(p, 2), k)])
         for p in (2, 3)
     )
-    admissible = sum(is_self_orthogonal(HzCode(RingId.H23, ca, cb)) for ca in la for cb in lb)
-    assert admissible == 189
+    admissible = [(ca, cb) for ca in la for cb in lb if is_self_orthogonal(HzCode(RingId.H23, ca, cb))]
+    assert len(admissible) == 189
+    # C_a governs over H23, and the predicates read C_b only through its dimension
+    keys = {(ca, cb.k) for ca, cb in admissible}
+    assert len(keys) < len(admissible)
     argv = _classify_argv(tmp_path, io.format_matrix_list(la), io.format_matrix_list(lb), n=4)
     argv += ["--verify", "--out", str(tmp_path / "catalog.json")]
-    assert _flags_runs(lambda: cli.main(argv)) == admissible
+    assert _flags_runs(lambda: cli.main(argv)) == len(keys)
     assert "verification: ok" in capsys.readouterr().out
     records = classify(RingId.H23, la, lb, "SO")
     # the catalog alone computes flags; classify and the verifier never do
     assert _flags_runs(lambda: classify(RingId.H23, la, lb, "SO")) == 0
     assert _flags_runs(lambda: verify_classification(records, RingId.H23, la, lb, "SO")) == 0
+
+
+def test_main_parses_every_call_with_one_parser_and_fresh_namespaces(r2_path, tmp_path, capsys, monkeypatch):
+    parsed = []
+    real = argparse.ArgumentParser.parse_args
+
+    def spy(parser, *args, **kwargs):
+        parsed.append((parser, real(parser, *args, **kwargs)))
+        return parsed[-1][1]
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", spy)
+    out = tmp_path / "catalog.json"
+    assert cli.main(_classify_argv(tmp_path) + ["--verify", "--out", str(out)]) == 0
+    assert cli.main(["dual", r2_path]) == 0
+    assert cli.main(_classify_argv(tmp_path)) == 0
+    (first, verified), (second, dualed), (third, plain) = parsed
+    assert first is second is third
+    assert verified.verify and verified.out == str(out)
+    # neither --verify nor --out carries over, to another subcommand or the same one
+    assert dualed.out is None and not hasattr(dualed, "verify")
+    assert not plain.verify and plain.out is None
+    assert capsys.readouterr().out.count("verification: ok") == 1
+    assert cli.build_parser() is not cli.build_parser()
 
 
 @pytest.mark.parametrize("module", ["symhex", "symhex.cli"])

@@ -20,12 +20,12 @@ from symhex.perms import (
     BLOCK,
     PermGroup,
     Permutation,
+    _components,
     _rank_maps,
     apply_perm,
     automorphism_group,
     double_cosets,
     double_cosets_batch,
-    inverse_ranks,
     orbit_keys,
     perm_equivalent,
     perm_table,
@@ -618,41 +618,65 @@ def test_rank_maps_are_the_composed_ranks():
     groups = [automorphism_group(c) for c in codes]
     groups += [PermGroup(4, np.arange(factorial(4))), PermGroup(4, [0]), _dihedral(5)]
     assert groups[-1].order == 10
-    for n in (4, 5):  # one call per n, every group on both sides
-        sides = [(G, left) for G in groups if G.n == n for left in (True, False)]
-        maps = dict(zip(sides, _rank_maps(sides)))
+    for n in (4, 5):  # one call per n, most generators first
+        chunk = sorted((G for G in groups if G.n == n), key=lambda G: -len(G.generators))
+        size, images = factorial(n), _rank_maps(chunk)
         sigmas = list(all_permutations(n))
-        for G in {G for G, _ in sides}:
-            assert len(maps[G, True]) == len(maps[G, False]) == len(G.generators)
-            for g, left, right in zip(G.generators, maps[G, True], maps[G, False]):
-                assert left.tolist() == [rank_images(g.compose(s).images) for s in sigmas]
-                assert right.tolist() == [rank_images(s.compose(g).images) for s in sigmas]
-                assert not left.flags.writeable and not right.flags.writeable
+        # image k is map k of every group that has one, a prefix of the labels
+        want = [size * sum(len(G.generators) > k for G in chunk) for k in range(len(images))]
+        assert [image.size for image in images] == want and len(images) == len(chunk[0].generators)
+        for c, G in enumerate(chunk):
+            for h, image in zip(G.generators, images):
+                row = image[c * size : (c + 1) * size] - c * size
+                assert row.tolist() == [rank_images(s.compose(h).images) for s in sigmas]
         if n == 4:
-            assert maps[groups[-2], True] == maps[groups[-2], False] == ()  # the trivial group
+            assert chunk[-1].order == 1  # the trivial group, last and in no image
+
+
+def _groups_at(n: int, count: int, rng) -> list[PermGroup]:
+    """The trivial group, S_n and the Aut groups of count seeded codes of length n."""
+    groups = [PermGroup(n, [0]), PermGroup(n, np.arange(factorial(n)))]
+    for _ in range(count):
+        p, k = int(rng.integers(2, 4)), int(rng.integers(0, n + 1))
+        groups.append(automorphism_group(random_code(p, n, rng, k=k)))
+    return groups
+
+
+def test_stage_one_labels_each_sigma_with_the_least_rank_of_its_right_coset():
+    # one sweep over the right maps of a chunk of groups: row c, label of
+    # sigma, is c n! + min over h in H of rank(sigma h), read off H.elements
+    rng = np.random.default_rng(3301)
+    for n in range(1, 6):
+        chunk = sorted(_groups_at(n, 5, rng), key=lambda G: -len(G.generators))
+        size, sigmas = factorial(n), list(all_permutations(n))
+        label = _components(_rank_maps(chunk), len(chunk) * size).reshape(-1, size)
+        for c, H in enumerate(chunk):
+            want = [min(rank_images(s.compose(h).images) for h in H.elements) for s in sigmas]
+            assert (label[c] - c * size).tolist() == want, (n, H.order)
 
 
 def test_a_batch_ranks_each_group_side_once(monkeypatch):
     rng = np.random.default_rng(2404)
     pairs = _aut_pairs(7, 40, rng)
-    # two chunks, and a side met in the first is not ranked again in the second
-    assert len(pairs) > BLOCK * 64 // factorial(7)
-    sides = {s for G, H in pairs for s in ((G, True), (H, False))}
-    assert len(sides) < 2 * len(pairs)  # groups repeat, on either side
+    frees = set(H for _, H in pairs)
+    assert len(frees) < len(pairs)  # free groups repeat
     want = [ref_double_cosets(G, H) for G, H in pairs[:3]]
-    inverse_ranks(7)  # cached per n, so its ranks are not counted
     perms_module = import_module("symhex.perms")
     rows, real = [], perms_module.ranks
     monkeypatch.setattr(perms_module, "ranks", lambda a: rows.append(len(a)) or real(a))
     got = double_cosets_batch(pairs)
-    assert sum(rows) == factorial(7) * sum(len(G.generators) for G, _ in sides)
+    # each distinct H's right maps over S_7, then per pair g r for each
+    # generator g of G and each of the 7! / |H| coset representatives r
+    size = factorial(7)
+    stage_1 = size * sum(len(H.generators) for H in frees)
+    stage_2 = sum(len(G.generators) * size // H.order for G, H in pairs)
+    assert sum(rows) == stage_1 + stage_2
     assert got[:3] == want
 
 
 def test_groups_hold_no_rank_maps_after_double_cosets():
     codes = _criterion_9_codes()
     perm_table(8)
-    inverse_ranks(8)  # cached per n, not per group
     G, H = (PermGroup(8, automorphism_group(c).ranks) for c in codes)
     tracemalloc.start()
     try:
@@ -751,31 +775,17 @@ def test_packed_scan_matches_the_word_key_stabilizer_at_length_8(monkeypatch):
         assert automorphism_group(code).ranks.tolist() == members, code
 
 
-def test_inverse_ranks_is_an_involution():
-    for n in range(1, 10):
-        inv = inverse_ranks(n)
-        assert inv.dtype == np.int32 and not inv.flags.writeable
-        assert np.array_equal(inv[inv], np.arange(factorial(n)))
-        assert inverse_ranks(n) is inv
-    inv = inverse_ranks(8)
-    for r in np.random.default_rng(81).integers(0, factorial(8), size=50).tolist():
-        pi = Permutation(tuple(perm_table(8)[r].tolist()))
-        assert inv[r] == pi.inverse().rank()
-
-
 def test_rank_maps_of_the_length_8_groups_are_the_composed_ranks():
-    table = perm_table(8)
-    sample = np.random.default_rng(88).integers(0, factorial(8), size=500).tolist()
+    table, size = perm_table(8), factorial(8)
+    sample = np.random.default_rng(88).integers(0, size, size=500).tolist()
     groups = [automorphism_group(c) for c in _criterion_9_codes()]
-    sides = [(G, left) for G in groups for left in (True, False)]
-    maps = dict(zip(sides, _rank_maps(sides)))  # one call at n = 8
-    for G in groups:
-        for g, left, right in zip(G.generators, maps[G, True], maps[G, False]):
-            assert not left.flags.writeable and not right.flags.writeable
+    groups.sort(key=lambda G: -len(G.generators))
+    images = _rank_maps(groups)  # one call at n = 8
+    for c, G in enumerate(groups):
+        for h, image in zip(G.generators, images):
             for r in sample:
                 sigma = Permutation(tuple(table[r].tolist()))
-                assert left[r] == rank_images(g.compose(sigma).images)
-                assert right[r] == rank_images(sigma.compose(g).images)
+                assert image[c * size + r] == c * size + rank_images(sigma.compose(h).images)
 
 
 def ref_residue_scan(code: LinearCode) -> np.ndarray:
@@ -824,32 +834,58 @@ def _aut_pairs(n: int, count: int, rng) -> list[tuple[PermGroup, PermGroup]]:
     return pairs + [(trivial, full), (full, trivial), (trivial, trivial), pairs[0]]
 
 
+def _swept_double_cosets(G: PermGroup, H: PermGroup) -> list[tuple[Permutation, int]]:
+    """G \\ S_n / H by min-labels over every rank under sigma -> g sigma and sigma -> sigma h.
+
+    The maps are the ranks of g . table and of table[:, h] for each
+    generator; a label falls to the least label it maps to until none
+    moves, so each orbit holds its least rank.  Fast enough for n = 7.
+    """
+    table = perm_table(G.n)
+    maps = [ranks(np.array(g.images)[table]) for g in G.generators]
+    maps += [ranks(table[:, list(h.images)]) for h in H.generators]
+    label = np.arange(len(table))
+    while True:
+        lowered = np.minimum.reduce([label] + [label[m] for m in maps])
+        if np.array_equal(lowered, label):
+            break
+        label = lowered
+    reps, sizes = np.unique(label, return_counts=True)
+    return [(Permutation(tuple(table[r].tolist())), int(size)) for r, size in zip(reps, sizes)]
+
+
 def test_double_cosets_batch_matches_the_bfs_and_the_single_pair_calls():
+    # every ordered pair of 14 groups per n, the trivial group and S_n among
+    # them; the breadth-first reference up to n = 5, the label sweep past it
     rng = np.random.default_rng(2401)
-    for n in range(1, 7):
-        pairs = _aut_pairs(n, 4, rng)
+    for n in range(1, 8):
+        groups = _groups_at(n, 12, rng)
+        pairs = [(G, H) for G in groups for H in groups]
         counts = {len(G.generators) + len(H.generators) for G, H in pairs}
         assert len(counts) > 1 or n == 1  # pairs with different generator counts
         got = double_cosets_batch(pairs)
-        assert got == [ref_double_cosets(G, H) for G, H in pairs]
-        assert got == [double_cosets(G, H) for G, H in pairs]
+        reference = ref_double_cosets if n <= 5 else _swept_double_cosets
+        assert got == [reference(G, H) for G, H in pairs], n
+        assert got == [double_cosets(G, H) for G, H in pairs], n
 
 
 def test_double_cosets_batch_spans_several_chunks(monkeypatch):
+    # more distinct H than one chunk of BLOCK * 64 labels holds: each chunk
+    # ranks its own H, and none is ranked twice
     rng = np.random.default_rng(2403)
-    pairs = _aut_pairs(7, 70, rng)
+    pairs = _aut_pairs(7, 90, rng)
     step = BLOCK * 64 // factorial(7)
-    assert len(pairs) > 2 * step
     want = [double_cosets(G, H) for G, H in pairs]
-    perms_module = import_module("symhex.perms")
-    checks = []
-    real = perms_module.check_budget
-    monkeypatch.setattr(
-        perms_module, "check_budget", lambda site, *a: checks.append(site) or real(site, *a)
-    )
     fresh = {id(G): PermGroup(7, G.ranks) for pair in pairs for G in pair}
-    got = double_cosets_batch([(fresh[id(G)], fresh[id(H)]) for G, H in pairs])
-    assert checks.count("double_cosets") == -(-len(pairs) // step)
+    pairs = [(fresh[id(G)], fresh[id(H)]) for G, H in pairs]
+    frees = list(dict.fromkeys(H for _, H in pairs))
+    assert len(frees) > step
+    perms_module = import_module("symhex.perms")
+    chunks, real = [], perms_module._rank_maps
+    monkeypatch.setattr(perms_module, "_rank_maps", lambda groups: chunks.append(groups) or real(groups))
+    got = double_cosets_batch(pairs)
+    assert len(chunks) == -(-len(frees) // step) and max(map(len, chunks)) == step
+    assert sorted(map(id, sum(chunks, []))) == sorted(map(id, frees))
     assert got == want
     for (G, H), cosets in zip(pairs[:3], got):
         assert cosets == ref_double_cosets(G, H)
