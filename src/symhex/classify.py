@@ -53,7 +53,6 @@ from .perms import (
     perm_equivalent,
     perm_table,
     ranks,
-    word_key,
     word_keys,
 )
 from .ring import RingId
@@ -268,7 +267,7 @@ def verify_classification(
 
     table = perm_table(n)
     # LinearCode hashes and compares by its RREF, so equal free components share a key
-    free_key = cache(lambda f: word_key((f,)).tobytes())
+    free_key = cache(lambda f: word_keys([f]).tobytes())
 
     @cache
     def orbit(c: LinearCode) -> tuple[np.ndarray, np.ndarray]:

@@ -7,6 +7,7 @@ space, so code equality is literal array equality.
 
 from __future__ import annotations
 
+import operator
 from functools import cache, lru_cache
 from itertools import repeat
 from typing import Optional
@@ -98,11 +99,28 @@ def integers(values) -> np.ndarray:
     return a.astype(np.int64, copy=False)
 
 
-def _check_length(n: int) -> None:
+def whole(*values) -> tuple[int, ...]:
+    """values as Python ints by operator.index; ValueError for one that is not an integer."""
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError as exc:
+        raise ValueError(f"arguments must be integers, got {values!r}") from exc
+
+
+def check_field(p) -> int:
+    """p as the int 2 or 3; ValueError for anything else."""
+    if (p := whole(p)[0]) not in (2, 3):
+        raise ValueError(f"p must be 2 or 3, got {p}")
+    return p
+
+
+def _check_length(n) -> int:
+    (n,) = whole(n)
     if n < 0:
         raise DimensionMismatch(f"length must be nonnegative, got {n}")
     if n > MAX_LENGTH:
         raise BudgetExceeded(f"length {n} exceeds {MAX_LENGTH}")
+    return n
 
 
 class LinearCode:
@@ -112,22 +130,21 @@ class LinearCode:
     Instances are immutable and hashable; two codes compare equal exactly
     when they have the same row space, by the key (p, n, RREF bytes) that
     _fill computes once.  __init__ reduces its rows with rref; from_rref
-    takes a batch already in RREF and only checks it.  A length above
-    MAX_LENGTH raises BudgetExceeded, and entries that are not integers
-    ValueError.
+    takes a batch already in RREF and only checks it.  A p other than 2 or
+    3, or a p, n or entry that is not an integer, raises ValueError, a
+    negative n DimensionMismatch and an n above MAX_LENGTH BudgetExceeded.
     """
 
     __slots__ = ("p", "n", "k", "gen", "pivots", "_key")
 
     def __init__(self, p: int, rows, n: Optional[int] = None):
-        if p not in (2, 3):
-            raise ValueError(f"p must be 2 or 3, got {p}")
+        p = check_field(p)
         M = integers(rows)
         if n is None:
             if M.ndim != 2:
                 raise DimensionMismatch(f"generator rows need an explicit n, got shape {M.shape}")
             n = M.shape[1]
-        _check_length(n)
+        n = _check_length(n)
         if M.size == 0:
             M = M.reshape(0, n)
         if M.ndim != 2 or M.shape[1] != n:
@@ -147,8 +164,7 @@ class LinearCode:
         ValueError.  The batch is then one read-only int8 array: each code's
         gen is a view of it and its key a slice of its one tobytes() buffer.
         """
-        if p not in (2, 3):
-            raise ValueError(f"p must be 2 or 3, got {p}")
+        p = check_field(p)
         mats = integers(mats)  # no copy of an int64 batch
         if mats.ndim != 3:
             raise DimensionMismatch(f"expected a batch (B, k, n), got shape {mats.shape}")
@@ -179,7 +195,7 @@ class LinearCode:
     @cache
     def full(cls, p: int, n: int) -> "LinearCode":
         """F_p^n, row-reduced once per (p, n); codes are immutable, so callers share it."""
-        _check_length(n)  # before the n x n identity is built
+        n = _check_length(n)  # before the n x n identity is built
         return cls(p, np.eye(n, dtype=np.int64), n=n)
 
     @property
@@ -218,8 +234,12 @@ class LinearCode:
         return ((msgs.astype(np.int64) @ self.gen.astype(np.int64)) % self.p).astype(np.int8)
 
     def dual_wrt(self, gram: np.ndarray) -> "LinearCode":
-        """The code {y : G @ gram @ y == 0}, for a fixed bilinear form."""
-        M = (self.gen.astype(np.int64) @ np.asarray(gram, dtype=np.int64)) % self.p
+        """The code {y : G @ gram @ y == 0}, for a fixed bilinear form: an n x n
+        gram of integers, else DimensionMismatch or ValueError."""
+        gram = integers(gram)
+        if gram.shape != (self.n, self.n):
+            raise DimensionMismatch(f"gram has shape {gram.shape}, expected ({self.n}, {self.n})")
+        M = (self.gen.astype(np.int64) @ gram) % self.p
         B, pivots = nullspace(M, self.p)
         return LinearCode.from_rref(self.p, B[None], pivots)[0]
 

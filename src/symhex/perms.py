@@ -243,22 +243,17 @@ def orbit_keys(codes: tuple[LinearCode, ...]):
     # the float64 codewords, then per block the float64 gather and product
     # and three int32 copies of the keys
     check_budget("orbit_keys", 8 * count * n + step * (8 * n + 20 * count), len(table) * count)
-    words = [_place_and_words(c) for c in codes]
+    words = [(places(c.p, n).astype(float), c.codewords().T.astype(float)) for c in codes]
     for start in range(0, len(table), step):
         block = table[start : start + step]
         keys = [(place[block] @ W).astype(np.int32) for place, W in words]
         yield block, np.hstack([np.sort(k, axis=1) for k in keys])
 
 
-def word_key(codes: tuple[LinearCode, ...]) -> np.ndarray:
-    """The codes' own word keys side by side: orbit_keys' identity row, without a scan."""
-    keys = [(place @ W).astype(np.int32) for place, W in map(_place_and_words, codes)]
-    return np.hstack([np.sort(k) for k in keys])
-
-
 def word_keys(codes: list[LinearCode]) -> np.ndarray:
-    """word_key of each code of one (p, n, k), one int32 row a code.
+    """The own word key of each code of one (p, n, k), one int32 row a code.
 
+    A code's row is its slice of orbit_keys' identity row, without a scan.
     A chunk's codewords are one float64 product of the p^k messages with the
     chunk's stacked generators, reduced mod p and read in base p by one more
     product.  A chunk holds at most BLOCK * 64 codewords, so its float64
@@ -268,17 +263,12 @@ def word_keys(codes: list[LinearCode]) -> np.ndarray:
     msgs = all_vectors(p, k).astype(float)
     place = places(p, n).astype(float)
     step = max(1, BLOCK * 64 // len(msgs))
-    gens = np.stack([c.gen for c in codes])
+    gens = np.array([c.gen for c in codes])
     keys = np.empty((len(codes), len(msgs)), dtype=np.int32)
     for start in range(0, len(codes), step):
         words = msgs @ gens[start : start + step].astype(float)
-        keys[start : start + step] = np.sort((words % p) @ place, axis=1)
+        keys[start : start + step] = np.sort(np.fmod(words, p) @ place, axis=1)
     return keys
-
-
-def _place_and_words(code: LinearCode) -> tuple[np.ndarray, np.ndarray]:
-    """Place values p^(n-1-i) and the codewords as columns, both float64."""
-    return places(code.p, code.n).astype(float), code.codewords().T.astype(float)
 
 
 def first_carrying(sources: tuple, targets: tuple) -> "Permutation | None":
@@ -287,8 +277,10 @@ def first_carrying(sources: tuple, targets: tuple) -> "Permutation | None":
     perm_table(sources[0].n)  # the S_n table's budget
     if any(s.k != t.k for s, t in zip(sources, targets)):
         return None
-    want = word_key(targets)
+    want = None
     for block, keys in orbit_keys(sources):
+        if want is None:  # past orbit_keys' budget, whose 8 W n codeword term covers the targets
+            want = np.hstack([word_keys([t])[0] for t in targets])
         hits = np.flatnonzero((keys == want).all(axis=1))
         if hits.size:
             return Permutation._known(tuple(block[hits[0]].tolist()))
@@ -491,8 +483,10 @@ def double_cosets_batch(
     chunks of at most max(BLOCK * 64, n!) labels, and numbers H's cosets
     in rank order.  Stage 2 (_orbits) takes the chunk's pairs, most
     generators of G first, as many a run as a chunk has H.  Maps and labels
-    live for the call.  A pair has at most n! / max(|G|, |H|) double
-    cosets, as |G sigma H| >= max(|G|, |H|); the estimate counts that many.
+    live for the call.  A pair has at least n! / (|G| |H|) double cosets,
+    as |G sigma H| <= |G| |H|; a batch whose fewest reports pass the budget
+    is refused up front, then each estimate counts the reports held and a
+    run's own, once its sweep has counted them, before they are built.
     """
     if not pairs:
         return []
@@ -501,7 +495,7 @@ def double_cosets_batch(
         raise DimensionMismatch(f"groups act on {n} and {bad} points")
     size = len(perm_table(n))
     step = max(BLOCK * 64, size) // size
-    held = _REP_BYTES * sum(size // max(G.order, H.order) for G, H in pairs)
+    check_budget("double_cosets", _REP_BYTES * sum(size // (G.order * H.order) for G, H in pairs))
     free = sorted(dict.fromkeys(H for _, H in pairs), key=lambda H: -len(H.generators))
     out: dict[int, list[tuple[Permutation, int]]] = {}
     for start in range(0, len(free), step):
@@ -513,6 +507,7 @@ def double_cosets_batch(
         # arrays; after it, the labels, the least members' bools and intp
         # places and an int32 count with its temporary
         ranked = min(mapped, max(size, BLOCK * 8)) * (n + 10)
+        held = _REP_BYTES * sum(map(len, out.values()))
         check_budget("double_cosets", held + 4 * mapped + max(ranked, 24 * labels), mapped)
         label = _components(_rank_maps(chunk), labels)
         least = label == np.arange(labels, dtype=np.int32)  # each coset's least member
@@ -524,7 +519,8 @@ def double_cosets_batch(
                        key=lambda i: -len(pairs[i][0].generators))
         for at in range(0, len(index), step):
             run = index[at : at + step]
-            out.update(zip(run, _orbits([pairs[i] for i in run], node, cosets, held + 13 * labels)))
+            held = _REP_BYTES * sum(map(len, out.values())) + 13 * labels
+            out.update(zip(run, _orbits([pairs[i] for i in run], node, cosets, held)))
     return [out[i] for i in range(len(pairs))]
 
 
@@ -547,7 +543,8 @@ def _orbits(pairs: list, node: np.ndarray, cosets: dict, held: int) -> list[list
     # generator's int8 copy and the intp copy of the take's index, or the
     # sweep's three int32 labels, two int32 offsets, the int64 counts and
     # the intp least members, their ranks and the orders
-    check_budget("double_cosets", held + edges * (2 * n + 6) + count * (10 * n + 56), edges)
+    held += edges * (2 * n + 6) + count * (10 * n + 56)
+    check_budget("double_cosets", held, edges)
     least = np.concatenate(least)  # c n! + rank for H's row c of the stage-1 labels
     rank = least % len(table)
     images = []
@@ -569,6 +566,7 @@ def _orbits(pairs: list, node: np.ndarray, cosets: dict, held: int) -> list[list
             images.append(_gather(node, image, image) + shift[: image.size])
     counts = np.bincount(_components(images, count), minlength=count)
     at = np.flatnonzero(counts)
+    check_budget("double_cosets", held + _REP_BYTES * at.size, edges)  # one report an orbit
     reps = _perms(table[rank[at]])
     sizes = (counts[at] * np.repeat([H.order for _, H in pairs], nodes)[at]).tolist()
     bounds = np.searchsorted(at, offsets).tolist()

@@ -12,14 +12,13 @@ isotropic.
 
 from __future__ import annotations
 
-import operator
 from functools import cache
 from itertools import combinations
 
 import numpy as np
 
 from .errors import BudgetExceeded, DimensionMismatch, KOutOfRange, OddLength, check_budget
-from .gf import MAX_LENGTH, LinearCode, all_vectors, integers, rref
+from .gf import MAX_LENGTH, LinearCode, all_vectors, check_field, integers, rref, whole
 
 
 class SymplecticSpace:
@@ -31,9 +30,7 @@ class SymplecticSpace:
     """
 
     def __init__(self, p: int, m: int):
-        p, m = _whole(p, m)
-        if p not in (2, 3):
-            raise ValueError(f"p must be 2 or 3, got {p}")
+        p, (m,) = check_field(p), whole(m)
         if m < 0:
             raise ValueError(f"m must be >= 0, got {m}")
         if 2 * m > MAX_LENGTH:
@@ -108,7 +105,7 @@ def count_isotropic(p: int, m: int, k: int) -> int:
     COUNT_DIGITS decimal digits raises BudgetExceeded before any product.
     A p, m or k that is not an integer raises ValueError.
     """
-    p, m, k = _whole(p, m, k)
+    p, m, k = whole(p, m, k)
     if not 0 <= k <= m:
         raise KOutOfRange(f"need 0 <= k <= m, got k={k}, m={m}")
     digits = (2 * m * k - k * (3 * k - 1) // 2) * np.log10(p)
@@ -123,14 +120,6 @@ def count_isotropic(p: int, m: int, k: int) -> int:
     if num % den:
         raise ArithmeticError(f"count for (p, m, k) = {(p, m, k)} is not an integer")
     return num // den
-
-
-def _whole(*values) -> tuple[int, ...]:
-    """values as Python ints by operator.index; ValueError for one that is not an integer."""
-    try:
-        return tuple(map(operator.index, values))
-    except TypeError as exc:
-        raise ValueError(f"arguments must be integers, got {values!r}") from exc
 
 
 def isotropic_subspaces(space: SymplecticSpace, k: int) -> list[LinearCode]:

@@ -25,7 +25,7 @@ import numpy as np
 from symhex.codes import HzCode, enumerate_words, euclidean_inner
 from symhex.errors import DimensionMismatch
 from symhex.gf import LinearCode, rref
-from symhex.perms import Permutation, orbit_keys, word_key
+from symhex.perms import Permutation, orbit_keys, word_keys
 from symhex.ring import ZERO
 
 
@@ -101,8 +101,9 @@ def ref_is_euclidean_self_orthogonal(code: HzCode) -> bool:
 
 
 def _claim(owner: dict[bytes, int], i: int, codes: tuple[LinearCode, ...]) -> int:
-    """The index owning the codes' word key; when none does, i claims their S_n orbit."""
-    o = owner.setdefault(word_key(codes).tobytes(), i)
+    """The index owning the codes' word key, each code's own word_keys row side by side;
+    when none owns it, i claims their S_n orbit."""
+    o = owner.setdefault(b"".join(word_keys([c]).tobytes() for c in codes), i)
     if o == i:
         for _, keys in orbit_keys(codes):
             owner.update(dict.fromkeys(map(bytes, keys), i))

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import symhex
+from symhex import errors
 from symhex.classify import classify, inequivalent_reps, verify_classification
 from symhex.codes import build, dual_bruteforce, enumerate_words, word_set
 from symhex.errors import MAX_BYTES, MAX_OPS, BudgetExceeded, check_budget
@@ -94,6 +95,20 @@ def test_every_budget_site_has_a_traced_case_and_a_readme_row():
     table = readme.split("\n## Budgets\n")[1].split("\n## ")[0]
     rows = [line.split("|")[1] for line in table.splitlines() if line.startswith("| ")]
     assert [site for site in sorted(sites) if not any(site in row for row in rows[1:])] == []
+
+
+def test_double_cosets_budget_counts_the_reports_not_their_bound(monkeypatch):
+    # 64 pairs of eight order-8 groups at n = 6 report 1,256 double cosets,
+    # where n! / max(|G|, |H|) = 90 a pair bounds 5,760; a budget of 400
+    # bytes a bounded report refuses a batch that budgets by the bound
+    rng = np.random.default_rng(7)
+    codes = (random_code(p, 6, rng) for p in (2, 3) for _ in range(60))
+    groups = [G for G in map(automorphism_group, codes) if G.order == 8][:8]
+    pairs = [(G, H) for G in groups for H in groups]
+    want = [double_cosets(G, H) for G, H in pairs]
+    assert len(groups) == 8 and sum(map(len, want)) == 1256
+    monkeypatch.setattr(errors, "MAX_BYTES", 400 * len(pairs) * factorial(6) // 8)
+    assert double_cosets_batch(pairs) == want
 
 
 # ---------------------------------------------------------------------------

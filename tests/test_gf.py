@@ -287,6 +287,41 @@ def test_non_integer_entries_are_refused():
     assert LinearCode(2, [], n=3) == LinearCode.zero(2, 3)
 
 
+# unchecked, a float p gives a float size and fails in rref's pow, and a
+# float n fails in reshape or passes for a whole value
+NON_INTEGER_ARGUMENTS = {
+    "float p": lambda: LinearCode(2.0, [], n=2),
+    "numpy float p": lambda: LinearCode(np.float64(3), [[1, 2]]),
+    "fractional n": lambda: LinearCode(3, [], n=2.5),
+    "fractional n of the zero code": lambda: LinearCode.zero(2, 2.5),
+    "whole float n": lambda: LinearCode(2, [[1, 0]], n=2.0),
+}
+
+
+@pytest.mark.parametrize("case", NON_INTEGER_ARGUMENTS)
+def test_a_non_integer_field_or_length_raises_value_error(case):
+    with pytest.raises(ValueError, match="^arguments must be integers"):
+        NON_INTEGER_ARGUMENTS[case]()
+
+
+def test_numpy_integer_fields_and_lengths_are_read_as_ints():
+    code = LinearCode.from_rref(np.int64(3), np.array([[[1, 2]]]), (0,))[0]
+    assert type(code.p) is int and code == LinearCode(3, [[1, 2]])
+    for p, n in ((np.int8(2), np.int64(3)), (2, np.uint8(3))):
+        assert LinearCode.zero(p, n) == LinearCode.zero(2, 3)
+
+
+def test_dual_wrt_refuses_a_gram_that_is_not_integer():
+    # truncated, 0.5 I read as the zero form, whose dual is F_2^2
+    with pytest.raises(ValueError, match="^entries must be integers"):
+        LinearCode(2, [[1, 1]]).dual_wrt(0.5 * np.eye(2))
+
+
+def test_dual_wrt_refuses_a_gram_of_another_size():
+    with pytest.raises(DimensionMismatch, match=r"gram has shape \(3, 3\), expected \(2, 2\)"):
+        LinearCode(2, [[1, 1]]).dual_wrt(np.eye(3, dtype=np.int64))
+
+
 def test_span_and_intersection():
     a = LinearCode(2, [[1, 0, 0, 0], [0, 1, 0, 0]])
     b = LinearCode(2, [[0, 1, 0, 0], [0, 0, 1, 0]])

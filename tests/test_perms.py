@@ -31,7 +31,7 @@ from symhex.perms import (
     perm_table,
     rank_images,
     ranks,
-    word_key,
+    word_keys,
 )
 from symhex.ring import RingId
 from symhex.symplectic import SymplecticSpace, isotropic_subspaces
@@ -400,23 +400,28 @@ def test_equivalent_returns_the_lex_first_sigma():
 def _own_key(codes):
     block, keys = next(orbit_keys(codes))
     assert block[0].tolist() == list(range(codes[0].n))  # the identity first
-    assert np.array_equal(word_key(codes), keys[0])
+    ends = np.cumsum([c.size for c in codes]).tolist()
+    for code, start, end in zip(codes, [0] + ends, ends):
+        assert np.array_equal(word_keys([code])[0], keys[0, start:end])
     return keys[0]
 
 
 def test_orbit_keys_are_the_keys_of_the_permuted_codes():
     rng = np.random.default_rng(606)
     for n in (3, 4, 5, 6):
-        # a binary and a ternary code side by side
-        codes = (random_code(2, n, rng), random_code(3, n, rng))
-        rows = 0
-        for block, keys in orbit_keys(codes):
-            for images, key in zip(block.tolist(), keys):
-                pi = Permutation(tuple(images))
-                assert np.array_equal(key, _own_key(tuple(apply_perm(pi, c) for c in codes)))
-                assert pi.rank() == rows
-                rows += 1
-        assert rows == factorial(n)
+        # a binary and a ternary code side by side, then k = 0 and k = n
+        for codes in (
+            (random_code(2, n, rng), random_code(3, n, rng)),
+            (LinearCode.zero(3, n), LinearCode.full(2, n)),
+        ):
+            rows = 0
+            for block, keys in orbit_keys(codes):
+                for images, key in zip(block.tolist(), keys):
+                    pi = Permutation(tuple(images))
+                    assert np.array_equal(key, _own_key(tuple(apply_perm(pi, c) for c in codes)))
+                    assert pi.rank() == rows
+                    rows += 1
+            assert rows == factorial(n)
 
 
 def test_word_keys_are_equal_exactly_for_equal_codes():
@@ -770,7 +775,7 @@ def test_packed_scan_matches_the_word_key_stabilizer_at_length_8(monkeypatch):
 
     perms_module = import_module("symhex.perms")
     monkeypatch.setattr(perms_module, "orbit_keys", boom)
-    monkeypatch.setattr(perms_module, "word_key", boom)
+    monkeypatch.setattr(perms_module, "word_keys", boom)
     for code, members in zip(codes, want):
         assert automorphism_group(code).ranks.tolist() == members, code
 
