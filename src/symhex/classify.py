@@ -105,6 +105,13 @@ def _target_predicate(target: str):
     return {"SO": is_self_orthogonal, "QSD": is_qsd, "SD": is_self_dual}[target]
 
 
+def _admissible(ring: RingId, la: list, lb: list, target: str) -> list[tuple]:
+    """(i, j, governing, free) per pair (la[i], lb[j]) that meets the target, in (i, j) order."""
+    pred = _target_predicate(target)
+    codes = ((i, j, HzCode(ring, ca, cb)) for i, ca in enumerate(la) for j, cb in enumerate(lb))
+    return [(i, j, *split(code)) for i, j, code in codes if pred(code)]
+
+
 def classify(
     ring: RingId,
     la: list[LinearCode],
@@ -118,7 +125,6 @@ def classify(
     (ca index, cb index, sigma rank).
     """
     _check_lists(la, lb)
-    pred = _target_predicate(target)
     groups: dict[bytes, PermGroup] = {}
 
     @cache
@@ -126,13 +132,7 @@ def classify(
         group = automorphism_group(code)
         return groups.setdefault(group.ranks.tobytes(), group)
 
-    admissible = []
-    for i, ca in enumerate(la):
-        for j, cb in enumerate(lb):
-            pair = HzCode(ring, ca, cb)
-            if pred(pair):
-                governing, free = split(pair)
-                admissible.append((i, j, governing, free, aut(governing), aut(free)))
+    admissible = [(i, j, g, f, aut(g), aut(f)) for i, j, g, f in _admissible(ring, la, lb, target)]
     # interned groups are equal exactly when they are the same object
     group_pairs = list(dict.fromkeys((G, H) for *_, G, H in admissible))
     cosets = dict(zip(group_pairs, double_cosets_batch(group_pairs)))
@@ -254,7 +254,7 @@ def verify_classification(
     """
     n = _check_lists(la, lb)
     check_verify_budget(la, lb)
-    pred = _target_predicate(target)
+    admissible = _admissible(ring, la, lb, target)
     verify_lists(la, lb)
 
     by_pair: dict[tuple[int, int], list[ClassificationRecord]] = {}
@@ -264,6 +264,8 @@ def verify_classification(
         if rec.sigma.n != n:
             raise VerificationFailed(f"sound: {rec!r} has a sigma on {rec.sigma.n} points, not {n}")
         by_pair.setdefault((rec.ca_index, rec.cb_index), []).append(rec)
+    if bad := sorted(by_pair.keys() - {(i, j) for i, j, *_ in admissible}):
+        raise VerificationFailed(f"sound: {by_pair[bad[0]][0]!r} cites an inadmissible pair")
 
     table = perm_table(n)
     # LinearCode hashes and compares by its RREF, so equal free components share a key
@@ -275,18 +277,8 @@ def verify_classification(
         return np.unique(_rows(np.vstack([k for _, k in orbit_keys((c,))])), return_inverse=True)
 
     # (i, j, records, governing, free, Stab(governing)) per admissible pair, in order
-    pairs = []
-    for i, ca in enumerate(la):
-        for j, cb in enumerate(lb):
-            pair = HzCode(ring, ca, cb)
-            mine = by_pair.get((i, j), [])
-            if not pred(pair):
-                if mine:
-                    raise VerificationFailed(f"sound: {mine[0]!r} cites an inadmissible pair")
-                continue
-            governing, free = split(pair)
-            point = orbit(governing)[1]
-            pairs.append((i, j, mine, governing, free, table[point == point[0]]))
+    pairs = [(i, j, by_pair.get((i, j), []), g, f, table[orbit(g)[1] == orbit(g)[1][0]])
+             for i, j, g, f in admissible]
     # claims[r, s] is the rank of stab[s] * sigma_r, so its point is that of
     # stab[s] . (sigma_r . f); stab[0] is the identity.  Every pair's claims
     # are gathered column-major into one array, stab[s] * sigma_r in column
@@ -295,7 +287,7 @@ def verify_classification(
     check_verify_budget(la, lb, sum(sizes))
     cols, bounds = np.empty((n, sum(sizes)), dtype=np.int8), np.cumsum(sizes)[:-1]
     for (_, _, mine, _, _, stab), block in zip(pairs, np.split(cols, bounds, axis=1)):
-        sigmas = np.array([rec.sigma.images for rec in mine], dtype=np.intp).reshape(-1, n)
+        sigmas = np.array([rec.sigma for rec in mine], dtype=np.intp).reshape(-1, n)
         block[:] = stab.T[sigmas.T].reshape(n, -1)
     for (i, j, mine, governing, free, stab), claims in zip(pairs, np.split(ranks(cols.T), bounds)):
         keys, point = orbit(free)
@@ -314,7 +306,7 @@ def verify_classification(
                     f"irredundant: records {mine[o]!r} and {rec!r} are equivalent under {sigma}"
                 )
         if (unclaimed := first[point] == len(mine)).any():
-            sigma = Permutation(tuple(table[unclaimed.argmax()].tolist())).cycle_string()
+            sigma = Permutation._known(table[unclaimed.argmax()].tolist()).cycle_string()
             raise VerificationFailed(
                 f"complete: pair ({i}, {j}) under {sigma} has no equivalent record"
             )

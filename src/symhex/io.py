@@ -259,7 +259,7 @@ def catalog_text(
                 *fl_text,
                 n,
                 ring_text,
-                sigma_text(rec.sigma.images),
+                sigma_text(rec.sigma),
                 code.size,
             )
         )

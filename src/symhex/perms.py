@@ -23,8 +23,10 @@ the budget, so no byte carries into the next.  From n = 6 the rows of the
 other side are tested one at a time, each over only the permutations
 that passed the rows before it.
 
-Permutations read off the table, or composed and inverted from valid
-ones, are built by Permutation._known, which skips the sorted(images)
+A Permutation is a tuple subclass, its images themselves, so the
+kernels index and gather with it directly.  Permutations read off the
+table, or composed and inverted from valid ones, are built by
+Permutation._known, a bare tuple.__new__ that skips the sorted(images)
 check; every public Permutation(...) call keeps it.
 
 A PermGroup is the sorted array of its members' Lehmer ranks, which are
@@ -50,7 +52,6 @@ turn, in place, and pointer jumping (Shiloach and Vishkin, J. Algorithms
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import factorial
 
@@ -63,70 +64,71 @@ from .gf import LinearCode, all_vectors, integers, nullspace, places
 BLOCK = 5040
 
 
-@dataclass(frozen=True, order=True)
-class Permutation:
-    """One-line notation over 0..n-1; ordering is lexicographic."""
+class Permutation(tuple):
+    """One-line notation over 0..n-1, as the tuple of its images (a list or array becomes ints).
 
-    images: tuple[int, ...]
+    It equals and hashes like that tuple and orders lexicographically;
+    len(p) == p.n and np.asarray(p) is its images.  p * q composes with a
+    Permutation only; other tuple operations (p + q, k * p) give tuples.
+    """
 
-    def __post_init__(self):
-        # a list or an array of images is stored as a tuple of ints, so it hashes and compares
+    __slots__ = ()
+
+    def __new__(cls, images):
         try:
-            images = tuple(map(operator.index, self.images))
+            checked = tuple(map(operator.index, images))
         except TypeError as exc:
-            raise ValueError(f"images must be integers, got {self.images!r}") from exc
-        if sorted(images) != list(range(len(images))):
-            raise ValueError(f"not a permutation of 0..{len(images)-1}: {images}")
-        object.__setattr__(self, "images", images)
+            raise ValueError(f"images must be integers, got {images!r}") from exc
+        if sorted(checked) != list(range(len(checked))):
+            raise ValueError(f"not a permutation of 0..{len(checked)-1}: {checked}")
+        return tuple.__new__(cls, checked)
 
     @classmethod
-    def _known(cls, images: tuple[int, ...]) -> "Permutation":
+    def _known(cls, images) -> "Permutation":
         """Unchecked: for images that are a permutation by construction."""
-        perm = object.__new__(cls)
-        object.__setattr__(perm, "images", images)
-        return perm
+        return tuple.__new__(cls, images)
+
+    @property
+    def images(self) -> tuple[int, ...]:
+        return tuple(self)
 
     @property
     def n(self) -> int:
-        return len(self.images)
+        return len(self)
 
     def compose(self, other: "Permutation") -> "Permutation":
         """self * other: apply other first, then self."""
-        images = self.images
-        if len(other.images) != len(images):
+        if not isinstance(other, Permutation):
+            raise TypeError(f"compose takes a Permutation, not {type(other).__name__}")
+        if len(other) != len(self):
             raise DimensionMismatch(f"permutations on {self.n} and {other.n} points")
-        return Permutation._known(tuple(images[j] for j in other.images))
+        return Permutation._known([self[j] for j in other])
 
     def __mul__(self, other: "Permutation") -> "Permutation":
         return self.compose(other)
 
     def inverse(self) -> "Permutation":
-        inv = [0] * self.n
-        for i, j in enumerate(self.images):
+        inv = [0] * len(self)
+        for i, j in enumerate(self):
             inv[j] = i
-        return Permutation._known(tuple(inv))
+        return Permutation._known(inv)
 
     def rank(self) -> int:
         """Lehmer rank: position in the lexicographic order of S_n."""
-        return rank_images(self.images)
+        return rank_images(self)
 
     def cycle_string(self) -> str:
         """Disjoint cycles on 1-based points; 'e' for the identity."""
-        seen = [False] * self.n
-        parts = []
-        for i in range(self.n):
-            if seen[i] or self.images[i] == i:
-                seen[i] = True
-                continue
-            cyc = [i]
-            seen[i] = True
-            j = self.images[i]
-            while j != i:
-                cyc.append(j)
-                seen[j] = True
-                j = self.images[j]
-            parts.append("(" + " ".join(str(x + 1) for x in cyc) + ")")
-        return "".join(parts) if parts else "e"
+        seen, parts = set(), []
+        for i in range(len(self)):
+            j, cyc = i, []
+            while j not in seen:
+                seen.add(j)
+                cyc.append(str(j + 1))
+                j = self[j]
+            if len(cyc) > 1:
+                parts.append("(" + " ".join(cyc) + ")")
+        return "".join(parts) or "e"
 
     def __repr__(self) -> str:
         return f"Permutation({self.images})"
@@ -216,8 +218,7 @@ def apply_perm(perm: Permutation, code: LinearCode) -> LinearCode:
     """The code {pi . v : v in code}, recanonicalized."""
     if perm.n != code.n:
         raise DimensionMismatch(f"permutation on {perm.n} points, code length {code.n}")
-    inv = perm.inverse().images
-    return LinearCode(code.p, code.gen[:, inv], n=code.n)
+    return LinearCode(code.p, code.gen[:, perm.inverse()], n=code.n)
 
 
 def perm_equivalent(c1: LinearCode, c2: LinearCode) -> "Permutation | None":
@@ -256,8 +257,11 @@ def word_keys(codes: list[LinearCode]) -> np.ndarray:
     A code's row is its slice of orbit_keys' identity row, without a scan.
     A chunk's codewords are one float64 product of the p^k messages with the
     chunk's stacked generators, reduced mod p and read in base p by one more
-    product.  A chunk holds at most BLOCK * 64 codewords, so its float64
-    copies stay a few tens of MiB; the caller states the budget.
+    product.  The keys need no sort: the generator is in RREF, so two
+    messages first differing at row i give words that agree left of pivot i
+    and differ at it by those digits, and the words ascend in message order.
+    A chunk holds at most BLOCK * 64 codewords, so its float64 copies stay a
+    few tens of MiB; the caller states the budget.
     """
     p, n, k = codes[0].p, codes[0].n, codes[0].k
     msgs = all_vectors(p, k).astype(float)
@@ -267,7 +271,7 @@ def word_keys(codes: list[LinearCode]) -> np.ndarray:
     keys = np.empty((len(codes), len(msgs)), dtype=np.int32)
     for start in range(0, len(codes), step):
         words = msgs @ gens[start : start + step].astype(float)
-        keys[start : start + step] = np.sort(np.fmod(words, p) @ place, axis=1)
+        keys[start : start + step] = np.fmod(words, p) @ place
     return keys
 
 
@@ -283,7 +287,7 @@ def first_carrying(sources: tuple, targets: tuple) -> "Permutation | None":
             want = np.hstack([word_keys([t])[0] for t in targets])
         hits = np.flatnonzero((keys == want).all(axis=1))
         if hits.size:
-            return Permutation._known(tuple(block[hits[0]].tolist()))
+            return Permutation._known(block[hits[0]].tolist())
     return None
 
 
@@ -382,7 +386,7 @@ class PermGroup:
 
 def _perms(rows: np.ndarray) -> tuple[Permutation, ...]:
     """Rows of perm_table as Permutations, unchecked."""
-    return tuple(Permutation._known(tuple(row)) for row in rows.tolist())
+    return tuple(map(Permutation._known, rows.tolist()))
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -468,7 +472,7 @@ def double_cosets(G: PermGroup, H: PermGroup) -> list[tuple[Permutation, int]]:
     return double_cosets_batch([(G, H)])[0]
 
 
-# bytes per double coset reported: its Permutation and images tuple, its
+# bytes per double coset reported: its Permutation (one tuple object), its
 # (rep, size) tuple and the image list it is read from
 _REP_BYTES = 400
 
@@ -553,7 +557,7 @@ def _orbits(pairs: list, node: np.ndarray, cosets: dict, held: int) -> list[list
         reach = np.searchsorted(-np.array(gens), -np.arange(gens[0])).tolist()
         parts = []
         for k, c in enumerate(reach):  # generator k of each of the first c pairs, at their nodes
-            g = np.array([G.generators[k].images for G, _ in pairs[:c]], dtype=np.int8).T
+            g = np.array([G.generators[k] for G, _ in pairs[:c]], dtype=np.int8).T
             parts.append(np.take_along_axis(np.repeat(g, nodes[:c], 1), cols[:, : offsets[c]], 0))
         r = ranks(np.concatenate(parts, axis=1).T)
         del parts, cols
@@ -595,7 +599,7 @@ def _rank_maps(groups: list[PermGroup]) -> list[np.ndarray]:
     for start in range(0, len(acts), step):
         part = acts[start : start + step]
         # table.T[index][i, m, r] = table[r, h_m[i]]: one column-major row per (map, rank)
-        index = np.array([h.images for *_, h in part], dtype=np.intp).T
+        index = np.array([h for *_, h in part], dtype=np.intp).T
         for (k, at, _), r in zip(part, ranks(table.T[index].reshape(n, -1).T).reshape(-1, size)):
             np.add(r, at, out=images[k][at : at + size])
     return images

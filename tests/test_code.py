@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import ast
+import importlib.util
 import re
+import sys
 from importlib import import_module
 from pathlib import Path
 
@@ -277,6 +279,31 @@ def test_every_public_callable_in_the_package_has_a_caller():
             if not any(re.search(pattern, t) for t in rest):
                 uncalled.append(label)
     assert uncalled == []
+
+
+def test_every_benchmark_trace_target_resolves(monkeypatch):
+    # perfbench/spans.py, loaded without writing bytecode beside it; each
+    # target resolves as Tracer.install resolves it
+    path = Path(symhex.__file__).parents[2] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec.loader.exec_module(spans)
+    missing = []
+    for mod, attr, _ in spans.TARGETS:
+        module = import_module(f"symhex.{mod}")
+        if "." in attr:
+            cls_name, name = attr.split(".")
+            found = name in vars(getattr(module, cls_name, object))
+        else:
+            found = callable(getattr(module, attr, None))
+        if not found:
+            missing.append(f"{mod}.{attr}")
+    assert missing == []
+    # the benchmark's self-check reads these bindings of classify's module
+    classify_module = import_module("symhex.classify")
+    assert classify_module.apply_perm is import_module("symhex.perms").apply_perm
+    assert classify_module.equivalent is import_module("symhex.codes").equivalent
 
 
 def test_every_import_in_the_package_is_used():

@@ -60,6 +60,9 @@ def test_permutation_images_are_stored_as_a_tuple_of_ints():
         assert perm == want and hash(perm) == hash(want)
         assert type(perm.images) is tuple and all(type(i) is int for i in perm.images)
     assert {Permutation([1, 0]), Permutation((1, 0))} == {Permutation(np.array([1, 0]))}
+    # a Permutation is its image tuple: equal, hashed and sized alike, and an array of its images
+    assert isinstance(want, tuple) and want == (1, 0, 2) and hash(want) == hash((1, 0, 2))
+    assert len(want) == want.n == 3 and np.asarray(want).tolist() == [1, 0, 2]
     for bad in ((1.0, 0.0), ["1", "0"], np.array([1.0, 0.0])):
         with pytest.raises(ValueError, match="^images must be integers"):
             Permutation(bad)
@@ -709,6 +712,12 @@ def test_compose_rejects_a_length_mismatch():
             a * b
     with pytest.raises(ValueError, match="not a permutation"):
         Permutation((0, 0))
+    # a plain tuple is never composed into an unchecked permutation
+    for images in ((0, 0), (1, 0)):
+        with pytest.raises(TypeError):
+            two.compose(images)
+        with pytest.raises(TypeError):
+            two * images
 
 
 def test_code_actions_reject_a_length_mismatch():
