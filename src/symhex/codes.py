@@ -15,10 +15,12 @@ one; brute-force word-level twins of each, written per ring without
 word codes: a*u + b*v is the int64 u*3^n + v (u read in base 2, v in base
 3), exact for n <= MAX_WORD_CODE_N.  ``word_set`` and ``dual_bruteforce``
 return a WordSet, an immutable set of HzWords backed by the sorted array of
-those codes, which decodes HzWords only when iterated; the twins compare
-WordSets, so their set tests are array comparisons.  Each HzCode computes
-its word set and its oracle dual once, on first use, and holds them while
-it lives, so the five twins and the oracle dual share one evaluation.
+those codes.  Its budgeted iteration is the one decode into HzWords
+(enumerate_words lists it), and membership encodes as word_set does; the
+twins compare WordSets, so their set tests are array comparisons.  Each
+HzCode computes its word set and its oracle dual once, on first use, and
+holds them while it lives, so the five twins and the oracle dual share one
+evaluation.
 Each evaluation states its words and candidate products to
 errors.check_budget before it builds them.
 """
@@ -165,25 +167,18 @@ def _outer_codes(us: np.ndarray, vs: np.ndarray) -> np.ndarray:
     return (ui[:, None] * 3**n + vi[None, :]).ravel()
 
 
-def _component_words(code: HzCode, site: str, per_word: int) -> tuple[np.ndarray, np.ndarray]:
-    """The codewords of ca and of cb, once the site's words are within budget."""
-    check_budget(site, code.size * per_word, code.size)
-    return code.ca.codewords(), code.cb.codewords()
-
-
 def _word_codes(code: HzCode) -> np.ndarray:
-    """The integer codes of every word of the code, in enumerate_words order."""
+    """The integer codes of every word of the code, in ascending order."""
     _check_word_code_length(code.n)
     # 24 bytes a word: its int64 code, the sorted copy and a duplicate test
-    return _outer_codes(*_component_words(code, "word_set", 24))
+    check_budget("word_set", code.size * 24, code.size)
+    return _outer_codes(code.ca.codewords(), code.cb.codewords())
 
 
 def enumerate_words(code: HzCode) -> list[HzWord]:
-    """All 2^ka * 3^kb words a*u + b*v, u outer and v inner, message-lex."""
-    # 128 bytes a word: its HzWord and list slot
-    us, vs = map(_rows, _component_words(code, "enumerate_words", 128))
-    ring = code.ring
-    return [HzWord(ring, u, v) for u in us for v in vs]
+    """All 2^ka * 3^kb words a*u + b*v, u outer and v inner, message-lex:
+    the word set's decode, as RREF codewords ascend in message order."""
+    return list(word_set(code))
 
 
 class WordSet(Set):
@@ -191,9 +186,9 @@ class WordSet(Set):
 
     codes is a read-only int64 array of distinct codes u*3^n + v in
     ascending order, so n is at most MAX_WORD_CODE_N.  Iteration decodes
-    HzWords in that order.  Two WordSets compare by their arrays; against
-    any other set of HzWords the generic Set methods apply, and hash agrees
-    with frozenset.  Codes that are not integers (gf.integers), repeat or
+    HzWords in that order, once its estimate is within budget, and so do
+    hash and the generic Set methods, which apply against any other set of
+    HzWords; hash agrees with frozenset.  Two WordSets compare by their arrays.  Codes that are not integers (gf.integers), repeat or
     lie outside 0..6^n - 1 raise ValueError.
     """
 
@@ -224,23 +219,21 @@ class WordSet(Set):
         return len(self.codes)
 
     def __iter__(self):
-        n = self.n
+        n, size = self.n, len(self)
+        # per word: its HzWord (96 bytes), its two row bytes (40 + n each), a
+        # list slot for each of the three, and its int64 digit rows (16n)
+        check_budget("enumerate_words", size * (200 + 18 * n), size * n)
         us, vs = np.divmod(self.codes, 3**n)
         xs = _rows(us[:, None] // places(2, n) % 2)
         ys = _rows(vs[:, None] // places(3, n) % 3)
         return (HzWord(self.ring, x, y) for x, y in zip(xs, ys))
 
     def __contains__(self, word) -> bool:
-        if not isinstance(word, HzWord) or word.ring is not self.ring:
+        if not isinstance(word, HzWord) or word.ring is not self.ring or word.n != self.n:
             return False
-        n = self.n
-        x = np.frombuffer(word.xs, dtype=np.uint8)
-        y = np.frombuffer(word.ys, dtype=np.uint8)
-        if x.shape != (n,) or y.shape != (n,) or (x > 1).any() or (y > 2).any():
-            return False
-        c = int(x @ places(2, n)) * 3**n + int(y @ places(3, n))
-        i = int(np.searchsorted(self.codes, c))
-        return i < len(self.codes) and int(self.codes[i]) == c
+        (c,) = _outer_codes(*(part[None] for part in word.parts()))
+        i = np.searchsorted(self.codes, c)
+        return bool(i < len(self) and self.codes[i] == c)
 
     def _same_space(self, other: "WordSet") -> bool:
         return self.ring is other.ring and self.n == other.n

@@ -89,10 +89,6 @@ class Permutation(tuple):
         return tuple.__new__(cls, images)
 
     @property
-    def images(self) -> tuple[int, ...]:
-        return tuple(self)
-
-    @property
     def n(self) -> int:
         return len(self)
 
@@ -131,7 +127,7 @@ class Permutation(tuple):
         return "".join(parts) or "e"
 
     def __repr__(self) -> str:
-        return f"Permutation({self.images})"
+        return f"Permutation({tuple(self)})"
 
 
 def rank_images(images: tuple[int, ...]) -> int:
@@ -370,7 +366,12 @@ class PermGroup:
     def order(self) -> int:
         return len(self.ranks)
 
-    def __contains__(self, perm: Permutation) -> bool:
+    def __contains__(self, perm) -> bool:
+        """Whether perm, as a Permutation on n points, is a member."""
+        try:
+            perm = Permutation(perm)
+        except ValueError:
+            return False
         if perm.n != self.n:
             return False
         r = perm.rank()

@@ -68,20 +68,18 @@ def test_every_budget_raise_is_the_helper_or_a_kept_bound():
 
 
 def _budget_sites() -> tuple[set[str], set[str]]:
-    """The site names src passes to check_budget or to codes._component_words,
-    and the functions that pass on a site name they were given."""
+    """The site names src passes to check_budget, and the functions that
+    pass on a site name they were given."""
     sites, relays = set(), set()
     for path in sorted(Path(symhex.__file__).parent.glob("*.py")):
         for func in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if not isinstance(func, ast.FunctionDef):
                 continue
             for call in ast.walk(func):
-                name = getattr(getattr(call, "func", None), "id", None)
-                if name not in ("check_budget", "_component_words"):
+                if getattr(getattr(call, "func", None), "id", None) != "check_budget":
                     continue
-                site = call.args[0 if name == "check_budget" else 1]
-                if isinstance(site, ast.Constant):
-                    sites.add(site.value)
+                if isinstance(call.args[0], ast.Constant):
+                    sites.add(call.args[0].value)
                 else:
                     relays.add(f"{path.stem}.{func.name}")
     return sites, relays
@@ -89,7 +87,7 @@ def _budget_sites() -> tuple[set[str], set[str]]:
 
 def test_every_budget_site_has_a_traced_case_and_a_readme_row():
     sites, relays = _budget_sites()
-    assert relays == {"codes._component_words"}
+    assert relays == set()
     assert sites == {key.partition(":")[0] for key in CASES}
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     table = readme.split("\n## Budgets\n")[1].split("\n## ")[0]
@@ -109,6 +107,19 @@ def test_double_cosets_budget_counts_the_reports_not_their_bound(monkeypatch):
     assert len(groups) == 8 and sum(map(len, want)) == 1256
     monkeypatch.setattr(errors, "MAX_BYTES", 400 * len(pairs) * factorial(6) // 8)
     assert double_cosets_batch(pairs) == want
+
+
+def test_word_sets_state_their_decode_before_it(monkeypatch):
+    # 1,296 words: their 31,104 bytes of word codes fit, their HzWords do not
+    full = (LinearCode.full(2, 4), LinearCode.full(3, 4))
+    monkeypatch.setattr(errors, "MAX_BYTES", 100_000)
+    ws, ws2 = word_set(build(H23, *full)), word_set(build(H32, *full))
+    assert len(ws) == len(ws2) == 1296
+    for decode in (list, hash, lambda s: s & ws2, lambda s: ws2 | s):
+        with pytest.raises(BudgetExceeded, match="^enumerate_words"):
+            decode(ws)
+    with pytest.raises(BudgetExceeded, match="^enumerate_words"):
+        enumerate_words(build(H23, *full))
 
 
 # ---------------------------------------------------------------------------

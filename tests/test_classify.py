@@ -594,7 +594,7 @@ def test_self_orthogonal_records_at_length_six_are_pinned():
     la, lb = _lists(6, "SO")
     records = classify(H32, la, lb, "SO")
     assert len(records) == 83_741
-    key = repr([(r.ca_index, r.cb_index, r.sigma.images) for r in records])
+    key = repr([(r.ca_index, r.cb_index, tuple(r.sigma)) for r in records])
     assert hashlib.sha256(key.encode()).hexdigest() == (
         "066cd0091203dcbad2d7b42381601f00a46d51a46605a8d19a6ef4b743f24e97"
     )

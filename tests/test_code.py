@@ -780,7 +780,7 @@ def test_equivalent_examples():
     assert equivalent(c1, c2) is None
     c3 = build(H23, LinearCode(2, [[0, 1]]), LinearCode(3, [[0, 1]]))
     pi = equivalent(c1, c3)
-    assert pi is not None and pi.images == (1, 0)
+    assert pi is not None and pi == (1, 0)
 
 
 def test_equivalent_symmetry_and_dimension_prune():

@@ -248,7 +248,7 @@ def test_catalog_records_hold_the_values_of_their_records(n):
                 "cb": rec.cb_index,
                 "ca_gen": rows(rec.code.ca),
                 "cb_gen": rows(rec.code.cb),
-                "sigma": [i + 1 for i in rec.sigma.images],
+                "sigma": [i + 1 for i in rec.sigma],
                 "size": rec.code.size,
                 "ring": str(ring),
                 "n": n,

@@ -43,9 +43,9 @@ def test_permutation_basics():
     e = Permutation(tuple(range(3)))
     s = Permutation((1, 0, 2))
     t = Permutation((0, 2, 1))
-    assert e.images == (0, 1, 2) and s != e
+    assert e == (0, 1, 2) and s != e
     assert s * s == e
-    assert (s * t).images == tuple(s.images[j] for j in t.images)
+    assert s * t == tuple(s[j] for j in t)
     assert s.inverse() == s
     assert (s * t).inverse() == t.inverse() * s.inverse()
     with pytest.raises(ValueError):
@@ -58,7 +58,7 @@ def test_permutation_images_are_stored_as_a_tuple_of_ints():
     for images in ([1, 0, 2], np.array([1, 0, 2]), np.array([1, 0, 2], dtype=np.int8)):
         perm = Permutation(images)
         assert perm == want and hash(perm) == hash(want)
-        assert type(perm.images) is tuple and all(type(i) is int for i in perm.images)
+        assert all(type(i) is int for i in perm)
     assert {Permutation([1, 0]), Permutation((1, 0))} == {Permutation(np.array([1, 0]))}
     # a Permutation is its image tuple: equal, hashed and sized alike, and an array of its images
     assert isinstance(want, tuple) and want == (1, 0, 2) and hash(want) == hash((1, 0, 2))
@@ -66,6 +66,18 @@ def test_permutation_images_are_stored_as_a_tuple_of_ints():
     for bad in ((1.0, 0.0), ["1", "0"], np.array([1.0, 0.0])):
         with pytest.raises(ValueError, match="^images must be integers"):
             Permutation(bad)
+
+
+def test_group_membership_takes_what_permutation_takes():
+    trivial, s3 = PermGroup(3, [0]), PermGroup(3, np.arange(6))
+    # a permutation of the group's points is answered like its Permutation
+    assert (0, 1, 2) in trivial and [0, 1, 2] in trivial and np.arange(3) in trivial
+    assert (1, 0, 2) not in trivial and (1, 0, 2) in s3 and Permutation((1, 0, 2)) in s3
+    # a wrong length, a non-permutation or non-integers are not members
+    for bad in ((0, 1), (0, 1, 2, 3), (0, 0), (0, 0, 0), (1, 2, 3), (0.0, 1.0, 2.0), "012", 3):
+        assert bad not in trivial and bad not in s3
+    # (0, 0) ranks 0 like the identity of S_2, but is no permutation
+    assert (0, 0) not in PermGroup(2, [0])
 
 
 def test_rank_unrank_is_lex_order():
@@ -279,8 +291,8 @@ def ref_double_cosets(G: PermGroup, H: PermGroup) -> list[tuple[Permutation, int
         queue = deque([seed])
         while queue:
             s = queue.popleft()
-            neighbors = [tuple(g.images[j] for j in s) for g in G.generators]
-            neighbors += [tuple(s[j] for j in h.images) for h in H.generators]
+            neighbors = [tuple(g[j] for j in s) for g in G.generators]
+            neighbors += [tuple(s[j] for j in h) for h in H.generators]
             for t in neighbors:
                 tr = rank_images(t)
                 if not visited[tr]:
@@ -636,7 +648,7 @@ def test_rank_maps_are_the_composed_ranks():
         for c, G in enumerate(chunk):
             for h, image in zip(G.generators, images):
                 row = image[c * size : (c + 1) * size] - c * size
-                assert row.tolist() == [rank_images(s.compose(h).images) for s in sigmas]
+                assert row.tolist() == [rank_images(s.compose(h)) for s in sigmas]
         if n == 4:
             assert chunk[-1].order == 1  # the trivial group, last and in no image
 
@@ -659,7 +671,7 @@ def test_stage_one_labels_each_sigma_with_the_least_rank_of_its_right_coset():
         size, sigmas = factorial(n), list(all_permutations(n))
         label = _components(_rank_maps(chunk), len(chunk) * size).reshape(-1, size)
         for c, H in enumerate(chunk):
-            want = [min(rank_images(s.compose(h).images) for h in H.elements) for s in sigmas]
+            want = [min(rank_images(s.compose(h)) for h in H.elements) for s in sigmas]
             assert (label[c] - c * size).tolist() == want, (n, H.order)
 
 
@@ -731,7 +743,7 @@ def test_code_actions_reject_a_length_mismatch():
 
 
 def _is_checked_twin(pi: Permutation) -> bool:
-    twin = Permutation(tuple(pi.images))
+    twin = Permutation(tuple(pi))
     return type(pi) is Permutation and pi == twin and hash(pi) == hash(twin)
 
 
@@ -799,7 +811,7 @@ def test_rank_maps_of_the_length_8_groups_are_the_composed_ranks():
         for h, image in zip(G.generators, images):
             for r in sample:
                 sigma = Permutation(tuple(table[r].tolist()))
-                assert image[c * size + r] == c * size + rank_images(sigma.compose(h).images)
+                assert image[c * size + r] == c * size + rank_images(sigma.compose(h))
 
 
 def ref_residue_scan(code: LinearCode) -> np.ndarray:
@@ -856,8 +868,8 @@ def _swept_double_cosets(G: PermGroup, H: PermGroup) -> list[tuple[Permutation, 
     moves, so each orbit holds its least rank.  Fast enough for n = 7.
     """
     table = perm_table(G.n)
-    maps = [ranks(np.array(g.images)[table]) for g in G.generators]
-    maps += [ranks(table[:, list(h.images)]) for h in H.generators]
+    maps = [ranks(np.array(g)[table]) for g in G.generators]
+    maps += [ranks(table[:, list(h)]) for h in H.generators]
     label = np.arange(len(table))
     while True:
         lowered = np.minimum.reduce([label] + [label[m] for m in maps])
