@@ -21,6 +21,12 @@ together: it labels the cosets of each distinct free group once, and
 the governing group acts only on their least members.  Each (free
 component, sigma) is realized once, however many pairs share them.  None
 of these caches outlives the call.
+
+The verifier computes each fact once per call too: the target predicate
+once per (governing component, free dimension), since no target reads the
+free side past its dimension; each list entry's S_n orbit once, which
+serves both the lists check and the records; and the records' free keys
+in one word_keys call per (p, n, k).
 """
 
 from __future__ import annotations
@@ -106,10 +112,22 @@ def _target_predicate(target: str):
 
 
 def _admissible(ring: RingId, la: list, lb: list, target: str) -> list[tuple]:
-    """(i, j, governing, free) per pair (la[i], lb[j]) that meets the target, in (i, j) order."""
-    pred = _target_predicate(target)
-    codes = ((i, j, HzCode(ring, ca, cb)) for i, ca in enumerate(la) for j, cb in enumerate(lb))
-    return [(i, j, *split(code)) for i, j, code in codes if pred(code)]
+    """(i, j, governing, free) per pair (la[i], lb[j]) that meets the target, in (i, j) order.
+
+    Every target reads the free component only through its dimension, so
+    the predicate runs once per (governing, free dimension) within the call.
+    """
+    pred, verdicts = _target_predicate(target), {}
+    admissible = []
+    for i, ca in enumerate(la):
+        for j, cb in enumerate(lb):
+            code = HzCode(ring, ca, cb)
+            g, f = split(code)
+            if (key := (g, f.k)) not in verdicts:
+                verdicts[key] = pred(code)
+            if verdicts[key]:
+                admissible.append((i, j, g, f))
+    return admissible
 
 
 def classify(
@@ -192,18 +210,27 @@ def _rows(keys: np.ndarray) -> np.ndarray:
 def check_verify_budget(la: list[LinearCode], lb: list[LinearCode], claims: int = 0) -> None:
     """Raise BudgetExceeded when verifying over these lists passes the work budget.
 
-    The verifier keys the whole S_n orbit of every list entry it meets and
-    keeps its distinct int32 word keys, 4 bytes a codeword, and each table
-    row's index into them, 8 bytes a row.  Finding them holds the orbit's
-    keys about four times over, with np.unique's 33 bytes a row, for the
-    largest entry.  Its claims, once counted, are gathered column-major, n
-    bytes a claim, and ranked (ranks' 6 bytes a claim, 4 of them held);
-    each pair's claims are then read as points, 8 bytes a claim.
+    The verifier keys the whole S_n orbit of every list entry and keeps its
+    distinct int32 word keys, 4 bytes a codeword, and each table row's
+    index into them, 8 bytes a row, besides about 1 KB of arrays, dtype and
+    cache slot an entry.  Finding them holds the orbit's keys about four
+    times over, with np.unique's 33 bytes a row, for the largest entry.  A
+    sound record's free component is a point of its pair's free orbit, so
+    the records' keys are at most one more copy of the orbit keys, with 128
+    bytes of bytes object and dict slots a key; word_keys builds them in
+    chunks of at most 64 BLOCK codewords, 16n bytes each.  Each admissible
+    pair holds about 512 bytes of tuple, stabilizer and array views.  Its
+    claims, once counted, are gathered column-major, n bytes a claim, and
+    ranked (ranks' 6 bytes a claim, 4 of them held); each pair's claims are
+    then read as points, 8 bytes a claim.  Every record makes a claim, and
+    its slot in its pair's list takes about 52 bytes.
     """
     n, sizes = _check_lists(la, lb), [c.size for c in (*la, *lb)]
-    orbits = 4 * sum(sizes) + 8 * len(sizes) + 16 * max(sizes) + 33
-    check_budget("verify_classification", 2**14 + factorial(n) * orbits + claims * (n + 12),
-                 factorial(n) * sum(sizes))
+    words = factorial(n) * sum(sizes)
+    orbits = 8 * sum(sizes) + 136 * len(sizes) + 16 * max(sizes) + 33
+    fixed = 2**14 + 1024 * len(sizes) + 512 * len(la) * len(lb)
+    nbytes = fixed + factorial(n) * orbits + 16 * n * min(words, 64 * BLOCK) + claims * (n + 64)
+    check_budget("verify_classification", nbytes, words)
 
 
 def verify_lists(la: list[LinearCode], lb: list[LinearCode]) -> None:
@@ -217,11 +244,13 @@ def verify_lists(la: list[LinearCode], lb: list[LinearCode]) -> None:
         owners = _owners(lst)
         if (later := np.flatnonzero(owners != np.arange(len(lst)))).size:
             j = int(later[0])
-            i = int(owners[j])
-            sigma = perm_equivalent(lst[i], lst[j]).cycle_string()
-            raise VerificationFailed(
-                f"lists: {tag} entries {i} and {j} are equivalent under {sigma}"
-            )
+            _lists_failed(tag, lst, int(owners[j]), j)
+
+
+def _lists_failed(tag: str, lst: list[LinearCode], i: int, j: int) -> None:
+    """Raise the lists failure for entries i < j of lst, with the lex-first sigma from i to j."""
+    sigma = perm_equivalent(lst[i], lst[j]).cycle_string()
+    raise VerificationFailed(f"lists: {tag} entries {i} and {j} are equivalent under {sigma}")
 
 
 def verify_classification(
@@ -246,16 +275,29 @@ def verify_classification(
     its Stab(g) . sigma . f, the first record to claim a point owns it.
     Soundness: each record cites an admissible pair, has a sigma on n
     points, governing component g and the free key of row sigma of f's
-    orbit.  Irredundancy: no list entry lies in the orbit of an earlier
-    one, and every record owns its own point.  Completeness: every point of
-    S_n . f is claimed.  Keys are codeword sets, so this never calls
-    automorphism_group, double_cosets or their parity-check product, which
-    classify is built on.
+    orbit.  Irredundancy: no list entry shares its least orbit key with an
+    earlier one, checked before any record, and every record owns its own
+    point.  Completeness: every point of S_n . f is claimed.  Keys are
+    codeword sets, so this never calls automorphism_group, double_cosets or
+    their parity-check product, which classify is built on, nor _owners,
+    the dedup that builds the lists.
     """
     n = _check_lists(la, lb)
     check_verify_budget(la, lb)
     admissible = _admissible(ring, la, lb, target)
-    verify_lists(la, lb)
+
+    @cache
+    def orbit(c: LinearCode) -> tuple[np.ndarray, np.ndarray]:
+        """c's distinct orbit keys, sorted, and point: table row r gives c keys[point[r]]."""
+        return np.unique(_rows(np.vstack([k for _, k in orbit_keys((c,))])), return_inverse=True)
+
+    # orbits are equal or disjoint, so entries are equivalent exactly when
+    # their least orbit keys are; entry j fails against the first earlier one
+    for lst, tag in ((la, "La"), (lb, "Lb")):
+        earliest: dict[bytes, int] = {}
+        for j, c in enumerate(lst):
+            if (i := earliest.setdefault(orbit(c)[0][0].tobytes(), j)) != j:
+                _lists_failed(tag, lst, i, j)
 
     by_pair: dict[tuple[int, int], list[ClassificationRecord]] = {}
     for rec in records:
@@ -268,13 +310,12 @@ def verify_classification(
         raise VerificationFailed(f"sound: {by_pair[bad[0]][0]!r} cites an inadmissible pair")
 
     table = perm_table(n)
-    # LinearCode hashes and compares by its RREF, so equal free components share a key
-    free_key = cache(lambda f: word_keys([f]).tobytes())
-
-    @cache
-    def orbit(c: LinearCode) -> tuple[np.ndarray, np.ndarray]:
-        """c's distinct orbit keys, sorted, and point: table row r gives c keys[point[r]]."""
-        return np.unique(_rows(np.vstack([k for _, k in orbit_keys((c,))])), return_inverse=True)
+    # the distinct free components of the records, keyed by one word_keys
+    # call per (p, n, k); LinearCode hashes and compares by its RREF
+    batches: dict[tuple[int, int, int], list[LinearCode]] = {}
+    for f in dict.fromkeys(split(rec.code)[1] for rec in records):
+        batches.setdefault((f.p, f.n, f.k), []).append(f)
+    free_key = {f: key.tobytes() for batch in batches.values() for f, key in zip(batch, word_keys(batch))}
 
     # (i, j, records, governing, free, Stab(governing)) per admissible pair, in order
     pairs = [(i, j, by_pair.get((i, j), []), g, f, table[orbit(g)[1] == orbit(g)[1][0]])
@@ -298,7 +339,7 @@ def verify_classification(
         for r, (rec, own) in enumerate(zip(mine, claimed[:, 0])):
             g, f = split(rec.code)
             # under another ring g has the other field and cannot equal governing
-            if g != governing or free_key(f) != keys[own].tobytes():
+            if g != governing or free_key[f] != keys[own].tobytes():
                 raise VerificationFailed(f"sound: {rec!r} does not match its stated pair")
             if (o := first[own]) != r:
                 sigma = equivalent(mine[o].code, rec.code).cycle_string()

@@ -69,6 +69,8 @@ def cmd_classify(args) -> None:
     lb = io.parse_matrix_list(io.read_text(args.cb_list))
     if any(c.n != args.n for c in la + lb):
         raise ParseError(f"list entries must all have length n={args.n}")
+    if args.out:  # before the work, not after it
+        io.check_out_dir(args.out)
     if args.verify:
         check_verify_budget(la, lb)
     records = classify(ring, la, lb, args.target)

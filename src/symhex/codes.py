@@ -221,8 +221,9 @@ class WordSet(Set):
     def __iter__(self):
         n, size = self.n, len(self)
         # per word: its HzWord (96 bytes), its two row bytes (40 + n each), a
-        # list slot for each of the three, and its int64 digit rows (16n)
-        check_budget("enumerate_words", size * (200 + 18 * n), size * n)
+        # list slot for each of the three, and its int64 digit rows (16n);
+        # 4 KB for the place tables and the arrays' headers
+        check_budget("enumerate_words", 4096 + size * (200 + 18 * n), size * n)
         us, vs = np.divmod(self.codes, 3**n)
         xs = _rows(us[:, None] // places(2, n) % 2)
         ys = _rows(vs[:, None] // places(3, n) % 3)

@@ -16,6 +16,7 @@ parsed.  Files are written to a temporary name and renamed into place.
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import json
 import os
@@ -158,6 +159,12 @@ def read_text(path: str) -> str:
     except UnicodeDecodeError as exc:
         bad = exc.object[exc.start]
         raise ParseError(f"{path}: byte {bad:#04x} at offset {exc.start} is not ASCII") from exc
+
+
+def check_out_dir(path: str) -> None:
+    """Raise the OSError naming path that writing it would, when its directory is missing."""
+    if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+        raise OSError(errno.ENOENT, os.strerror(errno.ENOENT), path)
 
 
 def write_text_atomic(path: str, text: str) -> None:

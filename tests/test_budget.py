@@ -189,6 +189,13 @@ CASES = {
     "enumerate_words": lambda: lambda: enumerate_words(
         build(H23, LinearCode.full(2, 4), LinearCode.full(3, 4))
     ),
+    # small word sets, where the fixed arrays outweigh the words
+    "enumerate_words:full_n2": lambda: lambda: enumerate_words(
+        build(H23, LinearCode.full(2, 2), LinearCode.full(3, 2))
+    ),
+    "enumerate_words:repetition_n24": lambda: lambda: enumerate_words(
+        build(H32, LinearCode(2, [[1] * 24]), LinearCode(3, [[1] * 24]))
+    ),
     "dual_bruteforce": lambda: lambda: dual_bruteforce(
         build(H32, LinearCode.zero(2, 6), LinearCode.full(3, 6))
     ),

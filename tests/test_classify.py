@@ -226,6 +226,65 @@ def test_verification_is_independent_of_aut_groups_and_double_cosets(monkeypatch
         verify_classification(records[:-1], H23, la, lb, "SO")
 
 
+def test_verification_checks_the_lists_from_its_own_orbits(monkeypatch):
+    # the lists check must not reach _owners, the dedup that built the lists
+    la, lb = _lists(4, "SO")
+    records = classify(H23, la, lb, "SO")
+    want = {}
+    for p in (2, 3):
+        for s, codes in enumerate(_seeded_lists(p)):
+            lists = (codes, lb) if p == 2 else (la, codes)
+            with pytest.raises(VerificationFailed) as err:
+                verify_lists(*lists)
+            want[p, s] = lists, str(err.value)
+
+    def boom(*args, **kwargs):
+        raise AssertionError("verification reached _owners")
+
+    monkeypatch.setattr(import_module("symhex.classify"), "_owners", boom)
+    verify_classification(records, H23, la, lb, "SO")
+    for lists, message in want.values():
+        assert message.startswith("lists: ")
+        with _fails(message):
+            verify_classification([], H23, *lists, "SO")
+
+
+def test_targets_and_flags_read_the_free_component_only_through_its_dimension():
+    # the fact _admissible's verdicts and the catalog's flags rest on
+    def surface(p):  # every code of F_p^2
+        lines = {LinearCode(p, [v]) for v in ([1, 0], [0, 1], [1, 1], [1, 2]) if max(v) < p}
+        return [LinearCode.zero(p, 2), *lines, LinearCode.full(p, 2)]
+
+    def values(code):
+        return [_target_predicate(t)(code) for t in TARGETS] + list(flags(code).values())
+
+    for la, lb in [(surface(2), surface(3)), _lists(4, "SD")]:
+        for ring in (H23, H32):
+            governing, free = (la, lb) if ring is H23 else (lb, la)
+            for g in governing:
+                seen = {}
+                for f in free:
+                    got = values(join(ring, g, f))
+                    assert seen.setdefault(f.k, got) == got
+
+
+@pytest.mark.parametrize("ring, calls", [(H23, 27), (H32, 63)])
+def test_admissible_runs_the_predicate_once_per_governing_and_free_dimension(monkeypatch, ring, calls):
+    module = import_module("symhex.classify")
+    counted = []
+
+    def target_predicate(target):
+        pred = _target_predicate(target)
+        return lambda code: counted.append(code) or pred(code)
+
+    monkeypatch.setattr(module, "_target_predicate", target_predicate)
+    la, lb = _lists(4, "SO")
+    got = module._admissible(ring, la, lb, "SO")
+    assert len(counted) == calls and len(la) * len(lb) == 189
+    pairs = [(i, j, HzCode(ring, ca, cb)) for i, ca in enumerate(la) for j, cb in enumerate(lb)]
+    assert got == [(i, j, *split(code)) for i, j, code in pairs if is_self_orthogonal(code)]
+
+
 def test_verification_catches_duplicate_under_nonrep_sigma():
     records = classify(H23, LA, LB, "SO")
     rec = records[2]  # pair (A1, B2) has a nontrivial sigma available

@@ -153,6 +153,13 @@ def test_an_out_path_in_a_missing_directory_is_named_in_the_error(r2_path, tmp_p
     assert sorted(p.name for p in tmp_path.iterdir()) == ["ca.list", "cb.list", "r2.code"]
 
 
+def test_classify_refuses_a_missing_out_directory_before_classifying(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "missing" / "x.json"
+    monkeypatch.setattr(cli, "classify", _raise)
+    assert cli.main(_classify_argv(tmp_path) + ["--out", str(out), "--verify"]) == 2
+    assert capsys.readouterr() == ("", f"error: [Errno 2] No such file or directory: {str(out)!r}\n")
+
+
 def test_classify_end_to_end(tmp_path, capsys):
     ca = tmp_path / "ca.list"
     cb = tmp_path / "cb.list"
@@ -232,20 +239,25 @@ def test_classify_without_verify_rejects_equivalent_list_entries(tmp_path, capsy
 
 
 def test_classify_checks_the_lists_once_on_either_path(tmp_path, capsys, monkeypatch):
-    ca = tmp_path / "ca.list"
-    cb = tmp_path / "cb.list"
-    ca.write_text(CA_LIST)
-    cb.write_text(CB_LIST)
-    argv = ["classify", "--ring", "H23", "--n", "2", "--ca-list", str(ca), "--cb-list", str(cb)]
+    # without --verify verify_lists checks them; with it the verifier does,
+    # from its own orbits, and reaches neither verify_lists nor _owners
     calls = []
-    real = classify_module.verify_lists
-    monkeypatch.setattr(classify_module, "verify_lists", lambda *a: calls.append(1) or real(*a))
+    for name in ("verify_lists", "_owners"):
+        real = getattr(classify_module, name)
+        counted = lambda *a, name=name, real=real: calls.append(name) or real(*a)
+        monkeypatch.setattr(classify_module, name, counted)
     monkeypatch.setattr(cli, "verify_lists", classify_module.verify_lists)
-    for verify in ([], ["--verify"]):
-        calls.clear()
-        assert cli.main(argv + verify) == 0
-        assert "total: 7" in capsys.readouterr().out
-        assert len(calls) == 1
+    argv = _classify_argv(tmp_path)
+    assert cli.main(argv) == 0
+    assert "total: 7" in capsys.readouterr().out
+    assert calls == ["verify_lists", "_owners", "_owners"]
+    calls.clear()
+    assert cli.main(argv + ["--verify"]) == 0
+    assert "total: 7" in capsys.readouterr().out
+    assert calls == []
+    assert cli.main(_classify_argv(tmp_path, EQUIVALENT_CA_LIST) + ["--verify"]) == 3
+    assert capsys.readouterr().err == LISTS_FAILURE
+    assert calls == []
 
 
 def test_classify_verify_beyond_the_guard_exits_2_before_classifying(tmp_path, capsys, monkeypatch):
