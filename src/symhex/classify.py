@@ -13,27 +13,32 @@ not preserved by arbitrary coordinate permutations, so moving the
 governing component could silently leave the target class; moving the
 free one cannot.  The double coset count is the same either way round.
 
-Within one classify call each Aut group is computed once per component
-and equal groups are interned by their member ranks.  The admissible
-pairs are collected first, and one double_cosets_batch call enumerates
-the double cosets of every distinct (governing group, free group) pair
+No target reads the free component past its dimension, so the
+admissible pairs come from one HzCode per (governing entry, free
+dimension), and the pairs are read off those verdicts by index.  Within
+one classify call each Aut group is computed once per component and
+equal groups are interned by their member ranks.  The admissible pairs
+are collected first, and one double_cosets_batch call enumerates the
+double cosets of every distinct (governing group, free group) pair
 together: it labels the cosets of each distinct free group once, and
 the governing group acts only on their least members.  Each (free
 component, sigma) is realized once, however many pairs share them.  None
 of these caches outlives the call.
 
-The verifier computes each fact once per call too: the target predicate
-once per (governing component, free dimension), since no target reads the
-free side past its dimension; each list entry's S_n orbit once, which
-serves both the lists check and the records; and the records' free keys
-in one word_keys call per (p, n, k).
+The verifier computes each fact once per call too: the admissible pairs
+as classify does; the S_n orbits of each list's entries of one k in one
+orbit_keys scan, side by side, which serve both the lists check and the
+records; Stab(g) once per governing entry; and the records' free keys in
+one word_keys call per (p, n, k), once the budget has counted them.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cache
 from math import factorial
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -111,23 +116,28 @@ def _target_predicate(target: str):
     return {"SO": is_self_orthogonal, "QSD": is_qsd, "SD": is_self_dual}[target]
 
 
+def _sides(ring: RingId, a, b) -> tuple:
+    """(governing, free) of a pair laid out as (C_a side, C_b side): split's choice, on any pair."""
+    return split(SimpleNamespace(ring=ring, ca=a, cb=b))
+
+
 def _admissible(ring: RingId, la: list, lb: list, target: str) -> list[tuple]:
     """(i, j, governing, free) per pair (la[i], lb[j]) that meets the target, in (i, j) order.
 
     Every target reads the free component only through its dimension, so
-    the predicate runs once per (governing, free dimension) within the call.
+    the predicate runs on one code per (governing entry, free dimension),
+    joined with the first free entry of that dimension, and the pairs are
+    read off that verdict table by index.
     """
-    pred, verdicts = _target_predicate(target), {}
-    admissible = []
-    for i, ca in enumerate(la):
-        for j, cb in enumerate(lb):
-            code = HzCode(ring, ca, cb)
-            g, f = split(code)
-            if (key := (g, f.k)) not in verdicts:
-                verdicts[key] = pred(code)
-            if verdicts[key]:
-                admissible.append((i, j, g, f))
-    return admissible
+    pred = _target_predicate(target)
+    governing, free = _sides(ring, la, lb)
+    _, first, dim_of = np.unique([f.k for f in free], return_index=True, return_inverse=True)
+    verdict = np.array([[pred(join(ring, g, free[y])) for y in first] for g in governing], dtype=bool)
+    x, y = _sides(ring, *np.indices((len(la), len(lb))))  # each pair's governing and free index
+    meets = verdict[x, dim_of[y]]
+    i, j = np.nonzero(meets)
+    pairs = zip(i.tolist(), j.tolist(), x[meets].tolist(), y[meets].tolist())
+    return [(i, j, governing[gx], free[fy]) for i, j, gx, fy in pairs]
 
 
 def classify(
@@ -207,29 +217,45 @@ def _rows(keys: np.ndarray) -> np.ndarray:
     return keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel()
 
 
-def check_verify_budget(la: list[LinearCode], lb: list[LinearCode], claims: int = 0) -> None:
+def check_verify_budget(
+    la: list[LinearCode], lb: list[LinearCode], claims: int = 0, frees: list[LinearCode] | None = None,
+) -> None:
     """Raise BudgetExceeded when verifying over these lists passes the work budget.
 
     The verifier keys the whole S_n orbit of every list entry and keeps its
     distinct int32 word keys, 4 bytes a codeword, and each table row's
     index into them, 8 bytes a row, besides about 1 KB of arrays, dtype and
-    cache slot an entry.  Finding them holds the orbit's keys about four
-    times over, with np.unique's 33 bytes a row, for the largest entry.  A
-    sound record's free component is a point of its pair's free orbit, so
-    the records' keys are at most one more copy of the orbit keys, with 128
-    bytes of bytes object and dict slots a key; word_keys builds them in
-    chunks of at most 64 BLOCK codewords, 16n bytes each.  Each admissible
-    pair holds about 512 bytes of tuple, stabilizer and array views.  Its
-    claims, once counted, are gathered column-major, n bytes a claim, and
-    ranked (ranks' 6 bytes a claim, 4 of them held); each pair's claims are
-    then read as points, 8 bytes a claim.  Every record makes a claim, and
-    its slot in its pair's list takes about 52 bytes.
+    cache slot an entry.  The entries of one list and k are keyed side by
+    side, 4 bytes a codeword a row for the largest such batch, and each
+    entry's keys are found from its columns with about four more copies of
+    them and np.unique's 33 bytes a row, for the largest entry.  frees are
+    the records' distinct free components, keyed by word_keys: each holds
+    its int32 key and its bytes, 8 bytes a codeword, its generator, and
+    about 160 bytes of objects and dict slot, and word_keys builds them in
+    chunks of at most 64 BLOCK codewords, 16n bytes each.  Before there are
+    records, frees is None and sound records stand in: a sound record's
+    free component is a point of its pair's free orbit, so there are at most
+    n! per entry.  Each admissible pair holds about 512 bytes of tuple and
+    array views.  Its claims, once counted, are gathered column-major, n
+    bytes a claim, and ranked (ranks' 6 bytes a claim, 4 of them held);
+    each pair's claims are then read as points, 8 bytes a claim.  Every
+    record makes a claim, and its slot in its pair's list takes about 52
+    bytes.
     """
     n, sizes = _check_lists(la, lb), [c.size for c in (*la, *lb)]
+    batches = Counter()  # words of each list's entries of one k
+    for c in (*la, *lb):
+        batches[c.p, c.k] += c.size
     words = factorial(n) * sum(sizes)
-    orbits = 8 * sum(sizes) + 136 * len(sizes) + 16 * max(sizes) + 33
+    orbits = 4 * sum(sizes) + 8 * len(sizes) + 4 * max(batches.values()) + 16 * max(sizes) + 33
+    if frees is None:
+        count, free_words = factorial(n) * len(sizes), words
+        gens = factorial(n) * n * sum(c.k for c in (*la, *lb))
+    else:
+        count, free_words, gens = len(frees), sum(f.size for f in frees), n * sum(f.k for f in frees)
+    keyed = 8 * free_words + gens + 160 * count + 16 * n * min(free_words, 64 * BLOCK)
     fixed = 2**14 + 1024 * len(sizes) + 512 * len(la) * len(lb)
-    nbytes = fixed + factorial(n) * orbits + 16 * n * min(words, 64 * BLOCK) + claims * (n + 64)
+    nbytes = fixed + factorial(n) * orbits + keyed + claims * (n + 64)
     check_budget("verify_classification", nbytes, words)
 
 
@@ -279,24 +305,21 @@ def verify_classification(
     earlier one, checked before any record, and every record owns its own
     point.  Completeness: every point of S_n . f is claimed.  Keys are
     codeword sets, so this never calls automorphism_group, double_cosets or
-    their parity-check product, which classify is built on, nor _owners,
-    the dedup that builds the lists.
+    their parity checks, which classify is built on, nor _owners, the dedup
+    that builds the lists.
     """
     n = _check_lists(la, lb)
     check_verify_budget(la, lb)
     admissible = _admissible(ring, la, lb, target)
 
-    @cache
-    def orbit(c: LinearCode) -> tuple[np.ndarray, np.ndarray]:
-        """c's distinct orbit keys, sorted, and point: table row r gives c keys[point[r]]."""
-        return np.unique(_rows(np.vstack([k for _, k in orbit_keys((c,))])), return_inverse=True)
-
     # orbits are equal or disjoint, so entries are equivalent exactly when
     # their least orbit keys are; entry j fails against the first earlier one
+    orbits = []
     for lst, tag in ((la, "La"), (lb, "Lb")):
+        orbits.append(_orbits(lst))
         earliest: dict[bytes, int] = {}
-        for j, c in enumerate(lst):
-            if (i := earliest.setdefault(orbit(c)[0][0].tobytes(), j)) != j:
+        for j, (keys, _) in enumerate(orbits[-1]):
+            if (i := earliest.setdefault(keys[0].tobytes(), j)) != j:
                 _lists_failed(tag, lst, i, j)
 
     by_pair: dict[tuple[int, int], list[ClassificationRecord]] = {}
@@ -310,28 +333,38 @@ def verify_classification(
         raise VerificationFailed(f"sound: {by_pair[bad[0]][0]!r} cites an inadmissible pair")
 
     table = perm_table(n)
-    # the distinct free components of the records, keyed by one word_keys
-    # call per (p, n, k); LinearCode hashes and compares by its RREF
-    batches: dict[tuple[int, int, int], list[LinearCode]] = {}
-    for f in dict.fromkeys(split(rec.code)[1] for rec in records):
-        batches.setdefault((f.p, f.n, f.k), []).append(f)
-    free_key = {f: key.tobytes() for batch in batches.values() for f, key in zip(batch, word_keys(batch))}
-
-    # (i, j, records, governing, free, Stab(governing)) per admissible pair, in order
-    pairs = [(i, j, by_pair.get((i, j), []), g, f, table[orbit(g)[1] == orbit(g)[1][0]])
-             for i, j, g, f in admissible]
+    # (i, j, records, governing, free orbit, Stab(governing)) per admissible
+    # pair, in order; Stab(g) is built once per governing entry
+    governing_orbits, free_orbits = _sides(ring, *orbits)
+    at_governing, at_free = _sides(ring, 0, 1)  # which of (i, j) indexes each side
+    stabs: dict[int, np.ndarray] = {}
+    pairs = []
+    for i, j, g, _ in admissible:
+        x, y = (i, j)[at_governing], (i, j)[at_free]
+        if x not in stabs:
+            point = governing_orbits[x][1]
+            stabs[x] = table[point == point[0]]
+        pairs.append((i, j, by_pair.get((i, j), []), g, free_orbits[y], stabs[x]))
     # claims[r, s] is the rank of stab[s] * sigma_r, so its point is that of
     # stab[s] . (sigma_r . f); stab[0] is the identity.  Every pair's claims
     # are gathered column-major into one array, stab[s] * sigma_r in column
     # r |stab| + s of the pair's block, and ranked in one call.
     sizes = [len(mine) * len(stab) for _, _, mine, _, _, stab in pairs]
-    check_verify_budget(la, lb, sum(sizes))
+    # the distinct free components of the records, stated to the budget and
+    # then keyed by one word_keys call per (p, n, k); LinearCode hashes and
+    # compares by its RREF
+    frees = list(dict.fromkeys(split(rec.code)[1] for rec in records))
+    check_verify_budget(la, lb, sum(sizes), frees)
+    batches: dict[tuple[int, int, int], list[LinearCode]] = {}
+    for f in frees:
+        batches.setdefault((f.p, f.n, f.k), []).append(f)
+    free_key = {f: key.tobytes() for batch in batches.values() for f, key in zip(batch, word_keys(batch))}
+
     cols, bounds = np.empty((n, sum(sizes)), dtype=np.int8), np.cumsum(sizes)[:-1]
     for (_, _, mine, _, _, stab), block in zip(pairs, np.split(cols, bounds, axis=1)):
         sigmas = np.array([rec.sigma for rec in mine], dtype=np.intp).reshape(-1, n)
         block[:] = stab.T[sigmas.T].reshape(n, -1)
-    for (i, j, mine, governing, free, stab), claims in zip(pairs, np.split(ranks(cols.T), bounds)):
-        keys, point = orbit(free)
+    for (i, j, mine, governing, (keys, point), stab), claims in zip(pairs, np.split(ranks(cols.T), bounds)):
         claimed = point[claims].reshape(len(mine), len(stab))
         # first[q]: the first record that claims point q, len(mine) when none does
         first = np.full(len(keys), len(mine))
@@ -351,6 +384,28 @@ def verify_classification(
             raise VerificationFailed(
                 f"complete: pair ({i}, {j}) under {sigma} has no equivalent record"
             )
+
+
+def _orbits(codes: list[LinearCode]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per code, its distinct S_n orbit keys, sorted, and point: table row r gives it keys[point[r]].
+
+    Permutations keep k, so the codes of each k are keyed side by side by
+    one orbit_keys scan into one (n!, words) int32 array, and each code's
+    np.unique reads its own columns of it.
+    """
+    table, dims = perm_table(codes[0].n), [c.k for c in codes]
+    orbits: list = [None] * len(codes)
+    for k in dict.fromkeys(dims):
+        index = [t for t, d in enumerate(dims) if d == k]
+        keys = np.empty((len(table), len(index) * codes[index[0]].size), dtype=np.int32)
+        rows = 0
+        for _, part in orbit_keys(tuple(codes[t] for t in index)):
+            keys[rows : rows + len(part)] = part
+            rows += len(part)
+        for t, own in zip(index, np.hsplit(keys, len(index))):
+            orbits[t] = np.unique(_rows(own), return_inverse=True)
+        del keys  # before the next k's array is made
+    return orbits
 
 
 def inequivalent_reps(codes: list[LinearCode]) -> list[LinearCode]:

@@ -52,23 +52,31 @@ def rref(mat: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
     return R, tuple(pivots)
 
 
+def rref_kernel(R: np.ndarray, pivots: tuple[int, ...], p: int) -> np.ndarray:
+    """A basis of {v : R @ v == 0 mod p} for R in RREF with these pivots, without rref.
+
+    Row f of K = (I - R at its pivot rows)^T is, for free f, the kernel
+    vector 1 at f and -R[r, f] at each pivot c_r < f, and 0 for pivot f.
+    The diagonal of K is 1 exactly at the free columns, so it picks their
+    rows, in column order: the basis, int8 over 0..p-1.
+    """
+    K = np.eye(R.shape[1], dtype=np.int8)
+    K[list(pivots)] -= R
+    return K.T.compress(K.diagonal(), axis=0) % p
+
+
 def nullspace(mat: np.ndarray, p: int) -> tuple[np.ndarray, tuple[int, ...]]:
     """Canonical basis of {v : mat @ v == 0 mod p}: (B, pivots) as rref gives them.
 
-    One rref, R, of mat with its columns reversed.  Row f of K = (I - R at
-    its pivot rows)^T is, for free f, the kernel vector 1 at f and -R[r, f]
-    at each pivot c_r < f, and 0 for pivot f.  Reversed both ways, f's row
-    leads on the diagonal at n-1-f, where the other rows are 0: the rows
-    with a diagonal 1 are already the RREF.
+    One rref of mat with its columns reversed, and its rref_kernel.
+    Reversed both ways, free f's row leads at n-1-f, where every other row
+    is 0: the rows, last free column first, are already the RREF.
     """
     R, pivots = rref(np.asarray(mat)[..., ::-1], p)
-    K = np.eye(R.shape[1], dtype=np.int8)
-    K[list(pivots)] -= R
-    K = K.T[::-1, ::-1] % p
-    lead = np.flatnonzero(K.diagonal())
-    B = K[lead]
+    B = rref_kernel(R, pivots, p)[::-1, ::-1]
     B.flags.writeable = False
-    return B, tuple(lead.tolist())
+    n = R.shape[1]  # the leads are the columns n-1-c off the reversed pivots c
+    return B, tuple(sorted(set(range(n)).difference(map((n - 1).__sub__, pivots))))
 
 
 @lru_cache(maxsize=256)

@@ -58,7 +58,7 @@ from math import factorial
 import numpy as np
 
 from .errors import DimensionMismatch, check_budget
-from .gf import LinearCode, all_vectors, integers, nullspace, places
+from .gf import LinearCode, all_vectors, integers, places, rref_kernel
 
 # rows of perm_table per scan step: 7!, so S_8 is scanned in eight blocks
 BLOCK = 5040
@@ -405,7 +405,10 @@ def automorphism_group(code: LinearCode) -> PermGroup:
     """All coordinate permutations fixing the code setwise.
 
     A candidate sigma fixes the code when every parity check c and
-    generator row g satisfy sum_i H[c, sigma(i)] g[i] = 0 mod p.  Since
+    generator row g satisfy sum_i H[c, sigma(i)] g[i] = 0 mod p.  The
+    checks are read off the RREF generator R by gf.rref_kernel, for free
+    column f the check 1 at f and -R[r, f] at pivot r, with no rref: any
+    basis of C^perp accepts the same sigma.  Since
     Aut C = Aut C^perp under the dot product that permutations keep,
     sum_i g[sigma(i)] H[c, i] = 0 is the same test, so either side may be
     read through sigma.  The side with more rows, if it has at most 8 (else
@@ -424,7 +427,7 @@ def automorphism_group(code: LinearCode) -> PermGroup:
     from the accepted ranks alone.
     """
     table = perm_table(code.n)
-    packed, scanned = nullspace(code.gen, code.p)[0], code.gen
+    packed, scanned = rref_kernel(code.gen, code.pivots, code.p), code.gen
     if len(packed) < len(scanned) <= 8 or len(packed) > 8:
         packed, scanned = scanned, packed
     if not len(packed):  # the zero code or the full space past n = 8: every sum is 0

@@ -13,12 +13,13 @@ import pytest
 
 import symhex
 from symhex import errors
-from symhex.classify import classify, inequivalent_reps, verify_classification
+from symhex.classify import ClassificationRecord, classify, inequivalent_reps, verify_classification
 from symhex.codes import build, dual_bruteforce, enumerate_words, word_set
 from symhex.errors import MAX_BYTES, MAX_OPS, BudgetExceeded, check_budget
 from symhex.gf import LinearCode, all_vectors, random_code
 from symhex.perms import (
     BLOCK,
+    Permutation,
     PermGroup,
     automorphism_group,
     double_cosets,
@@ -120,6 +121,35 @@ def test_word_sets_state_their_decode_before_it(monkeypatch):
             decode(ws)
     with pytest.raises(BudgetExceeded, match="^enumerate_words"):
         enumerate_words(build(H23, *full))
+
+
+def test_verifier_states_the_records_free_keys_before_it_keys_them(monkeypatch):
+    # 200 records of one pair whose free components are distinct and of
+    # another dimension than the pair's, so outside its free orbit.  The
+    # budget is the up-front estimate, which bounds the free keys by the n!
+    # a list entry that sound records could hold; the records' claims
+    # (|Stab(g)| = 4 each) fit in it, their own free keys do not, so only
+    # counting the records' free components refuses them, before word_keys
+    g = LinearCode(2, [[1, 0, 0, 0, 0, 0], [0, 1, 0, 0, 0, 1], [0, 0, 1, 0, 1, 1]])
+    c = LinearCode(3, [[1, 1, 0, 0, 0, 0]])
+    rng = np.random.default_rng(38)
+    frees = [f for f in dict.fromkeys(random_code(3, 6, rng, k=4) for _ in range(300)) if f.k == 4]
+    identity = Permutation(range(6))
+    records = [ClassificationRecord(0, 0, identity, build(H23, g, f)) for f in frees[:200]]
+    assert len(records) == 200
+    module = import_module("symhex.classify")
+    estimates = []
+    monkeypatch.setattr(module, "check_budget", lambda site, nbytes, ops=0: estimates.append(nbytes))
+    module.check_verify_budget([g], [c])
+    monkeypatch.setattr(module, "check_budget", check_budget)
+    monkeypatch.setattr(errors, "MAX_BYTES", estimates[0])  # the up-front estimate passes
+
+    def keyed(codes):
+        raise AssertionError("the records' free components were keyed before the budget")
+
+    monkeypatch.setattr(module, "word_keys", keyed)
+    with pytest.raises(BudgetExceeded, match="^verify_classification needs"):
+        verify_classification(records, H23, [g], [c], "SO")
 
 
 # ---------------------------------------------------------------------------

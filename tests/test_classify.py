@@ -285,6 +285,28 @@ def test_admissible_runs_the_predicate_once_per_governing_and_free_dimension(mon
     assert got == [(i, j, *split(code)) for i, j, code in pairs if is_self_orthogonal(code)]
 
 
+@pytest.mark.parametrize("ring", [H23, H32])
+@pytest.mark.parametrize("target", TARGETS)
+@pytest.mark.parametrize("n", [2, 4])
+def test_admissible_matches_the_per_pair_predicate_with_one_code_per_verdict(monkeypatch, n, target, ring):
+    module = import_module("symhex.classify")
+    la, lb = _lists(n, target)
+    pred = _target_predicate(target)
+    want = [
+        (i, j, *split(code))
+        for i, ca in enumerate(la)
+        for j, cb in enumerate(lb)
+        if pred(code := HzCode(ring, ca, cb))
+    ]
+    builds = []
+    post_init = HzCode.__post_init__
+    monkeypatch.setattr(HzCode, "__post_init__", lambda code: builds.append(code) or post_init(code))
+    got = module._admissible(ring, la, lb, target)
+    governing, free = (la, lb) if ring is H23 else (lb, la)
+    assert got == want
+    assert 0 < len(builds) <= len(governing) * len({f.k for f in free})
+
+
 def test_verification_catches_duplicate_under_nonrep_sigma():
     records = classify(H23, LA, LB, "SO")
     rec = records[2]  # pair (A1, B2) has a nontrivial sigma available
@@ -537,6 +559,18 @@ def _seeded_lists(p: int) -> list[list[LinearCode]]:
                   for i in rng.integers(0, 12, 6)]
         lists.append([codes[i] for i in rng.permutation(len(codes))])
     return lists
+
+
+@pytest.mark.parametrize("ring", [H23, H32])
+def test_verifier_keys_each_list_dimension_in_one_orbit_scan(monkeypatch, ring):
+    module = import_module("symhex.classify")
+    la, lb = _lists(4, "SD")
+    records = classify(ring, la, lb, "SD")
+    scans = []
+    monkeypatch.setattr(module, "orbit_keys", lambda codes: scans.append(codes) or orbit_keys(codes))
+    verify_classification(records, ring, la, lb, "SD")
+    groups = [tuple(c for c in lst if c.k == k) for lst in (la, lb) for k in dict.fromkeys(c.k for c in lst)]
+    assert scans == groups and len(groups) < len(la) + len(lb)
 
 
 @pytest.mark.parametrize("p, count, classes", [(2, 514, 31), (3, 5125, 186)])

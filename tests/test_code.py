@@ -684,8 +684,11 @@ def test_word_oracles_never_reach_the_fast_path(monkeypatch, pair_surface_n2):
 
     monkeypatch.setattr(import_module("symhex.codes"), "split", boom)
     monkeypatch.setattr(import_module("symhex.codes"), "join", boom)
-    for module in ("symhex.gf", "symhex.perms"):  # every binding of nullspace
-        monkeypatch.setattr(import_module(module), "nullspace", boom)
+    # every binding of nullspace and of the kernel it shares with automorphism_group
+    for module, name in [
+        ("symhex.gf", "nullspace"), ("symhex.gf", "rref_kernel"), ("symhex.perms", "rref_kernel"),
+    ]:
+        monkeypatch.setattr(import_module(module), name, boom)
     for name in ("is_self_orthogonal", "is_self_dual", "is_lcd", "dual"):
         monkeypatch.setattr(SymplecticSpace, name, boom)
     with pytest.raises(AssertionError, match="fast path"):

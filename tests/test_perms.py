@@ -15,7 +15,7 @@ import pytest
 import symhex.gf
 from symhex.codes import build, equivalent
 from symhex.errors import BudgetExceeded, DimensionMismatch
-from symhex.gf import LinearCode, random_code
+from symhex.gf import LinearCode, nullspace, random_code, rref_kernel
 from symhex.perms import (
     BLOCK,
     PermGroup,
@@ -355,16 +355,31 @@ def test_automorphism_group_matches_the_loop_for_every_dimension_at_length_6():
             assert list(automorphism_group(code).elements) == ref_automorphisms(code), code
 
 
-def test_automorphism_group_makes_one_rref_call(monkeypatch):
+def test_automorphism_group_makes_no_rref_or_nullspace_call(monkeypatch):
+    # the parity checks are read off the RREF generator, so nothing is reduced
     codes = _random_codes(5, 4, seed=503) + [LinearCode.zero(3, 4), LinearCode.full(2, 4)]
     want = [automorphism_group(code).ranks.tolist() for code in codes]
     calls = []
-    real = symhex.gf.rref
-    monkeypatch.setattr(symhex.gf, "rref", lambda *a: calls.append(1) or real(*a))
+    for name in ("rref", "nullspace"):
+        real = getattr(symhex.gf, name)
+        monkeypatch.setattr(symhex.gf, name, lambda *a, f=real, name=name: calls.append(name) or f(*a))
     for code, members in zip(codes, want):
-        calls.clear()
         assert automorphism_group(code).ranks.tolist() == members
-        assert len(calls) == 1  # the parity checks' nullspace, reduced once
+    assert calls == []
+
+
+def test_rref_kernel_spans_the_nullspace_for_every_dimension():
+    rng = np.random.default_rng(509)
+    for p in (2, 3):
+        for n in range(9):
+            codes = [LinearCode.zero(p, n), LinearCode.full(p, n)]
+            for k in range(n + 1):
+                while sum(c.k == k for c in codes) < 3:  # at least three codes of each dimension
+                    codes.append(random_code(p, n, rng, k=k))
+            for code in codes:
+                checks = rref_kernel(code.gen, code.pivots, p)
+                assert checks.dtype == np.int8 and checks.shape == (n - code.k, n)
+                assert LinearCode(p, checks, n=n) == LinearCode(p, nullspace(code.gen, p)[0], n=n)
 
 
 def test_double_cosets_match_the_bfs():
