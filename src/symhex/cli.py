@@ -45,6 +45,8 @@ def cmd_check(args) -> None:
 
 def cmd_dual(args) -> None:
     code = io.parse_hzcode(io.read_text(args.file))
+    if args.out:  # before the work, not after it
+        io.check_out_dir(args.out)
     d = dual(code)
     text = io.format_hzcode(d)
     # compare first, so a budget error or a mismatch leaves nothing on stdout or disk

@@ -170,7 +170,7 @@ def _outer_codes(us: np.ndarray, vs: np.ndarray) -> np.ndarray:
 def _word_codes(code: HzCode) -> np.ndarray:
     """The integer codes of every word of the code, in ascending order."""
     _check_word_code_length(code.n)
-    # 24 bytes a word: its int64 code, the sorted copy and a duplicate test
+    # 24 bytes a word: its int64 code, WordSet's copy and its ascent (or duplicate) test
     check_budget("word_set", code.size * 24, code.size)
     return _outer_codes(code.ca.codewords(), code.cb.codewords())
 
@@ -188,8 +188,12 @@ class WordSet(Set):
     ascending order, so n is at most MAX_WORD_CODE_N.  Iteration decodes
     HzWords in that order, once its estimate is within budget, and so do
     hash and the generic Set methods, which apply against any other set of
-    HzWords; hash agrees with frozenset.  Two WordSets compare by their arrays.  Codes that are not integers (gf.integers), repeat or
-    lie outside 0..6^n - 1 raise ValueError.
+    HzWords; hash agrees with frozenset.  Two WordSets compare by their
+    arrays.  The constructor copies its codes; when they already ascend
+    strictly, as _outer_codes of RREF codewords do, one comparison checks
+    them, and only other input is sorted and tested for repeats.  Codes
+    that are not integers (gf.integers), repeat or lie outside 0..6^n - 1
+    raise ValueError.
     """
 
     __slots__ = ("ring", "n", "codes")
@@ -197,9 +201,13 @@ class WordSet(Set):
     def __init__(self, ring: RingId, n: int, codes):
         rg.check_ring(ring)
         _check_word_code_length(n)
-        arr = np.sort(integers(codes))
-        if arr.ndim != 1 or (arr[1:] == arr[:-1]).any():
+        arr = integers(codes).copy()  # never freeze or alias the caller's array
+        if arr.ndim != 1:
             raise ValueError("word codes must be a flat array without duplicates")
+        if not (arr[1:] > arr[:-1]).all():  # strict ascent: sorted and distinct
+            arr.sort()
+            if (arr[1:] == arr[:-1]).any():
+                raise ValueError("word codes must be a flat array without duplicates")
         if len(arr) and (arr[0] < 0 or int(arr[-1]) >= 6**n):
             raise ValueError(f"word codes must lie in 0..6^{n} - 1")
         arr.flags.writeable = False
@@ -412,7 +420,7 @@ def is_self_dual_bruteforce(code: HzCode) -> bool:
 
 
 def is_qsd_bruteforce(code: HzCode) -> bool:
-    return is_self_orthogonal_bruteforce(code) and code.size == 6**code.m
+    return code.size == 6**code.m and is_self_orthogonal_bruteforce(code)
 
 
 def is_nice_bruteforce(code: HzCode) -> bool:

@@ -233,23 +233,17 @@ class LinearCode:
         """All p**k codewords, message vectors in lexicographic order.
 
         The int64 messages and product, the product's residues and the int8
-        result: at most 8k + 17n bytes a codeword.
+        result: at most 8k + 17n bytes a codeword.  The full space's RREF
+        generator is the identity, so its codewords are a writeable copy of
+        all_vectors(p, n): the same rows in the same order, with no product.
         """
         check_budget("codewords", self.size * (8 * self.k + 17 * self.n), self.size * self.n)
         if self.k == 0:
             return np.zeros((1, self.n), dtype=np.int8)
+        if self.k == self.n:
+            return all_vectors(self.p, self.n).copy()
         msgs = all_vectors(self.p, self.k)
         return ((msgs.astype(np.int64) @ self.gen.astype(np.int64)) % self.p).astype(np.int8)
-
-    def dual_wrt(self, gram: np.ndarray) -> "LinearCode":
-        """The code {y : G @ gram @ y == 0}, for a fixed bilinear form: an n x n
-        gram of integers, else DimensionMismatch or ValueError."""
-        gram = integers(gram)
-        if gram.shape != (self.n, self.n):
-            raise DimensionMismatch(f"gram has shape {gram.shape}, expected ({self.n}, {self.n})")
-        M = (self.gen.astype(np.int64) @ gram) % self.p
-        B, pivots = nullspace(M, self.p)
-        return LinearCode.from_rref(self.p, B[None], pivots)[0]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LinearCode):

@@ -18,7 +18,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import BudgetExceeded, DimensionMismatch, KOutOfRange, OddLength, check_budget
-from .gf import MAX_LENGTH, LinearCode, all_vectors, check_field, integers, rref, whole
+from .gf import MAX_LENGTH, LinearCode, all_vectors, check_field, integers, rref, rref_kernel, whole
 
 
 class SymplecticSpace:
@@ -58,8 +58,15 @@ class SymplecticSpace:
         return int(u @ self.gram @ v % self.p)
 
     def dual(self, code: LinearCode) -> LinearCode:
+        """{y : <c, y> = 0 for every c in code}, read off the code's RREF.
+
+        K = gf.rref_kernel of its generator G spans ker G with no reduction.
+        gram^-1 = -gram, so gram^-T = gram, and y = z gram carries ker G onto
+        {y : G gram y^T = 0}; one rref of K gram gives the dual's RREF.
+        """
         self._check(code)
-        return code.dual_wrt(self.gram)
+        K = rref_kernel(code.gen, code.pivots, self.p)
+        return LinearCode(self.p, K @ self.gram % self.p, n=self.n)
 
     def is_self_orthogonal(self, code: LinearCode) -> bool:
         """True when the form vanishes on code x code (checked on generators)."""

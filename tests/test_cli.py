@@ -153,6 +153,21 @@ def test_an_out_path_in_a_missing_directory_is_named_in_the_error(r2_path, tmp_p
     assert sorted(p.name for p in tmp_path.iterdir()) == ["ca.list", "cb.list", "r2.code"]
 
 
+def test_dual_refuses_a_missing_out_directory_before_the_dual(tmp_path, capsys, monkeypatch):
+    code = build(RingId.H23, LinearCode(2, [[1, 1, 0, 0]]), LinearCode(3, [[1, 0, 2, 0]]))
+    src = tmp_path / "c.code"
+    src.write_text(io.format_hzcode(code))
+    out = tmp_path / "missing" / "x.code"
+    err = f"error: [Errno 2] No such file or directory: {str(out)!r}\n"
+    assert cli.main(["dual", str(src), "--brute", "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", err)  # no "oracle: match (648 words)" line
+    for name in ("dual", "dual_bruteforce"):
+        monkeypatch.setattr(cli, name, _raise)
+    assert cli.main(["dual", str(src), "--brute", "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", err)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.code"]
+
+
 def test_classify_refuses_a_missing_out_directory_before_classifying(tmp_path, capsys, monkeypatch):
     out = tmp_path / "missing" / "x.json"
     monkeypatch.setattr(cli, "classify", _raise)

@@ -659,6 +659,25 @@ def test_word_set_rejects_bad_codes_and_is_immutable():
     assert WordSet(H23, 2, []) == WordSet(H32, 4, []) == frozenset()
 
 
+def test_word_set_copies_and_checks_its_codes_on_either_branch():
+    # ascending codes pass one comparison; any other order is sorted, then tested for repeats
+    for given in ([3, 7, 20], [20, 3, 7]):
+        caller = np.array(given, dtype=np.int64)
+        ws = WordSet(H23, 2, caller)
+        assert ws.codes.tolist() == [3, 7, 20] and not ws.codes.flags.writeable
+        assert caller.flags.writeable and caller.tolist() == given
+        assert not np.shares_memory(ws.codes, caller)
+    for repeated in ([0, 5, 5], [5, 5], [5, 0, 5], [7, 7, 3]):
+        with pytest.raises(ValueError, match="without duplicates"):
+            WordSet(H23, 2, repeated)
+    for outside in ([0, 36], [36, 0], [-1, 3], [3, -1]):
+        with pytest.raises(ValueError, match=r"lie in 0\.\.6\^2 - 1"):
+            WordSet(H23, 2, outside)
+    for shape in ([[0, 1]], 5):
+        with pytest.raises(ValueError, match="flat array"):
+            WordSet(H23, 2, shape)
+
+
 TWINS = {
     "so": is_self_orthogonal_bruteforce,
     "sd": is_self_dual_bruteforce,
@@ -686,7 +705,10 @@ def test_word_oracles_never_reach_the_fast_path(monkeypatch, pair_surface_n2):
     monkeypatch.setattr(import_module("symhex.codes"), "join", boom)
     # every binding of nullspace and of the kernel it shares with automorphism_group
     for module, name in [
-        ("symhex.gf", "nullspace"), ("symhex.gf", "rref_kernel"), ("symhex.perms", "rref_kernel"),
+        ("symhex.gf", "nullspace"),
+        ("symhex.gf", "rref_kernel"),
+        ("symhex.perms", "rref_kernel"),
+        ("symhex.symplectic", "rref_kernel"),
     ]:
         monkeypatch.setattr(import_module(module), name, boom)
     for name in ("is_self_orthogonal", "is_self_dual", "is_lcd", "dual"):

@@ -115,6 +115,20 @@ def test_codewords_are_message_ordered():
     assert len({tuple(w) for w in words.tolist()}) == 9
 
 
+def test_full_space_codewords_are_a_writeable_copy_of_the_message_product():
+    for p in (2, 3):
+        for n in range(7):
+            full = LinearCode.full(p, n)
+            words = full.codewords()
+            msgs = all_vectors(p, n)
+            assert words.dtype == np.int8 and words.flags.writeable
+            assert words is not msgs and not np.shares_memory(words, msgs)
+            product = msgs.astype(np.int64) @ full.gen.astype(np.int64) % p
+            assert words.tolist() == product.tolist()
+            words[...] = 0  # writing the copy leaves the cached vectors alone
+            assert np.array_equal(all_vectors(p, n), product)
+
+
 def test_codeword_budget():
     # 3^15 codewords at 375 bytes each, about 5 times the byte budget
     with pytest.raises(BudgetExceeded, match="budget"):
@@ -138,12 +152,17 @@ def test_all_vectors_is_cached_and_read_only():
             all_vectors(3, 16)  # 3^16 rows at 280 bytes, about 11 times the budget
 
 
+def _kernel_code(code):
+    """The code spanned by nullspace(G): the dual under the identity form."""
+    return LinearCode(code.p, nullspace(code.gen, code.p)[0], n=code.n)
+
+
 def test_nullspace_examples():
     # dual of the repetition code under the identity form is itself (F2)
     c = LinearCode(2, [[1, 1]])
-    assert c.dual_wrt(np.eye(2, dtype=int)) == c
-    assert LinearCode.full(2, 2).dual_wrt(np.eye(2, dtype=int)) == LinearCode.zero(2, 2)
-    d = LinearCode(3, [[1, 1, 1]]).dual_wrt(np.eye(3, dtype=int))
+    assert _kernel_code(c) == c
+    assert _kernel_code(LinearCode.full(2, 2)) == LinearCode.zero(2, 2)
+    d = _kernel_code(LinearCode(3, [[1, 1, 1]]))
     assert d == LinearCode(3, [[1, 0, 2], [0, 1, 2]])
 
 
@@ -153,7 +172,7 @@ def test_nullspace_rank_nullity():
         for _ in range(30):
             n = int(rng.integers(1, 7))
             code = random_code(p, n, rng)
-            dual = code.dual_wrt(np.eye(n, dtype=int))
+            dual = _kernel_code(code)
             assert code.k + dual.k == n
             # orthogonality holds word by word
             G, H = code.gen.astype(int), dual.gen.astype(int)
@@ -309,17 +328,6 @@ def test_numpy_integer_fields_and_lengths_are_read_as_ints():
     assert type(code.p) is int and code == LinearCode(3, [[1, 2]])
     for p, n in ((np.int8(2), np.int64(3)), (2, np.uint8(3))):
         assert LinearCode.zero(p, n) == LinearCode.zero(2, 3)
-
-
-def test_dual_wrt_refuses_a_gram_that_is_not_integer():
-    # truncated, 0.5 I read as the zero form, whose dual is F_2^2
-    with pytest.raises(ValueError, match="^entries must be integers"):
-        LinearCode(2, [[1, 1]]).dual_wrt(0.5 * np.eye(2))
-
-
-def test_dual_wrt_refuses_a_gram_of_another_size():
-    with pytest.raises(DimensionMismatch, match=r"gram has shape \(3, 3\), expected \(2, 2\)"):
-        LinearCode(2, [[1, 1]]).dual_wrt(np.eye(3, dtype=np.int64))
 
 
 def test_span_and_intersection():

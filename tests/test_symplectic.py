@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import symhex.gf
-from symhex.codes import build, dual, join, split
+from symhex.codes import build, dual, dual_bruteforce, join, split, word_set
 from symhex.errors import BudgetExceeded, DimensionMismatch, KOutOfRange, OddLength
 from symhex.gf import MAX_LENGTH, LinearCode, all_vectors, nullspace, random_code
 from symhex.ring import RingId
@@ -20,7 +20,7 @@ from symhex.symplectic import (
     isotropic_subspaces,
 )
 
-from oracles import intersect_dim
+from oracles import intersect_dim, ref_nullspace
 
 
 def all_subspaces(p, n, k):
@@ -345,11 +345,62 @@ def test_dual_makes_one_rref_call_and_matches_the_reducing_path(monkeypatch):
     for code, (ref, whole) in zip(codes, want):
         calls.clear()
         d = dual(code)
-        assert len(calls) == 1  # the map's, inside nullspace
+        assert len(calls) == 1  # the kernel's image under the gram, reduced by LinearCode
         assert d == whole
         g, _ = split(d)
         assert g._key == ref._key and g.pivots == ref.pivots
         assert g.gen.dtype == np.int8 and not g.gen.flags.writeable
+
+
+def every_subspace(p, n):
+    """Every subspace of F_p^n once: each pivot profile with every filling of its free entries."""
+    out = []
+    for k in range(n + 1):
+        for pivots in combinations(range(n), k):
+            free = [(r, f) for r, c in enumerate(pivots) for f in range(c + 1, n) if f not in pivots]
+            for values in product(range(p), repeat=len(free)):
+                M = np.zeros((k, n), dtype=np.int64)
+                M[range(k), pivots] = 1
+                for (r, f), v in zip(free, values):
+                    M[r, f] = v
+                out.append(LinearCode(p, M, n=n))
+    return out
+
+
+def test_dual_is_the_reduced_kernel_of_the_form_and_the_word_level_dual():
+    # every subspace at n = 2 and 4 (5 + 67 binary, 6 + 212 ternary), and
+    # seeded codes at n = 6 and 8, against ref_nullspace of G gram and the words
+    rng = np.random.default_rng(83)
+    for p, ring in ((2, RingId.H23), (3, RingId.H32)):
+        codes = [c for n in (2, 4) for c in every_subspace(p, n)]
+        assert len(set(codes)) == len(codes) == {2: 5 + 67, 3: 6 + 212}[p]
+        codes += [random_code(p, 6, rng, k=k) for k in range(7)]
+        codes += [random_code(p, 8, rng, k=k) for k in range(1, 5)]
+        for g in codes:
+            sp = SymplecticSpace.for_length(p, g.n)
+            d = sp.dual(g)
+            want = LinearCode(p, ref_nullspace(g.gen.astype(np.int64) @ sp.gram % p, p)[0], n=g.n)
+            assert d._key == want._key and d.pivots == want.pivots
+            code = join(ring, g, LinearCode.zero(5 - p, g.n))
+            assert word_set(dual(code)) == dual_bruteforce(code)
+            assert split(dual(dual(code)))[0] == g
+
+
+def test_symplectic_dual_makes_one_rref_call_and_no_nullspace_call(monkeypatch):
+    # the kernel is read off the code's RREF generator; only its image under the gram is reduced
+    rng = np.random.default_rng(89)
+    codes = [random_code(p, n, rng) for p in (2, 3) for n in (2, 4, 6, 8) for _ in range(6)]
+    codes += [LinearCode.zero(3, 4), LinearCode.full(2, 4), LinearCode.zero(2, 0)]
+    spaces = [SymplecticSpace.for_length(code.p, code.n) for code in codes]
+    want = [sp.dual(code) for sp, code in zip(spaces, codes)]
+    calls = []
+    for name in ("rref", "nullspace"):
+        real = getattr(symhex.gf, name)
+        monkeypatch.setattr(symhex.gf, name, lambda *a, f=real, name=name: calls.append(name) or f(*a))
+    for sp, code, d in zip(spaces, codes, want):
+        calls.clear()
+        assert sp.dual(code) == d
+        assert calls == ["rref"]
 
 
 def test_enumeration_deterministic():
