@@ -7,7 +7,7 @@ exactly when tau lies in Aut(fixed) sigma Aut(moved).  One record is
 emitted per double coset, with sigma its lexicographically smallest
 member.
 
-The permutation is applied to the free component (see codes.split), the
+The permutation is applied to the free component (see codes.sides), the
 one the symplectic form does not see.  Symplectic self-orthogonality is
 not preserved by arbitrary coordinate permutations, so moving the
 governing component could silently leave the target class; moving the
@@ -15,14 +15,15 @@ free one cannot.  The double coset count is the same either way round.
 
 No target reads the free component past its dimension, so the
 admissible pairs come from one HzCode per (governing entry, free
-dimension), and the pairs are read off those verdicts by index.  Within
-one classify call each Aut group is computed once per component and
-equal groups are interned by their member ranks.  The admissible pairs
+dimension), and the pairs are read off those verdicts by index.  Pairs
+stay list indices up to the records: within one classify call each Aut
+group is computed once per (side, list index), and equal groups are
+interned by their member ranks.  The admissible pairs
 are collected first, and one double_cosets_batch call enumerates the
 double cosets of every distinct (governing group, free group) pair
 together: it labels the cosets of each distinct free group once, and
 the governing group acts only on their least members.  Each (free
-component, sigma) is realized once, however many pairs share them.  None
+entry y, sigma) is realized once, however many pairs share them.  None
 of these caches outlives the call.
 
 The verifier computes each fact once per call too: the admissible pairs
@@ -38,7 +39,6 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cache
 from math import factorial
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -49,6 +49,7 @@ from .codes import (
     is_self_dual,
     is_self_orthogonal,
     join,
+    sides,
     split,
 )
 from .errors import DimensionMismatch, LengthMismatch, OddLength, VerificationFailed, check_budget
@@ -116,28 +117,23 @@ def _target_predicate(target: str):
     return {"SO": is_self_orthogonal, "QSD": is_qsd, "SD": is_self_dual}[target]
 
 
-def _sides(ring: RingId, a, b) -> tuple:
-    """(governing, free) of a pair laid out as (C_a side, C_b side): split's choice, on any pair."""
-    return split(SimpleNamespace(ring=ring, ca=a, cb=b))
-
-
 def _admissible(ring: RingId, la: list, lb: list, target: str) -> list[tuple]:
-    """(i, j, governing, free) per pair (la[i], lb[j]) that meets the target, in (i, j) order.
+    """(i, j, x, y) per pair (la[i], lb[j]) that meets the target, in (i, j) order.
 
+    x and y index its governing and free lists, sides(ring, la, lb).
     Every target reads the free component only through its dimension, so
     the predicate runs on one code per (governing entry, free dimension),
     joined with the first free entry of that dimension, and the pairs are
     read off that verdict table by index.
     """
     pred = _target_predicate(target)
-    governing, free = _sides(ring, la, lb)
+    governing, free = sides(ring, la, lb)
     _, first, dim_of = np.unique([f.k for f in free], return_index=True, return_inverse=True)
     verdict = np.array([[pred(join(ring, g, free[y])) for y in first] for g in governing], dtype=bool)
-    x, y = _sides(ring, *np.indices((len(la), len(lb))))  # each pair's governing and free index
+    x, y = sides(ring, *np.indices((len(la), len(lb))))  # each pair's governing and free index
     meets = verdict[x, dim_of[y]]
     i, j = np.nonzero(meets)
-    pairs = zip(i.tolist(), j.tolist(), x[meets].tolist(), y[meets].tolist())
-    return [(i, j, governing[gx], free[fy]) for i, j, gx, fy in pairs]
+    return list(zip(i.tolist(), j.tolist(), x[meets].tolist(), y[meets].tolist()))
 
 
 def classify(
@@ -153,21 +149,22 @@ def classify(
     (ca index, cb index, sigma rank).
     """
     _check_lists(la, lb)
+    governing, free = sides(ring, la, lb)
     groups: dict[bytes, PermGroup] = {}
 
     @cache
-    def aut(code: LinearCode) -> PermGroup:
-        group = automorphism_group(code)
+    def aut(side: int, x: int) -> PermGroup:  # side 0 is governing, 1 free
+        group = automorphism_group((governing, free)[side][x])
         return groups.setdefault(group.ranks.tobytes(), group)
 
-    admissible = [(i, j, g, f, aut(g), aut(f)) for i, j, g, f in _admissible(ring, la, lb, target)]
+    moved = cache(lambda y, sigma: apply_perm(sigma, free[y]))
+    admissible = [(i, j, x, y, aut(0, x), aut(1, y)) for i, j, x, y in _admissible(ring, la, lb, target)]
     # interned groups are equal exactly when they are the same object
     group_pairs = list(dict.fromkeys((G, H) for *_, G, H in admissible))
     cosets = dict(zip(group_pairs, double_cosets_batch(group_pairs)))
-    moved = cache(apply_perm)
     return [
-        ClassificationRecord(i, j, sigma, join(ring, governing, moved(sigma, free)))
-        for i, j, governing, free, G, H in admissible
+        ClassificationRecord(i, j, sigma, join(ring, governing[x], moved(y, sigma)))
+        for i, j, x, y, G, H in admissible
         for sigma, _ in cosets[G, H]
     ]
 
@@ -334,17 +331,16 @@ def verify_classification(
 
     table = perm_table(n)
     # (i, j, records, governing, free orbit, Stab(governing)) per admissible
-    # pair, in order; Stab(g) is built once per governing entry
-    governing_orbits, free_orbits = _sides(ring, *orbits)
-    at_governing, at_free = _sides(ring, 0, 1)  # which of (i, j) indexes each side
+    # pair, in order; Stab(g) is built once per governing entry x
+    governing = sides(ring, la, lb)[0]
+    governing_orbits, free_orbits = sides(ring, *orbits)
     stabs: dict[int, np.ndarray] = {}
     pairs = []
-    for i, j, g, _ in admissible:
-        x, y = (i, j)[at_governing], (i, j)[at_free]
+    for i, j, x, y in admissible:
         if x not in stabs:
             point = governing_orbits[x][1]
             stabs[x] = table[point == point[0]]
-        pairs.append((i, j, by_pair.get((i, j), []), g, free_orbits[y], stabs[x]))
+        pairs.append((i, j, by_pair.get((i, j), []), governing[x], free_orbits[y], stabs[x]))
     # claims[r, s] is the rank of stab[s] * sigma_r, so its point is that of
     # stab[s] . (sigma_r . f); stab[0] is the identity.  Every pair's claims
     # are gathered column-major into one array, stab[s] * sigma_r in column
@@ -360,19 +356,21 @@ def verify_classification(
         batches.setdefault((f.p, f.n, f.k), []).append(f)
     free_key = {f: key.tobytes() for batch in batches.values() for f, key in zip(batch, word_keys(batch))}
 
-    cols, bounds = np.empty((n, sum(sizes)), dtype=np.int8), np.cumsum(sizes)[:-1]
-    for (_, _, mine, _, _, stab), block in zip(pairs, np.split(cols, bounds, axis=1)):
+    bounds = np.cumsum([0, *sizes]).tolist()
+    cols = np.empty((n, bounds[-1]), dtype=np.int8)
+    for (_, _, mine, _, _, stab), lo, hi in zip(pairs, bounds, bounds[1:]):
         sigmas = np.array([rec.sigma for rec in mine], dtype=np.intp).reshape(-1, n)
-        block[:] = stab.T[sigmas.T].reshape(n, -1)
-    for (i, j, mine, governing, (keys, point), stab), claims in zip(pairs, np.split(ranks(cols.T), bounds)):
-        claimed = point[claims].reshape(len(mine), len(stab))
+        cols[:, lo:hi] = stab.T[sigmas.T].reshape(n, -1)
+    claims = ranks(cols.T)
+    for (i, j, mine, g, (keys, point), stab), lo, hi in zip(pairs, bounds, bounds[1:]):
+        claimed = point[claims[lo:hi]].reshape(len(mine), len(stab))
         # first[q]: the first record that claims point q, len(mine) when none does
         first = np.full(len(keys), len(mine))
         np.minimum.at(first, claimed, np.arange(len(mine))[:, None])
         for r, (rec, own) in enumerate(zip(mine, claimed[:, 0])):
-            g, f = split(rec.code)
-            # under another ring g has the other field and cannot equal governing
-            if g != governing or free_key[f] != keys[own].tobytes():
+            rec_g, rec_f = split(rec.code)
+            # under another ring rec_g has the other field and cannot equal g
+            if rec_g != g or free_key[rec_f] != keys[own].tobytes():
                 raise VerificationFailed(f"sound: {rec!r} does not match its stated pair")
             if (o := first[own]) != r:
                 sigma = equivalent(mine[o].code, rec.code).cycle_string()

@@ -6,21 +6,21 @@ is stored as that pair and its word set {a*u + b*v} is derived on demand.
 The symplectic form on H_z^n restricts through the decomposition to one
 side: the component the ring's idempotent keeps.  That is the *governing*
 component (C_a over H23, C_b over H32); the other is the *free* component,
-which the form never sees.  ``split`` and ``join`` are the one place that
-choice is made.  The dual, self-orthogonality, self-duality,
-quasi-self-duality, niceness, and LCD-ness all reduce to a symplectic
-condition on the governing component and a size condition on the free
-one; brute-force word-level twins of each, written per ring without
-``split``, are kept alongside as oracles.  Word sets are held as integer
-word codes: a*u + b*v is the int64 u*3^n + v (u read in base 2, v in base
-3), exact for n <= MAX_WORD_CODE_N.  ``word_set`` and ``dual_bruteforce``
-return a WordSet, an immutable set of HzWords backed by the sorted array of
-those codes.  Its budgeted iteration is the one decode into HzWords
-(enumerate_words lists it), and membership encodes as word_set does; the
-twins compare WordSets, so their set tests are array comparisons.  Each
-HzCode computes its word set and its oracle dual once, on first use, and
-holds them while it lives, so the five twins and the oracle dual share one
-evaluation.
+which the form never sees.  ``sides`` is the one place that choice is
+made, for any pair; ``split`` and ``join`` apply it to a code.  The dual,
+self-orthogonality, self-duality, quasi-self-duality, niceness, and
+LCD-ness all reduce to a symplectic condition on the governing component
+and a size condition on the free one; brute-force word-level twins of
+each, written per ring without ``sides``, are kept alongside as oracles.
+Word sets are held as integer word codes: a*u + b*v is the int64 u*3^n + v
+(u read in base 2, v in base 3), exact for n <= MAX_WORD_CODE_N.
+``word_set`` and ``dual_bruteforce`` return a WordSet, an immutable set of
+HzWords backed by the sorted array of those codes.  Its budgeted iteration
+is the one decode into HzWords (enumerate_words lists it), and membership
+encodes as word_set does; the twins compare WordSets, so their set tests
+are array comparisons.  Each HzCode computes its word set and its oracle
+dual once, on first use, and holds them while it lives, so the five twins
+and the oracle dual share one evaluation.
 Each evaluation states its words and candidate products to
 errors.check_budget before it builds them.
 """
@@ -273,22 +273,24 @@ def word_set(code: HzCode) -> WordSet:
     return code._word_set
 
 
-def split(code: HzCode) -> tuple[LinearCode, LinearCode]:
-    """(governing, free): the component the symplectic form sees, then the other.
+def sides(ring: RingId, a, b) -> tuple:
+    """(governing, free) of a (C_a side, C_b side) pair: codes, lists, indices or orbits.
 
-    The governing component is the one the ring's idempotent keeps, C_a over
-    H23 and C_b over H32; the free component is the other one.
+    The governing side is the one the ring's idempotent keeps, C_a over H23
+    and C_b over H32; the free side is the other one.  The swap is its own
+    inverse, so it also lays a (governing, free) pair back out as (C_a, C_b).
     """
-    if code.ring is RingId.H23:
-        return code.ca, code.cb
-    return code.cb, code.ca
+    return (a, b) if ring is RingId.H23 else (b, a)
+
+
+def split(code: HzCode) -> tuple[LinearCode, LinearCode]:
+    """(governing, free): the component the symplectic form sees, then the other."""
+    return sides(code.ring, code.ca, code.cb)
 
 
 def join(ring: RingId, governing: LinearCode, free: LinearCode) -> HzCode:
     """The inverse of split: the code over ring with these two components."""
-    if ring is RingId.H23:
-        return HzCode(ring, governing, free)
-    return HzCode(ring, free, governing)
+    return HzCode(ring, *sides(ring, governing, free))
 
 
 def _check_same_space(a: HzWord | HzCode, b: HzWord | HzCode) -> None:

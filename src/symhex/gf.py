@@ -238,8 +238,6 @@ class LinearCode:
         all_vectors(p, n): the same rows in the same order, with no product.
         """
         check_budget("codewords", self.size * (8 * self.k + 17 * self.n), self.size * self.n)
-        if self.k == 0:
-            return np.zeros((1, self.n), dtype=np.int8)
         if self.k == self.n:
             return all_vectors(self.p, self.n).copy()
         msgs = all_vectors(self.p, self.k)

@@ -162,9 +162,11 @@ def read_text(path: str) -> str:
 
 
 def check_out_dir(path: str) -> None:
-    """Raise the OSError naming path that writing it would, when its directory is missing."""
+    """Raise what writing path would: ENOENT when its directory is missing, EISDIR when it is one."""
     if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
         raise OSError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
 
 
 def write_text_atomic(path: str, text: str) -> None:

@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from functools import cache
 from importlib import import_module
 from math import factorial
@@ -35,6 +36,7 @@ from symhex.codes import (
     is_self_dual,
     is_self_orthogonal,
     join,
+    sides,
     split,
 )
 from symhex.errors import (
@@ -260,7 +262,7 @@ def test_targets_and_flags_read_the_free_component_only_through_its_dimension():
 
     for la, lb in [(surface(2), surface(3)), _lists(4, "SD")]:
         for ring in (H23, H32):
-            governing, free = (la, lb) if ring is H23 else (lb, la)
+            governing, free = sides(ring, la, lb)
             for g in governing:
                 seen = {}
                 for f in free:
@@ -282,7 +284,7 @@ def test_admissible_runs_the_predicate_once_per_governing_and_free_dimension(mon
     got = module._admissible(ring, la, lb, "SO")
     assert len(counted) == calls and len(la) * len(lb) == 189
     pairs = [(i, j, HzCode(ring, ca, cb)) for i, ca in enumerate(la) for j, cb in enumerate(lb)]
-    assert got == [(i, j, *split(code)) for i, j, code in pairs if is_self_orthogonal(code)]
+    assert got == [(i, j, *sides(ring, i, j)) for i, j, code in pairs if is_self_orthogonal(code)]
 
 
 @pytest.mark.parametrize("ring", [H23, H32])
@@ -293,7 +295,7 @@ def test_admissible_matches_the_per_pair_predicate_with_one_code_per_verdict(mon
     la, lb = _lists(n, target)
     pred = _target_predicate(target)
     want = [
-        (i, j, *split(code))
+        (i, j, *sides(ring, i, j))
         for i, ca in enumerate(la)
         for j, cb in enumerate(lb)
         if pred(code := HzCode(ring, ca, cb))
@@ -302,7 +304,7 @@ def test_admissible_matches_the_per_pair_predicate_with_one_code_per_verdict(mon
     post_init = HzCode.__post_init__
     monkeypatch.setattr(HzCode, "__post_init__", lambda code: builds.append(code) or post_init(code))
     got = module._admissible(ring, la, lb, target)
-    governing, free = (la, lb) if ring is H23 else (lb, la)
+    governing, free = sides(ring, la, lb)
     assert got == want
     assert 0 < len(builds) <= len(governing) * len({f.k for f in free})
 
@@ -777,3 +779,59 @@ def test_classify_computes_double_cosets_once_per_distinct_group_pair(monkeypatc
                 want.append((i, j, sigma, code))
     got = [tuple(getattr(r, f.name) for f in dataclasses.fields(r)) for r in records]
     assert got == want
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_classify_does_not_depend_on_list_order(n):
+    # the criterion-8 lists, shuffled: the same classes, read through the new indices
+    rng = np.random.default_rng(4000 + n)
+    for ring in (H23, H32):
+        for target in TARGETS:
+            la, lb = _lists(n, target)
+            want = {(la[r.ca_index], lb[r.cb_index], r.sigma, r.code) for r in classify(ring, la, lb, target)}
+            sla = [la[t] for t in rng.permutation(len(la))]
+            slb = [lb[t] for t in rng.permutation(len(lb))]
+            records = classify(ring, sla, slb, target)
+            assert {(sla[r.ca_index], slb[r.cb_index], r.sigma, r.code) for r in records} == want
+            order = [(r.ca_index, r.cb_index, r.sigma.rank()) for r in records]
+            assert order == sorted(order)
+            verify_classification(records, ring, sla, slb, target)
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_each_pairs_double_coset_sizes_sum_to_n_factorial(n):
+    # the mass identity: a pair's records are one sigma per double coset
+    # Aut(g) sigma Aut(f), of size |Aut g| |Aut f| / |Aut g & Aut(sigma . f)|,
+    # and the double cosets partition S_n
+    for ring in (H23, H32):
+        for target in TARGETS:
+            la, lb = _lists(n, target)
+            pred = _target_predicate(target)
+            by_pair: dict[tuple[int, int], list[ClassificationRecord]] = {}
+            for rec in classify(ring, la, lb, target):
+                by_pair.setdefault((rec.ca_index, rec.cb_index), []).append(rec)
+            admissible = [
+                (i, j) for i, ca in enumerate(la) for j, cb in enumerate(lb) if pred(HzCode(ring, ca, cb))
+            ]
+            assert list(by_pair) == admissible
+            for (i, j), mine in by_pair.items():
+                g, f = split(HzCode(ring, la[i], lb[j]))
+                G, H = automorphism_group(g), automorphism_group(f)
+                mass = Fraction(0)
+                for rec in mine:
+                    moved = automorphism_group(apply_perm(rec.sigma, f))
+                    mass += Fraction(G.order * H.order, len(np.intersect1d(G.ranks, moved.ranks)))
+                assert mass == factorial(n), (ring, target, i, j)
+
+
+def test_classify_hashes_no_linear_code(monkeypatch):
+    # admissible pairs stay list indices up to the records, so neither the
+    # Aut groups nor the realized free components are cached by code
+    la, lb = _lists(4, "SO")
+    want = [classify(ring, la, lb, "SO") for ring in (H23, H32)]
+
+    def boom(self):
+        raise AssertionError("classify hashed a LinearCode")
+
+    monkeypatch.setattr(LinearCode, "__hash__", boom)
+    assert [classify(ring, la, lb, "SO") for ring in (H23, H32)] == want

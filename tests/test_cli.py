@@ -306,12 +306,31 @@ def test_classify_with_the_list_files_swapped_names_the_field(tmp_path, capsys, 
     assert capsys.readouterr() == ("", "error: La entry 0 is a code over F3, not F2\n")
 
 
-def test_classify_out_to_a_directory_exits_2_and_leaves_no_temp_file(tmp_path, capsys):
+def test_classify_out_to_a_directory_exits_2_and_leaves_no_temp_file(tmp_path, capsys, monkeypatch):
     out = tmp_path / "catalog"
     out.mkdir()
-    assert cli.main(_classify_argv(tmp_path) + ["--out", str(out)]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    monkeypatch.setattr(cli, "classify", _raise)
+    for verify in ([], ["--verify"]):
+        assert cli.main(_classify_argv(tmp_path) + ["--out", str(out), *verify]) == 2
+        assert capsys.readouterr() == ("", f"error: [Errno 21] Is a directory: {str(out)!r}\n")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["ca.list", "catalog", "cb.list"]
+    assert list(out.iterdir()) == []
+
+
+def test_dual_out_to_a_directory_exits_2_before_the_dual(tmp_path, capsys, monkeypatch):
+    code = build(RingId.H23, LinearCode(2, [[1, 0]]), LinearCode(3, [[1, 0]]))
+    src = tmp_path / "c.code"
+    src.write_text(io.format_hzcode(code))
+    out = tmp_path / "d"
+    out.mkdir()
+    err = f"error: [Errno 21] Is a directory: {str(out)!r}\n"
+    assert cli.main(["dual", str(src), "--brute", "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", err)  # no "oracle: match (18 words)" line
+    for name in ("dual", "dual_bruteforce"):
+        monkeypatch.setattr(cli, name, _raise)
+    assert cli.main(["dual", str(src), "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", err)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.code", "d"]
     assert list(out.iterdir()) == []
 
 

@@ -38,6 +38,7 @@ from symhex.codes import (
     is_self_orthogonal,
     is_self_orthogonal_bruteforce,
     join,
+    sides,
     split,
     symplectic_inner,
     word_set,
@@ -214,12 +215,21 @@ def test_split_join_round_trip(pair_surface_n2, ring, fields):
         assert join(ring, g, f) == c
 
 
+@pytest.mark.parametrize("ring, laid_out", [(H23, ("a", "b")), (H32, ("b", "a"))])
+def test_sides_is_its_own_inverse_and_the_choice_of_split_and_join(pair_surface_n2, ring, laid_out):
+    assert sides(ring, "a", "b") == laid_out
+    for ca, cb in pair_surface_n2:
+        c = build(ring, ca, cb)
+        assert sides(ring, ca, cb) == split(c)
+        assert sides(ring, *sides(ring, ca, cb)) == (ca, cb)
+        assert join(ring, *sides(ring, ca, cb)) == c
+
+
 # the functions allowed to tell the rings apart; everything else goes
-# through split/join, so the H23/H32 mirror cannot grow back
+# through sides (split and join apply it), so the H23/H32 mirror cannot grow back
 RING_BRANCHES = {
     "ring.mul",
-    "codes.split",
-    "codes.join",
+    "codes.sides",
     "codes.symplectic_inner",
     "codes._dual_codes",
 }
@@ -689,8 +699,8 @@ WORD_ORACLES = (*TWINS.values(), dual_bruteforce, enumerate_words)
 
 
 def test_word_oracles_never_reach_the_fast_path(monkeypatch, pair_surface_n2):
-    # the twins are the oracles for split/join and the symplectic rank
-    # tests, so they must give the same answers with all of those gone
+    # the twins are the oracles for sides/split/join and the symplectic
+    # rank tests, so they must give the same answers with all of those gone
     codes = [build(ring, ca, cb) for ring in (H23, H32) for ca, cb in pair_surface_n2]
     want = [[oracle(c) for oracle in WORD_ORACLES] for c in codes]
     # value-equal codes with empty caches, so the patched pass evaluates
@@ -701,8 +711,8 @@ def test_word_oracles_never_reach_the_fast_path(monkeypatch, pair_surface_n2):
     def boom(*args, **kwargs):
         raise AssertionError("a word-level oracle reached the fast path")
 
-    monkeypatch.setattr(import_module("symhex.codes"), "split", boom)
-    monkeypatch.setattr(import_module("symhex.codes"), "join", boom)
+    for name in ("sides", "split", "join"):
+        monkeypatch.setattr(import_module("symhex.codes"), name, boom)
     # every binding of nullspace and of the kernel it shares with automorphism_group
     for module, name in [
         ("symhex.gf", "nullspace"),

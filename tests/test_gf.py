@@ -86,7 +86,11 @@ def test_zero_and_full_are_first_class():
     f = LinearCode.full(3, 4)
     assert z.k == 0 and z.size == 1 and z.is_zero()
     assert f.k == 4 and f.size == 81 and f.is_full()
-    assert z.codewords().tolist() == [[0, 0, 0, 0]]
+    for q in (2, 3):
+        for n in range(5):  # the one zero message times the (0, n) generator
+            words = LinearCode.zero(q, n).codewords()
+            assert words.dtype == np.int8 and words.flags.writeable
+            assert words.tolist() == [[0] * n]
     assert [0, 0, 0, 0] in z
     assert [1, 2, 0, 1] in f
     # a zero row collapses to the zero code
